@@ -193,29 +193,12 @@ def _norm_adjacency(ctx: ContextSubgraph) -> np.ndarray:
     return a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
-def object_key(obj) -> ObjKey:
-    if isinstance(obj, Triple):
-        return kgstore.rel_key(obj.rel)
-    if isinstance(obj, EntityId):
-        return kgstore.ent_key(obj)
-    return obj
-
-
-def joint_embed(o: np.ndarray, cx: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Gated blend sigma(gamma) * o + (1 - sigma(gamma)) * cx."""
-    o = np.asarray(o, dtype=np.float64)
-    cx = np.asarray(cx, dtype=np.float64)
-    gamma = np.asarray(gamma, dtype=np.float64)
-    if not (o.shape == cx.shape == gamma.shape):
-        raise ConfigError(
-            f"joint_embed shapes differ: {o.shape}, {cx.shape}, {gamma.shape}"
-        )
-    g = sigmoid(gamma)
-    return g * o + (1.0 - g) * cx
-
-
 class Embedder:
-    """Bundles a graph, its embedding table, and the context encoder."""
+    """Bundles a graph, its embedding table, and the context encoder.
+
+    A given ``table`` and ``enc`` are adopted as they are; otherwise fresh
+    d-dim ones are drawn from ``rng``, one random vector per graph object.
+    """
 
     def __init__(
         self,
@@ -224,30 +207,22 @@ class Embedder:
         layers: int = 2,
         margin: float = 1.0,
         rng: np.random.Generator | None = None,
+        table: EmbeddingTable | None = None,
+        enc: ContextEncoder | None = None,
     ):
         self.kg = kg
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.table = EmbeddingTable(d)
-        self.enc = ContextEncoder(d, layers, self.rng)
+        self.table = table if table is not None else EmbeddingTable(d)
+        self.enc = enc if enc is not None else ContextEncoder(d, layers, self.rng)
+        if self.table.d != self.enc.d:
+            raise ConfigError(
+                f"table dimension {self.table.d} != encoder dimension {self.enc.d}"
+            )
         self.margin = margin
         self._joint_cache: dict[ObjKey, tuple[tuple, np.ndarray]] = {}
-        for key in kg.object_keys():
-            self.table.init_object(key, self.rng)
-
-    @classmethod
-    def from_parts(
-        cls, kg: DynamicKg, table: EmbeddingTable, enc: ContextEncoder, margin: float = 1.0
-    ) -> "Embedder":
-        if table.d != enc.d:
-            raise ConfigError(f"table dimension {table.d} != encoder dimension {enc.d}")
-        emb = cls.__new__(cls)
-        emb.kg = kg
-        emb.rng = np.random.default_rng(0)
-        emb.table = table
-        emb.enc = enc
-        emb.margin = margin
-        emb._joint_cache = {}
-        return emb
+        if table is None:
+            for key in kg.object_keys():
+                self.table.init_object(key, self.rng)
 
     # -- forward / backward ------------------------------------------------
 
@@ -261,13 +236,8 @@ class Embedder:
             return self.kg.context_of(EntityId(kind, index))
         return self.kg.context_of(obj)
 
-    def _joint_forward(self, obj) -> tuple[np.ndarray, dict]:
-        if self.table.d != self.enc.d:
-            raise ConfigError(
-                f"table dimension {self.table.d} != encoder dimension {self.enc.d}"
-            )
-        ctx = self._context(obj)
-        key = object_key(obj)
+    def _joint_forward(self, ctx: ContextSubgraph) -> tuple[np.ndarray, dict]:
+        key = ctx.nodes[0]  # every context lists its own object first
         s = _norm_adjacency(ctx)
         zs = [np.stack([self.table.get(k) for k in ctx.nodes])]
         ms = []
@@ -331,7 +301,7 @@ class Embedder:
 
     def joint_of(self, obj) -> np.ndarray:
         """Fresh joint embedding of an object (no cache)."""
-        return self._joint_forward(obj)[0]
+        return self._joint_forward(self._context(obj))[0]
 
     def _signature(self, ctx: ContextSubgraph) -> tuple:
         return (
@@ -346,18 +316,16 @@ class Embedder:
         hit = self._joint_cache.get(key)
         if hit is not None and hit[0] == sig:
             return hit[1]
-        vec = self._joint_forward(
-            key if kgstore.key_is_relation(key) else EntityId(*key)
-        )[0]
+        vec = self._joint_forward(ctx)[0]
         self._joint_cache[key] = (sig, vec)
         return vec
 
     # -- losses --------------------------------------------------------------
 
     def triple_residual(self, triple: Triple) -> float:
-        h, _ = self._joint_forward(triple.head)
-        r, _ = self._joint_forward(triple)
-        t, _ = self._joint_forward(triple.tail)
+        h, _ = self._joint_forward(self._context(triple.head))
+        r, _ = self._joint_forward(self._context(triple))
+        t, _ = self._joint_forward(self._context(triple.tail))
         return float(np.abs(h + r - t).sum())
 
     def margin_loss(self, batch: TrainBatch) -> float:
@@ -373,9 +341,9 @@ class Embedder:
         for pos, neg in batch.pairs:
             fwd = {}
             for tag, triple in (("pos", pos), ("neg", neg)):
-                h, ch = self._joint_forward(triple.head)
-                r, cr = self._joint_forward(triple)
-                t, ct = self._joint_forward(triple.tail)
+                h, ch = self._joint_forward(self._context(triple.head))
+                r, cr = self._joint_forward(self._context(triple))
+                t, ct = self._joint_forward(self._context(triple.tail))
                 e = h + r - t
                 fwd[tag] = (e, ch, cr, ct)
             f_pos = float(np.abs(fwd["pos"][0]).sum())
@@ -537,62 +505,13 @@ class Embedder:
         for key in keys:
             if kgstore.key_is_relation(key):
                 seed = d_state[d:] / max(n_rel, 1)
-                obj = key
             else:
                 seed = d_state[:d] / max(n_ent, 1)
-                obj = EntityId(*key)
-            _, cache = self._joint_forward(obj)
+            _, cache = self._joint_forward(self._context(key))
             self._joint_backward(cache, seed, grads)
         sgd_step(self.enc.store, lr)
         self.enc.bump()
         self._apply_grads(grads, lr, allowed=set(keys))
-
-
-# -- module-level operation wrappers -------------------------------------------
-
-
-def encode_context(kg: DynamicKg, obj, enc: ContextEncoder, table: EmbeddingTable) -> np.ndarray:
-    """Context vector cx(obj) via GCN layers plus attention aggregation."""
-    if table.d != enc.d:
-        raise ConfigError(f"table dimension {table.d} != encoder dimension {enc.d}")
-    emb = Embedder.from_parts(kg, table, enc)
-    _, cache = emb._joint_forward(obj)
-    return cache["cx"]
-
-
-def margin_loss(batch: TrainBatch, embedder: Embedder) -> float:
-    return embedder.margin_loss(batch)
-
-
-def train_init(
-    kg: DynamicKg,
-    epochs: int,
-    lr: float,
-    neg_per_pos: int = 1,
-    d: int = 200,
-    layers: int = 2,
-    margin: float = 1.0,
-    rng: np.random.Generator | None = None,
-) -> tuple[EmbeddingTable, ContextEncoder, np.ndarray]:
-    emb = Embedder(kg, d=d, layers=layers, margin=margin, rng=rng)
-    state = emb.train_init(epochs, lr, neg_per_pos)
-    return emb.table, emb.enc, state
-
-
-def incremental_update(
-    kg: DynamicKg,
-    embedder: Embedder,
-    delta: kgstore.DeltaReport,
-    steps: int = 1,
-    lr: float = 0.01,
-) -> None:
-    if embedder.kg is not kg:
-        raise ConsistencyError("delta applies to a different graph")
-    embedder.incremental_update(delta, steps, lr)
-
-
-def pool_state(embedder: Embedder) -> np.ndarray:
-    return embedder.pool_state()
 
 
 def build_check_store(embedder: Embedder, keys) -> ParamStore:

@@ -5,14 +5,6 @@ class GeostreamError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DimensionError(GeostreamError):
-    """Operand shapes are incompatible."""
-
-
-class NumericError(GeostreamError):
-    """A public operation produced NaN or Inf."""
-
-
 class TrainingError(GeostreamError):
     """Optimization hit a non-finite loss or gradient."""
 

@@ -441,8 +441,10 @@ class Artifacts:
                 raise CompatibilityError(
                     f"artifact dimension {table.d} != configured d {config.d}"
                 )
-            art.embedder = embed_mod.Embedder.from_parts(kg, table, enc, config.margin)
-            art.embedder.rng = np.random.default_rng(config.seed + 1)
+            art.embedder = embed_mod.Embedder(
+                kg, margin=config.margin, rng=np.random.default_rng(config.seed + 1),
+                table=table, enc=enc,
+            )
         legacy_path = os.path.join(out_dir, "legacy.bin")
         if os.path.exists(legacy_path):
             from .numkit import load_matrices

@@ -47,20 +47,12 @@ class RelType(IntEnum):
 # entity keys are (EntityKind value, index); relation kinds get code 5 + rel.
 REL_KEY_BASE = 5
 
-_KIND_NAMES = {
-    0: "User",
-    1: "Poi",
-    2: "RPoi",
-    3: "Category",
-    4: "Zone",
-}
 _REL_NAMES = {
     RelType.BELONG_TO: "BelongTo",
     RelType.LOCATE_AT: "LocateAt",
     RelType.VISIT: "Visit",
     RelType.ALSO_VISIT: "AlsoVisit",
 }
-_REL_BY_NAME = {v: k for k, v in _REL_NAMES.items()}
 
 
 class EntityId(NamedTuple):
@@ -128,7 +120,6 @@ class DeltaReport:
 
 @dataclass
 class _VisitEvent:
-    user: int
     poi: int
     time: float
     visit_triple: Triple
@@ -148,54 +139,55 @@ class DynamicKg:
     def __post_init__(self):
         if self.window_capacity < 1:
             raise ValueError("window capacity must be >= 1")
-        self._entities: set[EntityId] = set()
-        self._triples: set[Triple] = set()
-        # refcounted undirected adjacency: entity -> {neighbor: edge count}
-        self._adj: dict[EntityId, dict[EntityId, int]] = {}
-        # directed pair -> {rel kind: triple count}
-        self._pair_rels: dict[tuple[EntityId, EntityId], dict[int, int]] = {}
-        self._incident: dict[EntityId, set[Triple]] = {}
-        self._rel_counts: dict[int, int] = {}
+        # live triple -> references: 1 for a static triple; window events
+        # hold one on their visit edge and one on the cascade they created
+        self._refs: dict[Triple, int] = {}
+        # entity -> neighbor -> live triples joining the two, either direction
+        self._nbrs: dict[EntityId, dict[EntityId, set[Triple]]] = {}
         self._windows: dict[int, deque[_VisitEvent]] = {}
-        self._visit_refs: dict[Triple, int] = {}
-        self._cascade_refs: dict[Triple, int] = {}
 
-    # -- entity / triple bookkeeping ------------------------------------
+    # -- edge store ------------------------------------------------------
 
     def _add_entity(self, e: EntityId) -> None:
-        if e not in self._entities:
-            self._entities.add(e)
-            self._adj[e] = {}
-            self._incident[e] = set()
+        self._nbrs.setdefault(e, {})
 
     def has_entity(self, e: EntityId) -> bool:
-        return e in self._entities
+        return e in self._nbrs
 
-    def _attach(self, t: Triple) -> None:
-        self._triples.add(t)
-        self._adj[t.head][t.tail] = self._adj[t.head].get(t.tail, 0) + 1
-        self._adj[t.tail][t.head] = self._adj[t.tail].get(t.head, 0) + 1
-        kinds = self._pair_rels.setdefault((t.head, t.tail), {})
-        kinds[t.rel] = kinds.get(t.rel, 0) + 1
-        self._incident[t.head].add(t)
-        self._incident[t.tail].add(t)
-        self._rel_counts[t.rel] = self._rel_counts.get(t.rel, 0) + 1
+    def _ref(self, t: Triple) -> bool:
+        """Take a reference on ``t``; True if that made it live."""
+        count = self._refs.get(t, 0)
+        self._refs[t] = count + 1
+        if count:
+            return False
+        self._nbrs[t.head].setdefault(t.tail, set()).add(t)
+        self._nbrs[t.tail].setdefault(t.head, set()).add(t)
+        return True
 
-    def _detach(self, t: Triple) -> None:
-        self._triples.discard(t)
+    def _unref(self, t: Triple) -> None:
+        self._refs[t] -= 1
+        if self._refs[t]:
+            return
+        del self._refs[t]
         for a, b in ((t.head, t.tail), (t.tail, t.head)):
-            self._adj[a][b] -= 1
-            if self._adj[a][b] == 0:
-                del self._adj[a][b]
-        kinds = self._pair_rels[(t.head, t.tail)]
-        kinds[t.rel] -= 1
-        if kinds[t.rel] == 0:
-            del kinds[t.rel]
-        if not kinds:
-            del self._pair_rels[(t.head, t.tail)]
-        self._incident[t.head].discard(t)
-        self._incident[t.tail].discard(t)
-        self._rel_counts[t.rel] -= 1
+            joined = self._nbrs[a][b]
+            joined.discard(t)
+            if not joined:
+                del self._nbrs[a][b]
+
+    def _push_event(self, user_id: int, poi_id: int, time: float, src: int | None) -> list[Triple]:
+        """Append a window event referencing its visit edge and, when
+        ``src`` is given, the cascade from it; return the triples made live."""
+        if user_id not in self.users:
+            self.users.add(user_id)
+            self._add_entity(user(user_id))
+            self._windows[user_id] = deque()
+        visit_triple = Triple(user(user_id), RelType.VISIT, poi(poi_id), time)
+        cascade = None
+        if src is not None:
+            cascade = Triple(poi(src), RelType.ALSO_VISIT, rpoi(poi_id))
+        self._windows[user_id].append(_VisitEvent(poi_id, time, visit_triple, cascade))
+        return [t for t in (visit_triple, cascade) if t is not None and self._ref(t)]
 
     # -- mutation --------------------------------------------------------
 
@@ -208,28 +200,21 @@ class DynamicKg:
         self.visit_counts.setdefault(poi_id, 0)
         for e in (poi(poi_id), rpoi(poi_id), category(category_id), zone(zone_id)):
             self._add_entity(e)
-        self._attach(Triple(poi(poi_id), RelType.BELONG_TO, category(category_id)))
-        self._attach(Triple(poi(poi_id), RelType.LOCATE_AT, zone(zone_id)))
+        self._ref(Triple(poi(poi_id), RelType.BELONG_TO, category(category_id)))
+        self._ref(Triple(poi(poi_id), RelType.LOCATE_AT, zone(zone_id)))
 
     def apply_visit(self, user_id: int, poi_id: int, time: float) -> DeltaReport:
         """Insert one visit event, evicting the user's oldest if needed."""
         if poi_id not in self.pois:
             raise UnknownObjectError(f"unknown POI {poi_id}")
         time = float(time)
-        window = self._windows.get(user_id)
+        window = self._windows.get(user_id, ())
         if window and time < window[-1].time:
             raise StreamOrderError(
                 f"visit at {time} precedes user {user_id}'s last event "
                 f"at {window[-1].time}"
             )
-        if user_id not in self.users:
-            self.users.add(user_id)
-            self._add_entity(user(user_id))
-            window = self._windows[user_id] = deque()
-        elif window is None:
-            window = self._windows[user_id] = deque()
 
-        added: list[Triple] = []
         removed: list[Triple] = []
         affected: set[tuple[int, int]] = set()
 
@@ -238,45 +223,24 @@ class DynamicKg:
             # kind sharing the triple's pair
             for e in (t.head, t.tail):
                 affected.add(ent_key(e))
-                for nbr in self._adj.get(e, ()):
+                for nbr in self._nbrs[e]:
                     affected.add(ent_key(nbr))
             affected.add(rel_key(t.rel))
-            for pair in ((t.head, t.tail), (t.tail, t.head)):
-                for kind in self._pair_rels.get(pair, ()):
-                    affected.add(rel_key(kind))
+            for other in self._nbrs[t.head].get(t.tail, ()):
+                affected.add(rel_key(other.rel))
 
         if len(window) == self.window_capacity:
             old = window.popleft()
-            for tri, refs in (
-                (old.visit_triple, self._visit_refs),
-                (old.cascade, self._cascade_refs),
-            ):
+            for tri in (old.visit_triple, old.cascade):
                 if tri is None:
                     continue
-                refs[tri] -= 1
-                if refs[tri] == 0:
-                    del refs[tri]
+                if self._refs[tri] == 1:
                     touch(tri)  # neighborhood snapshot before detaching
-                    self._detach(tri)
                     removed.append(tri)
+                self._unref(tri)
 
-        prev_poi = window[-1].poi if window else None
-
-        visit_triple = Triple(user(user_id), RelType.VISIT, poi(poi_id), time)
-        if self._visit_refs.get(visit_triple, 0) == 0:
-            self._attach(visit_triple)
-            added.append(visit_triple)
-        self._visit_refs[visit_triple] = self._visit_refs.get(visit_triple, 0) + 1
-
-        cascade = None
-        if prev_poi is not None:
-            cascade = Triple(poi(prev_poi), RelType.ALSO_VISIT, rpoi(poi_id))
-            if self._cascade_refs.get(cascade, 0) == 0:
-                self._attach(cascade)
-                added.append(cascade)
-            self._cascade_refs[cascade] = self._cascade_refs.get(cascade, 0) + 1
-
-        window.append(_VisitEvent(user_id, poi_id, time, visit_triple, cascade))
+        src = window[-1].poi if window else None
+        added = self._push_event(user_id, poi_id, time, src)
         self.visit_counts[poi_id] += 1
         for t in added:
             touch(t)
@@ -293,21 +257,21 @@ class DynamicKg:
         not exist in the graph; an unseen pair yields the singleton context.
         """
         if isinstance(obj, Triple):
-            kinds = set(self._pair_rels.get((obj.head, obj.tail), ()))
-            kinds.discard(obj.rel)
+            joined = self._nbrs.get(obj.head, {}).get(obj.tail, ())
+            kinds = {t.rel for t in joined if t.head == obj.head} - {obj.rel}
             nodes = [rel_key(obj.rel)] + [rel_key(k) for k in sorted(kinds)]
             n = len(nodes)
             adj = np.zeros((n, n))
             adj[0, 1:] = 1.0
             adj[1:, 0] = 1.0
             return ContextSubgraph(tuple(nodes), adj)
-        if obj not in self._entities:
+        if obj not in self._nbrs:
             raise UnknownObjectError(f"unknown entity {obj}")
-        members = [obj] + sorted(self._adj[obj])
+        members = [obj] + sorted(self._nbrs[obj])
         n = len(members)
         adj = np.zeros((n, n))
         for i in range(n):
-            row = self._adj[members[i]]
+            row = self._nbrs[members[i]]
             for j in range(i + 1, n):
                 if members[j] in row:
                     adj[i, j] = adj[j, i] = 1.0
@@ -328,28 +292,24 @@ class DynamicKg:
             seen.setdefault(e.poi, None)
         return list(seen)
 
+    def _members(self, e: EntityId, kind: int) -> list[int]:
+        return sorted(n.index for n in self._nbrs.get(e, ()) if n.kind == kind)
+
     def cascade_successors(self, poi_id: int) -> list[int]:
         """POIs visited next after ``poi_id`` per live also-visit edges."""
-        out = []
-        for nbr in self._adj.get(poi(poi_id), ()):
-            if nbr.kind != EntityKind.RPOI:
-                continue
-            if RelType.ALSO_VISIT in self._pair_rels.get((poi(poi_id), nbr), ()):
-                out.append(nbr.index)
-        return sorted(out)
+        # a POI meets an RPOI only through an also-visit edge
+        return self._members(poi(poi_id), EntityKind.RPOI)
 
     def category_members(self, category_id: int) -> list[int]:
-        e = category(category_id)
-        return sorted(n.index for n in self._adj.get(e, ()) if n.kind == EntityKind.POI)
+        return self._members(category(category_id), EntityKind.POI)
 
     def zone_members(self, zone_id: int) -> list[int]:
-        e = zone(zone_id)
-        return sorted(n.index for n in self._adj.get(e, ()) if n.kind == EntityKind.POI)
+        return self._members(zone(zone_id), EntityKind.POI)
 
     def poi_static(self, poi_id: int) -> tuple[int, int]:
         """(category, zone) of a POI from the static skeleton."""
         cat = zn = None
-        for nbr in self._adj.get(poi(poi_id), ()):
+        for nbr in self._nbrs.get(poi(poi_id), ()):
             if nbr.kind == EntityKind.CATEGORY:
                 cat = nbr.index
             elif nbr.kind == EntityKind.ZONE:
@@ -359,10 +319,10 @@ class DynamicKg:
         return cat, zn
 
     def triples(self) -> set[Triple]:
-        return set(self._triples)
+        return set(self._refs)
 
     def n_triples(self) -> int:
-        return len(self._triples)
+        return len(self._refs)
 
     def triples_incident_to(self, keys) -> list[Triple]:
         """Triples touching any affected entity, in a deterministic order."""
@@ -370,32 +330,33 @@ class DynamicKg:
         for key in keys:
             if key_is_relation(key):
                 continue
-            e = EntityId(*key)
-            found.update(self._incident.get(e, ()))
+            for joined in self._nbrs.get(EntityId(*key), {}).values():
+                found.update(joined)
         return sorted(found, key=_triple_sort_key)
 
     def object_keys(self) -> list[tuple[int, int]]:
         """All embeddable objects: entities plus relation kinds in use."""
-        keys = [ent_key(e) for e in self._entities]
-        keys += [rel_key(r) for r, c in self._rel_counts.items() if c > 0]
+        keys = [ent_key(e) for e in self._nbrs]
+        keys += [rel_key(r) for r in {t.rel for t in self._refs}]
         return sorted(keys)
 
     # -- snapshot text format ---------------------------------------------
 
     def export_snapshot(self) -> str:
-        lines = ["# geostream-kg 1", f"window {self.window_capacity}"]
+        """Exact text form: the static skeleton, lifetime visit counts and
+        every window event with the POI its cascade came from (or ``-``)."""
+        lines = [_SNAPSHOT_HEADER, f"window {self.window_capacity}", f"version {self.version}"]
         for p in sorted(self.pois):
-            if self.visit_counts.get(p, 0):
-                lines.append(f"visits {p} {self.visit_counts[p]}")
-        for t in sorted(self._triples, key=_triple_sort_key):
-            rel = _REL_NAMES[RelType(t.rel)]
-            if t.time is not None:
-                rel = f"{rel}:{t.time!r}"
-            lines.append(
-                f"{_KIND_NAMES[t.head.kind]}:{t.head.index}\t{rel}\t"
-                f"{_KIND_NAMES[t.tail.kind]}:{t.tail.index}"
-            )
+            cat, zn = self.poi_static(p)
+            lines.append(f"poi {p} {cat} {zn} {self.visit_counts[p]}")
+        for user_id in sorted(self._windows):
+            for e in self._windows[user_id]:
+                src = "-" if e.cascade is None else e.cascade.head.index
+                lines.append(f"event {user_id} {e.poi} {e.time!r} {src}")
         return "\n".join(lines) + "\n"
+
+
+_SNAPSHOT_HEADER = "# geostream-kg 2"
 
 
 def _triple_sort_key(t: Triple):
@@ -410,124 +371,42 @@ def build_static(pois, window: int = 50) -> DynamicKg:
     return kg
 
 
-def apply_visit(kg: DynamicKg, user_id: int, poi_id: int, time: float) -> DeltaReport:
-    return kg.apply_visit(user_id, poi_id, time)
-
-
-def context_of(kg: DynamicKg, obj) -> ContextSubgraph:
-    return kg.context_of(obj)
-
-
-def popularity(kg: DynamicKg, pois) -> list[int]:
-    return kg.popularity(pois)
-
-
-_NAME_TO_KIND = {v: k for k, v in _KIND_NAMES.items()}
-
-
-def _parse_endpoint(text: str) -> EntityId:
-    name, _, idx = text.partition(":")
-    if name not in _NAME_TO_KIND or not idx:
-        raise IngestionError(f"bad snapshot endpoint {text!r}")
-    return EntityId(_NAME_TO_KIND[name], int(idx))
-
-
 def import_snapshot(text: str) -> DynamicKg:
-    """Rebuild a graph from its exported text form.
-
-    Windows and eviction bookkeeping are reconstructed from the visit
-    triples (each user's in-window events are their visit edges sorted by
-    time). Cascade edges whose creating pair was partly evicted are
-    re-anchored to the matching window-head event.
-    """
-    window_cap = 50
-    visit_lines: list[tuple[str, ...]] = []
-    statics: list[Triple] = []
-    visits: list[Triple] = []
-    cascades: list[Triple] = []
-    counts: dict[int, int] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("window "):
-            window_cap = int(line.split()[1])
-            continue
-        if line.startswith("visits "):
-            _, p, c = line.split()
-            counts[int(p)] = int(c)
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise IngestionError(f"bad snapshot line {line!r}")
-        visit_lines.append(tuple(parts))
-    kg = DynamicKg(window_capacity=window_cap)
-    pending_pois: dict[int, dict[int, int]] = {}
-    for head_s, rel_s, tail_s in visit_lines:
-        rel_name, _, time_s = rel_s.partition(":")
-        if rel_name not in _REL_BY_NAME:
-            raise IngestionError(f"bad snapshot relation {rel_s!r}")
-        rel = _REL_BY_NAME[rel_name]
-        head = _parse_endpoint(head_s)
-        tail = _parse_endpoint(tail_s)
-        t = Triple(head, rel, tail, float(time_s) if time_s else None)
-        if rel == RelType.BELONG_TO:
-            pending_pois.setdefault(head.index, {})[0] = tail.index
-            statics.append(t)
-        elif rel == RelType.LOCATE_AT:
-            pending_pois.setdefault(head.index, {})[1] = tail.index
-            statics.append(t)
-        elif rel == RelType.VISIT:
-            visits.append(t)
-        else:
-            cascades.append(t)
-    for poi_id in sorted(pending_pois):
-        links = pending_pois[poi_id]
-        if 0 not in links or 1 not in links:
-            raise IngestionError(f"POI {poi_id} missing static triples")
-        kg.add_poi(poi_id, links[0], links[1])
-
-    by_user: dict[int, list[Triple]] = {}
-    for t in visits:
-        by_user.setdefault(t.head.index, []).append(t)
-    heads: list[_VisitEvent] = []
-    for user_id in sorted(by_user):
-        events = sorted(by_user[user_id], key=lambda t: (t.time, t.tail.index))
-        if len(events) > window_cap:
-            raise IngestionError(
-                f"user {user_id} has {len(events)} in-window visits, capacity {window_cap}"
-            )
-        kg.users.add(user_id)
-        kg._add_entity(user(user_id))
-        window = kg._windows[user_id] = deque()
-        prev = None
-        for t in events:
-            if kg._visit_refs.get(t, 0) == 0:
-                kg._attach(t)
-            kg._visit_refs[t] = kg._visit_refs.get(t, 0) + 1
-            ev = _VisitEvent(user_id, t.tail.index, t.time, t)
-            if prev is not None:
-                ct = Triple(poi(prev), RelType.ALSO_VISIT, rpoi(t.tail.index))
-                if kg._cascade_refs.get(ct, 0) == 0:
-                    kg._attach(ct)
-                kg._cascade_refs[ct] = kg._cascade_refs.get(ct, 0) + 1
-                ev.cascade = ct
+    """Rebuild a graph from its exported text form by replaying its lines."""
+    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
+    if not lines or " ".join(lines[0]) != _SNAPSHOT_HEADER:
+        raise IngestionError(f"not a {_SNAPSHOT_HEADER!r} snapshot")
+    try:
+        if [f[0] for f in lines[1:3]] != ["window", "version"] or any(
+            len(f) != 2 for f in lines[1:3]
+        ):
+            raise IngestionError("snapshot must start with its window and version lines")
+        kg = DynamicKg(window_capacity=int(lines[1][1]), version=int(lines[2][1]))
+        for tag, *fields in lines[3:]:
+            if tag == "poi" and len(fields) == 4:
+                p, cat, zn, visits = (int(f) for f in fields)
+                kg.add_poi(p, cat, zn)
+                kg.visit_counts[p] = visits
+            elif tag == "event" and len(fields) == 4:
+                src = None if fields[3] == "-" else int(fields[3])
+                _replay_event(kg, int(fields[0]), int(fields[1]), float(fields[2]), src)
             else:
-                heads.append(ev)
-            window.append(ev)
-            prev = t.tail.index
-    heads.sort(key=lambda e: (e.user, e.time))
-    for ct in sorted(set(cascades), key=_triple_sort_key):
-        if kg._cascade_refs.get(ct, 0) > 0:
-            continue
-        target = ct.tail.index
-        owner = next((e for e in heads if e.poi == target and e.cascade is None), None)
-        if owner is not None:
-            owner.cascade = ct
-        kg._attach(ct)
-        kg._cascade_refs[ct] = 1
-    for p, c in counts.items():
-        if p not in kg.pois:
-            raise IngestionError(f"visit count for unknown POI {p}")
-        kg.visit_counts[p] = c
+                raise IngestionError(f"bad snapshot line {' '.join([tag, *fields])!r}")
+    except ValueError as exc:
+        raise IngestionError(f"bad snapshot: {exc}") from None
     return kg
+
+
+def _replay_event(kg: DynamicKg, user_id: int, poi_id: int, time: float, src: int | None) -> None:
+    """Check a snapshot event against the window it joins, then push it."""
+    window = kg._windows.get(user_id, ())
+    if poi_id not in kg.pois or (src is not None and src not in kg.pois):
+        raise IngestionError(f"snapshot event names an unknown POI: {poi_id}, {src}")
+    if window and (src != window[-1].poi or time < window[-1].time):
+        raise IngestionError(
+            f"user {user_id}'s snapshot event ({poi_id}, {time!r}, {src}) "
+            f"does not follow ({window[-1].poi}, {window[-1].time!r})"
+        )
+    if len(window) == kg.window_capacity:
+        raise IngestionError(f"user {user_id} has more events than window capacity")
+    kg._push_event(user_id, poi_id, time, src)

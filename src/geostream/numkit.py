@@ -2,7 +2,7 @@
 
 Matrices are plain 2-D float64 numpy arrays in row-major order. The kernel
 adds the small amount of structure the rest of the package needs on top of
-numpy: shape-checked products, stable activations, a named parameter store
+numpy: stable activations, a named parameter store
 with gradient accumulators, plain SGD, and a central-difference gradient
 checker used to verify every hand-derived backward pass in the repo.
 """
@@ -14,34 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, TrainingError
-
-
-def as_mat(values) -> np.ndarray:
-    """Coerce to a 2-D float64 matrix."""
-    m = np.asarray(values, dtype=np.float64)
-    if m.ndim == 1:
-        m = m.reshape(1, -1)
-    if m.ndim != 2:
-        raise DimensionError(f"expected a matrix, got ndim={m.ndim}")
-    return m
-
-
-def _check_finite(m: np.ndarray, op: str) -> np.ndarray:
-    if not np.isfinite(m).all():
-        raise NumericError(f"{op} produced non-finite values")
-    return m
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = as_mat(a)
-    b = as_mat(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"matmul: inner dimensions differ, {a.shape} x {b.shape}"
-        )
-    return _check_finite(a @ b, "matmul")
+from .errors import TrainingError
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -63,19 +36,9 @@ def sigmoid_scalar(x: float) -> float:
     return float(sigmoid(np.asarray([x]))[0])
 
 
-def activation(x, kind: str) -> np.ndarray:
-    """Element-wise activation, kind is 'relu' or 'sigmoid'."""
-    x = as_mat(x)
-    if kind == "relu":
-        return relu(x)
-    if kind == "sigmoid":
-        return _check_finite(sigmoid(x), "sigmoid")
-    raise ValueError(f"unknown activation kind {kind!r}")
-
-
 def row_softmax(x) -> np.ndarray:
     """Softmax per row, stabilized by subtracting the row max."""
-    x = as_mat(x)
+    x = np.asarray(x, dtype=np.float64)
     shifted = x - x.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)

@@ -311,7 +311,3 @@ def train_step(
     if encoder_feedback is not None:
         encoder_feedback(batch, d_x)
     return loss
-
-
-def sample_batch(buf: PriorityReplayBuffer, k: int, **kw) -> list[Transition]:
-    return buf.sample_batch(k, **kw)

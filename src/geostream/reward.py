@@ -163,7 +163,3 @@ def compute_reward(
     )
     baselines.append(parts)
     return sigmoid_scalar(z)
-
-
-def update_baselines(windows: BaselineWindows, parts: tuple[float, float, float]) -> None:
-    windows.append(parts)

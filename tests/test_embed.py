@@ -1,10 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from geostream import embed, kgstore
-from geostream.embed import Embedder, EmbeddingTable, TrainBatch, joint_embed
+from geostream.embed import Embedder, EmbeddingTable, TrainBatch
 from geostream.errors import ConfigError, ConsistencyError
 from geostream.kgstore import EntityKind, RelType, Triple, build_static, poi, user
 from geostream.numkit import finite_diff_check
@@ -39,7 +37,7 @@ class TestEncodeContext:
         emb = Embedder(kg, d=4, layers=1, rng=np.random.default_rng(1))
         key = kgstore.ent_key(kgstore.rpoi(0))  # unconnected entity
         z = emb.table.get(key)
-        cx = embed.encode_context(kg, kgstore.rpoi(0), emb.enc, emb.table)
+        cx = emb._joint_forward(emb._context(kgstore.rpoi(0)))[1]["cx"]
         expected = np.maximum(z @ emb.enc.gcn_weight(0), 0.0)
         np.testing.assert_allclose(cx, expected, atol=1e-12)
 
@@ -49,7 +47,7 @@ class TestEncodeContext:
         # zone 0's only neighbor is poi 0; give both the same raw vector
         emb.table.set(kgstore.ent_key(kgstore.zone(0)), np.array([0.3, -1.0, 0.5, 2.0]))
         emb.table.set(kgstore.ent_key(poi(0)), np.array([0.3, -1.0, 0.5, 2.0]))
-        _, cache = emb._joint_forward(kgstore.zone(0))
+        _, cache = emb._joint_forward(emb._context(kgstore.zone(0)))
         np.testing.assert_allclose(cache["alpha"], [0.5, 0.5], atol=1e-12)
 
     def test_three_node_star_matches_oracle(self):
@@ -64,7 +62,7 @@ class TestEncodeContext:
             z0, ctx.adjacency, [emb.enc.gcn_weight(0)],
             emb.enc.att_scale, emb.table.get(ctx.nodes[0]),
         )
-        cx = embed.encode_context(kg, obj, emb.enc, emb.table)
+        cx = emb._joint_forward(emb._context(obj))[1]["cx"]
         np.testing.assert_allclose(cx, expected, atol=1e-12)
 
     def test_two_layer_matches_oracle(self):
@@ -80,7 +78,7 @@ class TestEncodeContext:
                 [emb.enc.gcn_weight(0), emb.enc.gcn_weight(1)],
                 emb.enc.att_scale, emb.table.get(ctx.nodes[0]),
             )
-            cx = embed.encode_context(kg, obj, emb.enc, emb.table)
+            cx = emb._joint_forward(emb._context(obj))[1]["cx"]
             np.testing.assert_allclose(cx, expected, atol=1e-12)
 
     def test_dimension_mismatch(self):
@@ -88,7 +86,7 @@ class TestEncodeContext:
         emb = Embedder(kg, d=4, layers=1)
         other = embed.ContextEncoder(d=6, layers=1)
         with pytest.raises(ConfigError):
-            embed.encode_context(kg, poi(0), other, emb.table)
+            Embedder(kg, table=emb.table, enc=other)
 
     def test_permutation_invariance(self):
         pois_a = [(0, 0, 0), (1, 0, 1), (2, 1, 1)]
@@ -100,44 +98,34 @@ class TestEncodeContext:
         kg_b.apply_visit(9, perm[0], 1.0)
         rng = np.random.default_rng(7)
         emb_a = Embedder(kg_a, d=5, layers=2, rng=rng)
-        emb_b = Embedder.from_parts(kg_b, EmbeddingTable(5), emb_a.enc)
+        emb_b = Embedder(kg_b, table=EmbeddingTable(5), enc=emb_a.enc)
         inv = {v: k for k, v in perm.items()}
         for key in kg_b.object_keys():
             kind, idx = key
             src = (kind, inv[idx]) if kind in (EntityKind.POI, EntityKind.RPOI) else key
             emb_b.table.set(key, emb_a.table.get(src))
         for p in (0, 1, 2):
-            cx_a = embed.encode_context(kg_a, poi(p), emb_a.enc, emb_a.table)
-            cx_b = embed.encode_context(kg_b, poi(perm[p]), emb_b.enc, emb_b.table)
+            cx_a = emb_a._joint_forward(emb_a._context(poi(p)))[1]["cx"]
+            cx_b = emb_b._joint_forward(emb_b._context(poi(perm[p])))[1]["cx"]
             np.testing.assert_allclose(cx_a, cx_b, atol=1e-10)
 
 
-class TestJointEmbed:
-    def test_zero_gate_is_mean(self):
-        o = np.array([1.0, 3.0])
-        cx = np.array([2.0, -1.0])
-        np.testing.assert_allclose(joint_embed(o, cx, np.zeros(2)), [1.5, 1.0])
-
-    def test_gate_saturation(self):
-        o = np.array([1.0, -2.0])
-        cx = np.array([9.0, 9.0])
-        np.testing.assert_allclose(joint_embed(o, cx, np.full(2, 80.0)), o)
-
-    def test_hand_case(self):
-        gamma = np.array([math.log(3.0), -math.log(3.0)])  # sigma -> 0.75, 0.25
-        out = joint_embed(np.array([1.0, 0.0]), np.array([0.0, 1.0]), gamma)
-        np.testing.assert_allclose(out, [0.75, 0.75], atol=1e-15)
-
-    def test_convex_combination_property(self):
-        rng = np.random.default_rng(21)
-        for _ in range(100):
-            o = rng.normal(size=6)
-            cx = rng.normal(size=6)
-            gamma = rng.normal(size=6) * 3
-            out = joint_embed(o, cx, gamma)
-            lo = np.minimum(o, cx)
-            hi = np.maximum(o, cx)
-            assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
+class TestJointOf:
+    def test_random_gate_matches_oracle(self):
+        # the gated blend at gate values away from 0 and saturation
+        kg = build_static([(0, 0, 0), (1, 0, 1)])
+        kg.apply_visit(4, 0, 1.0)
+        emb = Embedder(kg, d=5, layers=2, rng=np.random.default_rng(21))
+        emb.enc.gate[...] = np.random.default_rng(22).normal(size=5) * 3
+        for obj in (poi(0), user(4), kgstore.category(0)):
+            ctx = kg.context_of(obj)
+            z0 = np.stack([emb.table.get(k) for k in ctx.nodes])
+            expected = oracle_joint(
+                z0, ctx.adjacency,
+                [emb.enc.gcn_weight(0), emb.enc.gcn_weight(1)],
+                emb.enc.att_scale, emb.enc.gate, emb.table.get(ctx.nodes[0]),
+            )
+            np.testing.assert_allclose(emb.joint_of(obj), expected, atol=1e-12)
 
 
 def _flat_embedder(values, d=1):
@@ -359,7 +347,7 @@ class TestPoolState:
         s2 = emb.pool_state()
         assert not np.allclose(s1, s2)
         # recomputing from scratch agrees with the cached path
-        fresh = Embedder.from_parts(toy_kg, emb.table, emb.enc)
+        fresh = Embedder(toy_kg, table=emb.table, enc=emb.enc)
         np.testing.assert_allclose(s2, fresh.pool_state(), atol=1e-12)
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geostream import kgstore
 from geostream.errors import IngestionError, StreamOrderError, UnknownObjectError
@@ -14,6 +16,7 @@ from geostream.kgstore import (
     user,
     zone,
 )
+from kg_oracle import DynamicKg as OracleKg
 
 
 class TestBuildStatic:
@@ -211,7 +214,8 @@ class TestInvariants:
         for u, p, t in events:
             before = {
                 e: kg.context_of(e)
-                for e in list(kg._entities)
+                for e in [kgstore.EntityId(*k) for k in kg.object_keys()
+                          if not kgstore.key_is_relation(k)]
             }
             delta = kg.apply_visit(u, p, t)
             for e, ctx in before.items():
@@ -267,3 +271,100 @@ class TestSnapshot:
     def test_bad_line_rejected(self):
         with pytest.raises(IngestionError):
             import_snapshot("Poi:0\tBelongTo\n")
+
+    def test_format_one_rejected(self):
+        with pytest.raises(IngestionError):
+            import_snapshot(
+                "# geostream-kg 1\nwindow 2\n"
+                "Poi:0\tBelongTo\tCategory:0\nPoi:0\tLocateAt\tZone:0\n"
+            )
+
+    @pytest.mark.parametrize("events", [
+        "event 1 7 1.0 -\n",  # unknown POI
+        "event 1 0 2.0 -\nevent 1 1 1.0 0\n",  # out of time order
+        "event 1 0 1.0 -\nevent 1 1 2.0 1\n",  # cascade not from the previous POI
+        "event 1 0 1.0 -\nevent 1 1 2.0 -\n",  # missing cascade
+        "event 1 0 1.0 -\nevent 1 1 2.0 0\nevent 1 0 3.0 1\n",  # over capacity
+    ])
+    def test_inconsistent_events_rejected(self, events):
+        head = "# geostream-kg 2\nwindow 2\nversion 3\npoi 0 0 0 2\npoi 1 0 1 1\n"
+        import_snapshot(head + "event 1 0 1.0 -\nevent 1 1 2.0 0\n")
+        with pytest.raises(IngestionError):
+            import_snapshot(head + events)
+
+    def test_cascade_owner_survives_roundtrip(self):
+        # u1's second visit to p0 owns the p0 -> rpoi(p0) cascade; after u1's
+        # head event is evicted nothing in the visit edges says so
+        kg = build_static([(0, 0, 0), (1, 0, 0)], window=2)
+        for u, p, t in ((0, 0, 0.0), (1, 0, 1.0), (1, 0, 2.0), (1, 1, 3.0)):
+            kg.apply_visit(u, p, t)
+        kg2 = import_snapshot(kg.export_snapshot())
+        expected = kg.apply_visit(1, 0, 4.0)
+        assert Triple(poi(0), RelType.ALSO_VISIT, rpoi(0)) in expected.removed
+        assert kg2.apply_visit(1, 0, 4.0) == expected
+        assert kg2.triples() == kg.triples()
+
+
+@st.composite
+def _streams(draw):
+    """(pois, window, events, cut): up to 4 users whose clocks advance by
+    steps that may be zero, so timestamps repeat within and across users."""
+    n_pois = draw(st.integers(1, 6))
+    window = draw(st.integers(1, 4))
+    steps = draw(st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, n_pois - 1),
+                  st.sampled_from([0.0, 0.1, 1.0, 2.5])),
+        min_size=1, max_size=60,
+    ))
+    clocks: dict[int, float] = {}
+    events = []
+    for u, p, dt in steps:
+        clocks[u] = clocks.get(u, 0.0) + dt
+        events.append((u, p, clocks[u]))
+    cut = draw(st.integers(0, len(events)))
+    return [(i, i % 2, i % 3) for i in range(n_pois)], window, events, cut
+
+
+@settings(max_examples=60, deadline=None)
+@given(_streams())
+def test_snapshot_then_continue_matches_memory(stream):
+    pois, window, events, cut = stream
+    kg = build_static(pois, window=window)
+    for u, p, t in events[:cut]:
+        kg.apply_visit(u, p, t)
+    kg2 = import_snapshot(kg.export_snapshot())
+    for u, p, t in events[cut:]:
+        d1, d2 = kg.apply_visit(u, p, t), kg2.apply_visit(u, p, t)
+        assert (d2.added, d2.removed, d2.affected) == (d1.added, d1.removed, d1.affected)
+        assert kg2.triples() == kg.triples()
+        assert all(kg2.window_events(uid) == kg.window_events(uid) for uid in kg.users)
+        assert kg2.version == kg.version
+
+
+def _assert_same_queries(kg, oracle):
+    keys = kg.object_keys()
+    assert keys == oracle.object_keys()
+    assert kg.triples() == oracle.triples()
+    objs = [kgstore.EntityId(*k) for k in keys if not kgstore.key_is_relation(k)]
+    for obj in objs + sorted(kg.triples(), key=kgstore._triple_sort_key):
+        mine, theirs = kg.context_of(obj), oracle.context_of(obj)
+        assert mine.nodes == theirs.nodes
+        assert np.array_equal(mine.adjacency, theirs.adjacency)
+    for p in kg.pois:
+        assert kg.cascade_successors(p) == oracle.cascade_successors(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_streams())
+def test_store_matches_oracle(stream):
+    pois, window, events, _ = stream
+    kg = build_static(pois, window=window)
+    oracle = OracleKg(window_capacity=window)
+    for poi_id, category_id, zone_id in pois:
+        oracle.add_poi(poi_id, category_id, zone_id)
+    _assert_same_queries(kg, oracle)
+    for u, p, t in events:
+        delta = kg.apply_visit(u, p, t)
+        assert delta == oracle.apply_visit(u, p, t)
+        assert kg.triples_incident_to(delta.affected) == oracle.triples_incident_to(delta.affected)
+        _assert_same_queries(kg, oracle)

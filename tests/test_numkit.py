@@ -3,59 +3,32 @@ import math
 import numpy as np
 import pytest
 
-from geostream.errors import DimensionError, TrainingError
+from geostream.errors import TrainingError
 from geostream.numkit import (
     ParamStore,
-    activation,
     finite_diff_check,
     load_matrices,
-    matmul,
+    relu,
     row_softmax,
     save_matrices,
     sgd_step,
+    sigmoid,
 )
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = [[1.0, 2.0], [3.0, 4.0]]
-        np.testing.assert_array_equal(matmul(np.eye(2), m), m)
-
-    def test_unit_vector_selection(self):
-        np.testing.assert_array_equal(matmul([[1.0, 0.0]], [[5.0], [7.0]]), [[5.0]])
-
-    def test_hand_product(self):
-        out = matmul([[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]])
-        np.testing.assert_array_equal(out, [[19.0, 22.0], [43.0, 50.0]])
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.ones((2, 3)), np.ones((2, 2)))
-
-    def test_associativity_random(self):
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            a = rng.normal(size=(3, 4))
-            b = rng.normal(size=(4, 5))
-            c = rng.normal(size=(5, 2))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            np.testing.assert_allclose(left, right, rtol=1e-9)
 
 
 class TestActivations:
     def test_relu(self):
-        np.testing.assert_array_equal(activation([[-1.0, 2.0]], "relu"), [[0.0, 2.0]])
+        np.testing.assert_array_equal(relu([[-1.0, 2.0]]), [[0.0, 2.0]])
 
     def test_sigmoid_zero(self):
-        np.testing.assert_array_equal(activation([[0.0]], "sigmoid"), [[0.5]])
+        np.testing.assert_array_equal(sigmoid([[0.0]]), [[0.5]])
 
     def test_sigmoid_closed_form(self):
-        out = activation([[math.log(3.0)]], "sigmoid")
+        out = sigmoid([[math.log(3.0)]])
         np.testing.assert_allclose(out, [[0.75]], atol=1e-15)
 
     def test_sigmoid_extreme_no_overflow(self):
-        out = activation([[-1000.0, 1000.0]], "sigmoid")
+        out = sigmoid([[-1000.0, 1000.0]])
         assert out[0, 0] == 0.0 and out[0, 1] == 1.0
 
 

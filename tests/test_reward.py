@@ -12,7 +12,6 @@ from geostream.reward import (
     WordVectors,
     component_rewards,
     compute_reward,
-    update_baselines,
 )
 
 
@@ -125,7 +124,7 @@ class TestComputeReward:
     def test_parts_equal_baselines_give_half(self):
         weights = RewardWeights(1 / 3, 1 / 3, 1 / 3)
         windows = BaselineWindows(10)
-        update_baselines(windows, (0.4, 0.2, 1.0))
+        windows.append((0.4, 0.2, 1.0))
         r = compute_reward((0.4, 0.2, 1.0), weights, windows)
         assert r == 0.5
 
@@ -138,7 +137,7 @@ class TestComputeReward:
     def test_distance_closed_form(self):
         weights = RewardWeights(1.0, 0.0, 0.0)
         windows = BaselineWindows(10)
-        update_baselines(windows, (math.log(3.0), 0.0, 0.0))
+        windows.append((math.log(3.0), 0.0, 0.0))
         r = compute_reward((0.0, 0.0, 0.0), weights, windows)
         assert r == pytest.approx(0.25)
 
@@ -183,14 +182,14 @@ class TestBaselineWindows:
 
     def test_mean(self):
         w = BaselineWindows(5)
-        update_baselines(w, (0.2, 0.0, 1.0))
-        update_baselines(w, (0.4, 1.0, 0.0))
+        w.append((0.2, 0.0, 1.0))
+        w.append((0.4, 1.0, 0.0))
         assert w.baselines() == pytest.approx((0.3, 0.5, 0.5))
 
     def test_capacity_fifo(self):
         w = BaselineWindows(2)
         for v in (0.1, 0.3, 0.5):
-            update_baselines(w, (v, v, v))
+            w.append((v, v, v))
         assert w.contents()[0] == [0.3, 0.5]
         assert w.baselines() == pytest.approx((0.4, 0.4, 0.4))
 
@@ -199,6 +198,6 @@ class TestBaselineWindows:
         w = BaselineWindows(7)
         for _ in range(100):
             parts = tuple(float(v) for v in rng.uniform(0, 1, size=3))
-            update_baselines(w, parts)
+            w.append(parts)
             for window, baseline in zip(w.contents(), w.baselines()):
                 assert baseline == pytest.approx(sum(window) / len(window))
