@@ -33,9 +33,6 @@ class CandidateSet:
     def __len__(self) -> int:
         return len(self.pois)
 
-    def index_of(self, poi: int) -> int:
-        return self.pois.index(poi)
-
 
 def expand_meta_path(kg: DynamicKg, user_id: int, scheme: str) -> set[int]:
     """All POIs reachable from the user by one instantiation of the scheme."""

@@ -1,9 +1,11 @@
 """Context-aware translational embedding of the dynamic graph.
 
 Every object (entity or relation kind) carries a raw d-dim vector. Its
-joint embedding blends that vector with an encoding of its context:
+joint embedding blends that vector with an encoding of its context, the
+star the graph store returns (the object, then its neighbors; a relation
+kind alone):
 
-  * the context subgraph is passed through m graph-convolution layers
+  * the context star is passed through m graph-convolution layers
     with renormalized adjacency (A + I, symmetric degree scaling),
   * an attention layer aggregates the vertex encodings into one context
     vector, scoring each vertex against the object's raw embedding
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import kgstore
 from .errors import ConfigError, ConsistencyError, TrainingError, UnknownObjectError
-from .kgstore import ContextSubgraph, DynamicKg, EntityId, EntityKind, Triple
+from .kgstore import DynamicKg, EntityId, EntityKind, Triple, ent_key, rel_key
 from .numkit import ParamStore, relu, row_softmax, sgd_step, sigmoid
 
 ObjKey = tuple[int, int]
@@ -186,8 +188,10 @@ class TrainBatch:
                 raise ConfigError("negative must differ in exactly one endpoint")
 
 
-def _norm_adjacency(ctx: ContextSubgraph) -> np.ndarray:
-    a_hat = ctx.adjacency + np.eye(len(ctx))
+def _norm_adjacency(n: int) -> np.ndarray:
+    """Renormalized adjacency of the n-node star centred on node 0."""
+    a_hat = np.eye(n)
+    a_hat[0, 1:] = a_hat[1:, 0] = 1.0
     d_hat = a_hat.sum(axis=1)
     inv_sqrt = 1.0 / np.sqrt(d_hat)
     return a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
@@ -226,20 +230,10 @@ class Embedder:
 
     # -- forward / backward ------------------------------------------------
 
-    def _context(self, obj) -> ContextSubgraph:
-        if isinstance(obj, tuple) and not isinstance(obj, (EntityId, Triple)):
-            # bare object key: entities look up the graph, relation kinds
-            # use their degenerate self-context
-            kind, index = obj
-            if kgstore.key_is_relation(obj):
-                return ContextSubgraph((obj,), np.zeros((1, 1)))
-            return self.kg.context_of(EntityId(kind, index))
-        return self.kg.context_of(obj)
-
-    def _joint_forward(self, ctx: ContextSubgraph) -> tuple[np.ndarray, dict]:
-        key = ctx.nodes[0]  # every context lists its own object first
-        s = _norm_adjacency(ctx)
-        zs = [np.stack([self.table.get(k) for k in ctx.nodes])]
+    def _joint_forward(self, nodes) -> tuple[np.ndarray, dict]:
+        key = nodes[0]  # every context lists its own object first
+        s = _norm_adjacency(len(nodes))
+        zs = [np.stack([self.table.get(k) for k in nodes])]
         ms = []
         ps = []
         for i in range(self.enc.layers):
@@ -257,7 +251,7 @@ class Embedder:
         ostar = g * o + (1.0 - g) * cx
         cache = {
             "key": key,
-            "nodes": ctx.nodes,
+            "nodes": nodes,
             "s": s,
             "zs": zs,
             "ms": ms,
@@ -299,33 +293,37 @@ class Embedder:
             grads[node] = grads.get(node, 0.0) + d_z[row]
         grads[key] = grads.get(key, 0.0) + d_o
 
-    def joint_of(self, obj) -> np.ndarray:
+    def joint_of(self, key) -> np.ndarray:
         """Fresh joint embedding of an object (no cache)."""
-        return self._joint_forward(self._context(obj))[0]
+        return self._joint_forward(self.kg.context_of(key))[0]
 
-    def _signature(self, ctx: ContextSubgraph) -> tuple:
+    def _signature(self, nodes) -> tuple:
+        # a context is the star over its nodes, so they determine it exactly
         return (
             self.enc.version,
-            ctx.nodes,
-            tuple(self.table.version(k) for k in ctx.nodes),
+            nodes,
+            tuple(self.table.version(k) for k in nodes),
         )
 
     def joint_cached(self, key: ObjKey) -> np.ndarray:
-        ctx = self._context(key)
-        sig = self._signature(ctx)
+        nodes = self.kg.context_of(key)
+        sig = self._signature(nodes)
         hit = self._joint_cache.get(key)
         if hit is not None and hit[0] == sig:
             return hit[1]
-        vec = self._joint_forward(ctx)[0]
+        vec = self._joint_forward(nodes)[0]
         self._joint_cache[key] = (sig, vec)
         return vec
 
     # -- losses --------------------------------------------------------------
 
+    def _triple_forward(self, triple: Triple) -> list[tuple[np.ndarray, dict]]:
+        """Joint forwards of a triple's head, relation kind and tail."""
+        keys = (ent_key(triple.head), rel_key(triple.rel), ent_key(triple.tail))
+        return [self._joint_forward(self.kg.context_of(k)) for k in keys]
+
     def triple_residual(self, triple: Triple) -> float:
-        h, _ = self._joint_forward(self._context(triple.head))
-        r, _ = self._joint_forward(self._context(triple))
-        t, _ = self._joint_forward(self._context(triple.tail))
+        (h, _), (r, _), (t, _) = self._triple_forward(triple)
         return float(np.abs(h + r - t).sum())
 
     def margin_loss(self, batch: TrainBatch) -> float:
@@ -341,9 +339,7 @@ class Embedder:
         for pos, neg in batch.pairs:
             fwd = {}
             for tag, triple in (("pos", pos), ("neg", neg)):
-                h, ch = self._joint_forward(self._context(triple.head))
-                r, cr = self._joint_forward(self._context(triple))
-                t, ct = self._joint_forward(self._context(triple.tail))
+                (h, ch), (r, cr), (t, ct) = self._triple_forward(triple)
                 e = h + r - t
                 fwd[tag] = (e, ch, cr, ct)
             f_pos = float(np.abs(fwd["pos"][0]).sum())
@@ -422,11 +418,6 @@ class Embedder:
                 self.enc.bump()
                 self._apply_grads(grads, lr)
         return self.pool_state()
-
-    def epoch_loss(self, neg_per_pos: int = 1) -> float:
-        triples = sorted(self.kg.triples(), key=kgstore._triple_sort_key)
-        batch = self.make_batch(triples, neg_per_pos)
-        return self.margin_loss(batch)
 
     def incremental_update(
         self,
@@ -507,37 +498,9 @@ class Embedder:
                 seed = d_state[d:] / max(n_rel, 1)
             else:
                 seed = d_state[:d] / max(n_ent, 1)
-            _, cache = self._joint_forward(self._context(key))
+            _, cache = self._joint_forward(self.kg.context_of(key))
             self._joint_backward(cache, seed, grads)
         sgd_step(self.enc.store, lr)
         self.enc.bump()
         self._apply_grads(grads, lr, allowed=set(keys))
 
-
-def build_check_store(embedder: Embedder, keys) -> ParamStore:
-    """A ParamStore aliasing encoder params plus chosen raw embeddings.
-
-    Used by gradient-check tests: perturbing the store perturbs the live
-    table, so a loss closure over the embedder sees the changes.
-    """
-    store = ParamStore()
-    for name in embedder.enc.store.names():
-        store.add(name, embedder.enc.store.get(name))
-    for key in keys:
-        store.add(f"emb/{key[0]}:{key[1]}", embedder.table.get(key))
-    return store
-
-
-def fill_check_grads(
-    store: ParamStore, embedder: Embedder, emb_grads: dict[ObjKey, np.ndarray]
-) -> dict[str, np.ndarray]:
-    """Collect analytic grads matching ``build_check_store`` naming."""
-    analytic = {}
-    for name in store.names():
-        if name.startswith("emb/"):
-            kind, index = name[4:].split(":")
-            key = (int(kind), int(index))
-            analytic[name] = np.asarray(emb_grads.get(key, np.zeros(embedder.table.d)))
-        else:
-            analytic[name] = embedder.enc.store.grad(name).copy()
-    return analytic

@@ -642,7 +642,6 @@ def _replay_stream(
     train: bool,
     agent=None,
     progress=None,
-    start_index: int = 0,
 ) -> EpisodeLog:
     log = EpisodeLog()
     pending: dict[int, policy_mod.Transition] = {}
@@ -689,7 +688,7 @@ def _replay_stream(
             )
         log.append(
             EventRecord(
-                index=start_index + l,
+                index=l,
                 user=rec.user,
                 pred_raw=catalog.raw_venues[action],
                 real_raw=rec.venue,

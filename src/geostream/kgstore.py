@@ -7,6 +7,9 @@ the oldest event and the triples it induced leave the graph. Lifetime
 visit counts per POI survive eviction. Every object also keeps its RPOI
 duplicate so visit-cascade edges never collide with the static relations.
 
+Every edge joins a POI to a non-POI, so each entity's context is the star
+of the entity and its neighbors, and ``context_of`` returns just its keys.
+
 All mutation goes through ``apply_visit``, which returns a ``DeltaReport``
 listing added/removed triples and the set of objects whose context changed
 (the embedding module retrains exactly this set).
@@ -18,8 +21,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import (
     IngestionError,
@@ -87,8 +88,8 @@ def zone(i: int) -> EntityId:
     return EntityId(EntityKind.ZONE, i)
 
 
-def ent_key(e: EntityId) -> tuple[int, int]:
-    return (int(e.kind), int(e.index))
+def ent_key(e: EntityId | tuple[int, int]) -> tuple[int, int]:
+    return (int(e[0]), int(e[1]))
 
 
 def rel_key(rel: int) -> tuple[int, int]:
@@ -97,17 +98,6 @@ def rel_key(rel: int) -> tuple[int, int]:
 
 def key_is_relation(key: tuple[int, int]) -> bool:
     return key[0] >= REL_KEY_BASE
-
-
-@dataclass(frozen=True)
-class ContextSubgraph:
-    """One object's context: node keys (object first) and 0/1 adjacency."""
-
-    nodes: tuple[tuple[int, int], ...]
-    adjacency: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
 
 @dataclass(frozen=True)
@@ -219,15 +209,12 @@ class DynamicKg:
         affected: set[tuple[int, int]] = set()
 
         def touch(t: Triple) -> None:
-            # endpoints, their current one-hop neighbors, and every relation
-            # kind sharing the triple's pair
+            # endpoints, their current one-hop neighbors, and the relation kind
             for e in (t.head, t.tail):
                 affected.add(ent_key(e))
                 for nbr in self._nbrs[e]:
                     affected.add(ent_key(nbr))
             affected.add(rel_key(t.rel))
-            for other in self._nbrs[t.head].get(t.tail, ()):
-                affected.add(rel_key(other.rel))
 
         if len(window) == self.window_capacity:
             old = window.popleft()
@@ -249,33 +236,18 @@ class DynamicKg:
 
     # -- queries ---------------------------------------------------------
 
-    def context_of(self, obj) -> ContextSubgraph:
-        """Context of an entity (one-hop induced subgraph) or of a relation
-        occurrence (star over the relation kinds sharing its pair).
-
-        ``obj`` is an :class:`EntityId` or a :class:`Triple`. Triples need
-        not exist in the graph; an unseen pair yields the singleton context.
+    def context_of(self, key: EntityId | tuple[int, int]) -> tuple[tuple[int, int], ...]:
+        """Keys of the context of ``key`` (an :class:`EntityId`, ``ent_key``
+        or ``rel_key``): the object itself, then an entity's sorted
+        neighbors. Every edge joins a POI to a non-POI, so no two neighbors
+        are adjacent and an entity's context is the star centred on it.
         """
-        if isinstance(obj, Triple):
-            joined = self._nbrs.get(obj.head, {}).get(obj.tail, ())
-            kinds = {t.rel for t in joined if t.head == obj.head} - {obj.rel}
-            nodes = [rel_key(obj.rel)] + [rel_key(k) for k in sorted(kinds)]
-            n = len(nodes)
-            adj = np.zeros((n, n))
-            adj[0, 1:] = 1.0
-            adj[1:, 0] = 1.0
-            return ContextSubgraph(tuple(nodes), adj)
-        if obj not in self._nbrs:
-            raise UnknownObjectError(f"unknown entity {obj}")
-        members = [obj] + sorted(self._nbrs[obj])
-        n = len(members)
-        adj = np.zeros((n, n))
-        for i in range(n):
-            row = self._nbrs[members[i]]
-            for j in range(i + 1, n):
-                if members[j] in row:
-                    adj[i, j] = adj[j, i] = 1.0
-        return ContextSubgraph(tuple(ent_key(e) for e in members), adj)
+        if key_is_relation(key):
+            return (key,)
+        nbrs = self._nbrs.get(key)
+        if nbrs is None:
+            raise UnknownObjectError(f"unknown entity {key}")
+        return (ent_key(key),) + tuple(ent_key(e) for e in sorted(nbrs))
 
     def popularity(self, pois) -> list[int]:
         """POIs by descending lifetime visits; ties by ascending index."""

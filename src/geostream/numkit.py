@@ -70,9 +70,6 @@ class ParamStore:
     def names(self):
         return list(self._params)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def get(self, name: str) -> np.ndarray:
         return self._params[name]
 
@@ -88,9 +85,6 @@ class ParamStore:
 
     def snapshot_grads(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self._grads.items()}
-
-    def items(self):
-        return self._params.items()
 
 
 def sgd_step(store: ParamStore, lr: float = 1e-5) -> None:

@@ -2,6 +2,9 @@
 
 Kept verbatim (mutation and queries; the snapshot code is left out) as the
 oracle that ``test_kgstore.py`` compares the production ``DynamicKg`` with.
+Its ``context_of`` still builds each context's induced adjacency with the
+O(deg^2) membership loop, so the tests can check that every context the
+production store returns as bare node keys is a star.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import numpy as np
 
 from geostream.errors import IngestionError, StreamOrderError, UnknownObjectError
 from geostream.kgstore import (
-    ContextSubgraph,
     DeltaReport,
     EntityId,
     EntityKind,
@@ -29,6 +31,28 @@ from geostream.kgstore import (
     user,
     zone,
 )
+
+
+@dataclass(frozen=True)
+class ContextSubgraph:
+    """One object's context: node keys (object first) and 0/1 adjacency."""
+
+    nodes: tuple[tuple[int, int], ...]
+    adjacency: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+
+def induced_adjacency(triples, nodes) -> np.ndarray:
+    """0/1 adjacency that ``triples`` induce among the entity keys ``nodes``."""
+    index = {key: i for i, key in enumerate(nodes)}
+    adj = np.zeros((len(nodes), len(nodes)))
+    for t in triples:
+        i, j = index.get(ent_key(t.head)), index.get(ent_key(t.tail))
+        if i is not None and j is not None:
+            adj[i, j] = adj[j, i] = 1.0
+    return adj
 
 
 @dataclass

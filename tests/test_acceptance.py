@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from geostream import candidates, embed, kgstore, legacy, policy
+from geostream import candidates, kgstore, legacy, policy
 from geostream.embed import Embedder
 from geostream.harness import RunConfig, run_eval, run_training, split_stream
 from geostream.kgstore import RelType, build_static
@@ -16,6 +16,7 @@ from geostream.numkit import finite_diff_check
 from geostream.policy import PriorityReplayBuffer, QNet, Transition, priority_of
 from geostream.reward import BaselineWindows, RewardWeights, compute_reward
 
+import gradcheck
 from conftest import WORDVEC_PATH, make_cyclic_stream, make_drifting_stream
 from test_candidates import _enumerate_paths
 from test_metrics import _ev, oracle_weighted
@@ -37,8 +38,8 @@ def test_01_gradient_integrity(toy_kg):
     triples = sorted(toy_kg.triples(), key=kgstore._triple_sort_key)
     batch = emb.make_batch(triples, neg_per_pos=1)
     _, grads = emb.margin_loss_and_grads(batch)
-    store = embed.build_check_store(emb, sorted(emb.table.keys()))
-    analytic = embed.fill_check_grads(store, emb, grads)
+    store = gradcheck.build_check_store(emb, sorted(emb.table.keys()))
+    analytic = gradcheck.fill_check_grads(store, emb, grads)
     rep = finite_diff_check(
         lambda s: emb.margin_loss(batch), store, eps=1e-6, tol=GRAD_TOL,
         analytic=analytic,

@@ -17,6 +17,7 @@ from geostream.kgstore import (
     zone,
 )
 from kg_oracle import DynamicKg as OracleKg
+from kg_oracle import induced_adjacency
 
 
 class TestBuildStatic:
@@ -120,13 +121,13 @@ class TestContextOf:
         kg = build_static([(0, 0, 0)])
         ctx = kg.context_of(rpoi(0))
         assert len(ctx) == 1
-        np.testing.assert_array_equal(ctx.adjacency, [[0.0]])
+        np.testing.assert_array_equal(induced_adjacency(kg.triples(), ctx), [[0.0]])
 
     def test_poi_with_category_and_zone(self):
         kg = build_static([(0, 0, 0)])
         ctx = kg.context_of(poi(0))
         assert len(ctx) == 3
-        assert ctx.nodes[0] == kgstore.ent_key(poi(0))
+        assert ctx[0] == kgstore.ent_key(poi(0))
 
     def test_induced_edges_among_neighbors(self):
         kg = build_static([(0, 0, 0), (1, 0, 0)])
@@ -136,14 +137,15 @@ class TestContextOf:
         # does not appear, but edges among included nodes must
         ctx = kg.context_of(category(0))
         n = len(ctx)
-        assert ctx.adjacency.shape == (n, n)
-        assert np.array_equal(ctx.adjacency, ctx.adjacency.T)
+        adjacency = induced_adjacency(kg.triples(), ctx)
+        assert adjacency.shape == (n, n)
+        assert np.array_equal(adjacency, adjacency.T)
 
     def test_relation_singleton_context(self):
         kg = build_static([(0, 0, 0)])
         kg.apply_visit(5, 0, 1.0)
-        ctx = kg.context_of(Triple(user(5), RelType.VISIT, poi(0), 1.0))
-        assert ctx.nodes == (kgstore.rel_key(RelType.VISIT),)
+        ctx = kg.context_of(kgstore.rel_key(RelType.VISIT))
+        assert ctx == (kgstore.rel_key(RelType.VISIT),)
 
     def test_unknown_entity(self):
         kg = build_static([(0, 0, 0)])
@@ -217,13 +219,18 @@ class TestInvariants:
                 for e in [kgstore.EntityId(*k) for k in kg.object_keys()
                           if not kgstore.key_is_relation(k)]
             }
+            before_adjacency = {
+                e: induced_adjacency(kg.triples(), ctx) for e, ctx in before.items()
+            }
             delta = kg.apply_visit(u, p, t)
             for e, ctx in before.items():
                 if kgstore.ent_key(e) in delta.affected:
                     continue
                 after = kg.context_of(e)
-                assert after.nodes == ctx.nodes
-                assert np.array_equal(after.adjacency, ctx.adjacency)
+                assert after == ctx
+                assert np.array_equal(
+                    induced_adjacency(kg.triples(), after), before_adjacency[e]
+                )
 
     def test_static_skeleton_survives_eviction(self):
         rng = np.random.default_rng(19)
@@ -341,15 +348,27 @@ def test_snapshot_then_continue_matches_memory(stream):
         assert kg2.version == kg.version
 
 
+def _star(n):
+    adj = np.zeros((n, n))
+    adj[0, 1:] = adj[1:, 0] = 1.0
+    return adj
+
+
 def _assert_same_queries(kg, oracle):
     keys = kg.object_keys()
     assert keys == oracle.object_keys()
     assert kg.triples() == oracle.triples()
-    objs = [kgstore.EntityId(*k) for k in keys if not kgstore.key_is_relation(k)]
-    for obj in objs + sorted(kg.triples(), key=kgstore._triple_sort_key):
-        mine, theirs = kg.context_of(obj), oracle.context_of(obj)
-        assert mine.nodes == theirs.nodes
-        assert np.array_equal(mine.adjacency, theirs.adjacency)
+    for key in keys:
+        if not kgstore.key_is_relation(key):
+            # every entity context is the star over the keys context_of returns
+            mine, theirs = kg.context_of(key), oracle.context_of(kgstore.EntityId(*key))
+            assert mine == theirs.nodes
+            assert np.array_equal(theirs.adjacency, _star(len(mine)))
+    for t in sorted(kg.triples(), key=kgstore._triple_sort_key):
+        # every edge joins a POI to a non-POI, so relation contexts are singletons
+        assert (t.head.kind == kgstore.EntityKind.POI) != (t.tail.kind == kgstore.EntityKind.POI)
+        assert oracle.context_of(t).nodes == kg.context_of(kgstore.rel_key(t.rel))
+        assert oracle.context_of(t).nodes == (kgstore.rel_key(t.rel),)
     for p in kg.pois:
         assert kg.cascade_successors(p) == oracle.cascade_successors(p)
 
