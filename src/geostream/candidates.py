@@ -84,7 +84,7 @@ def generate_candidates(kg: DynamicKg, user_id: int, k: int) -> CandidateSet:
     return CandidateSet(tuple(ordered), tuple(tags), k)
 
 
-def full_candidate_set(kg: DynamicKg) -> CandidateSet:
-    """Every POI as a candidate (ablation without candidate generation)."""
-    pois = tuple(sorted(kg.pois))
+def full_candidate_set(pois) -> CandidateSet:
+    """Every given POI as a candidate, sorted (no candidate generation)."""
+    pois = tuple(sorted(pois))
     return CandidateSet(pois, tuple(PAD_TAG for _ in pois), len(pois) or 1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -13,10 +14,7 @@ from . import harness
 def _cmd_train(args) -> int:
     config = harness.RunConfig.from_file(args.config)
     if args.seed is not None:
-        values = config.to_text().splitlines()
-        config = harness.RunConfig.from_mapping(
-            dict(line.split("=", 1) for line in values) | {"seed": str(args.seed)}
-        )
+        config = dataclasses.replace(config, seed=args.seed)
     artifacts, log, report = harness.run_training(config)
     harness.write_run_outputs(args.out, artifacts, log, report)
     print(json.dumps(report, indent=2, sort_keys=True))

@@ -19,7 +19,7 @@ import io
 import json
 import os
 import time as _time
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields, replace
 from datetime import datetime
 from math import floor
 from typing import NamedTuple
@@ -526,13 +526,14 @@ class _DrprDriver:
 
     def candidates_for(self, user_idx: int) -> cand_mod.CandidateSet:
         if self.config.agent_mode == "drpr-nocand":
-            return cand_mod.full_candidate_set(self.kg)
+            return cand_mod.full_candidate_set(self.kg.pois)
         return cand_mod.generate_candidates(self.kg, user_idx, self.config.k)
 
-    def action_vectors(self, cand: cand_mod.CandidateSet) -> dict[int, np.ndarray]:
-        return {
-            p: self.embedder.joint_cached((int(EntityKind.POI), p)) for p in cand.pois
-        }
+    def action_vectors(self, cand: cand_mod.CandidateSet) -> np.ndarray:
+        """The candidates' joint embeddings, one row per POI in ``cand.pois``."""
+        return np.stack(
+            [self.embedder.joint_cached((int(EntityKind.POI), p)) for p in cand.pois]
+        )
 
     def feedback(self, batch, d_states) -> None:
         if self.static or not self.last_affected:
@@ -589,8 +590,7 @@ class _RirlDriver:
         return legacy_mod.legacy_state(self._user_vec(user_idx), self.rep)
 
     def candidates_for(self, user_idx: int) -> cand_mod.CandidateSet:
-        pois = tuple(range(len(self.catalog.poi_info)))
-        return cand_mod.CandidateSet(pois, tuple("pop" for _ in pois), len(pois) or 1)
+        return cand_mod.full_candidate_set(range(len(self.catalog.poi_info)))
 
     def action_vectors(self, cand) -> None:
         return None
@@ -667,8 +667,7 @@ def _replay_stream(
             t = pending.pop(user_idx)
             t.next_state = state
             t.next_pois = cand.pois
-            if vecs is not None:
-                t.next_vecs = np.stack([vecs[p] for p in cand.pois])
+            t.next_vecs = vecs
             buf.push(t, net, config.gamma)
         epsilon = config.epsilon_at(l, n) if train else 0.0
         if agent is not None:
@@ -683,7 +682,7 @@ def _replay_stream(
             pending[user_idx] = policy_mod.Transition(
                 state=state,
                 action_poi=action,
-                action_vec=None if vecs is None else vecs[action],
+                action_vec=None if vecs is None else vecs[cand.pois.index(action)],
                 reward=r,
             )
         log.append(
@@ -849,9 +848,7 @@ def sweep_reward(config: RunConfig, grid_steps: int, records=None) -> list[dict]
             ld = i / grid_steps
             lc = j / grid_steps
             lp = max(0.0, 1.0 - ld - lc)
-            values = {f.name: getattr(config, f.name) for f in dc_fields(RunConfig)}
-            values.update(lambda_d=ld, lambda_c=lc, lambda_p=lp)
-            cfg = RunConfig(**values)
+            cfg = replace(config, lambda_d=ld, lambda_c=lc, lambda_p=lp)
             artifacts, _, _ = run_training(cfg, records=list(records))
             slice_ = records[cfg.stream_offset : cfg.stream_offset + cfg.stream_length]
             _, test_events = split_stream(slice_, cfg.split_fraction)

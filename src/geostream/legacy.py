@@ -6,8 +6,9 @@ temporal-traffic context vector. Relations are never modified. The state
 for the vanilla fixed-action agent concatenates the user vector with the
 per-block means of the spatial store.
 
-Each update rule has a matching hand-derived backward used both for the
-gradient checks and for pushing reward feedback into the rule weights.
+Every update rule is one gated blend (``_blend``) with one hand-derived
+backward (``_blend_grads``), used both for the gradient checks and for
+pushing reward feedback into the rule weights.
 """
 
 from __future__ import annotations
@@ -72,118 +73,72 @@ def transform_temporal_grads(params: LegacyParams, cache, d_out: np.ndarray) -> 
     return s.get("temporal/w_in").T @ d_z1  # dT, for completeness
 
 
-def _gate(prefix: str, x: np.ndarray, params: LegacyParams) -> tuple[float, float]:
+def _blend(prefix: str, x: np.ndarray, target: np.ndarray, params: LegacyParams, squash: bool = True):
+    """alpha * x + (1 - alpha) * target, alpha the prefix's gate on x.
+
+    Every update rule is this blend; all but the tail rule squash the
+    result through a sigmoid.
+    """
     s = params.store
     z = float(s.get(f"{prefix}/gate_w") @ x + s.get(f"{prefix}/gate_b")[0])
-    return 1.0 / (1.0 + np.exp(-z)) if z >= 0 else np.exp(z) / (1.0 + np.exp(z)), z
+    alpha = 1.0 / (1.0 + np.exp(-z)) if z >= 0 else np.exp(z) / (1.0 + np.exp(z))
+    out = alpha * x + (1.0 - alpha) * target
+    if squash:
+        out = sigmoid(out)
+    cache = {"prefix": prefix, "x": x.copy(), "target": target,
+             "alpha": alpha, "squash": squash, "out": out}
+    return out, cache
 
 
-def _gate_grads(prefix: str, x: np.ndarray, alpha: float, d_alpha: float, params: LegacyParams) -> np.ndarray:
+def _blend_grads(params: LegacyParams, cache, d_out: np.ndarray):
+    """Backward of ``_blend``; returns (d_x, d_target)."""
     s = params.store
+    prefix, out, alpha, x = cache["prefix"], cache["out"], cache["alpha"], cache["x"]
+    d_pre = d_out * out * (1.0 - out) if cache["squash"] else d_out
+    d_alpha = float(d_pre @ (x - cache["target"]))
     d_z = d_alpha * alpha * (1.0 - alpha)
     s.accumulate(f"{prefix}/gate_w", d_z * x)
     s.accumulate(f"{prefix}/gate_b", np.array([d_z]))
-    return d_z * s.get(f"{prefix}/gate_w")  # gradient back into x
+    d_x = d_pre * alpha + d_z * s.get(f"{prefix}/gate_w")  # direct path + through the gate
+    return d_x, d_pre * (1.0 - alpha)
+
+
+def _interact(prefix: str, x: np.ndarray, other: np.ndarray, t_tilde: np.ndarray, params: LegacyParams):
+    """Blend x toward w_interact * (other . t_tilde), squashed."""
+    q = float(other @ t_tilde)
+    out, cache = _blend(prefix, x, params.store.get(f"{prefix}/w_interact") * q, params)
+    cache.update(other=other.copy(), tt=t_tilde.copy(), q=q)
+    return out, cache
+
+
+def _interact_grads(params: LegacyParams, cache, d_out: np.ndarray):
+    """Backward of ``_interact``; returns (d_x, d_other, d_t_tilde)."""
+    s = params.store
+    name = f"{cache['prefix']}/w_interact"
+    d_x, d_inter = _blend_grads(params, cache, d_out)
+    s.accumulate(name, d_inter * cache["q"])
+    d_q = float(d_inter @ s.get(name))
+    return d_x, d_q * cache["tt"], d_q * cache["other"]
 
 
 def update_user(u: np.ndarray, h_poi: np.ndarray, t_tilde: np.ndarray, params: LegacyParams):
     """Gated blend of the old user vector with the POI interaction term."""
-    s = params.store
-    q = float(h_poi @ t_tilde)
-    inter = s.get("user/w_interact") * q
-    alpha, _ = _gate("user", u, params)
-    pre = alpha * u + (1.0 - alpha) * inter
-    out = sigmoid(pre)
-    cache = {"u": u.copy(), "h": h_poi.copy(), "tt": t_tilde.copy(),
-             "q": q, "inter": inter, "alpha": alpha, "out": out}
-    return out, cache
+    return _interact("user", u, h_poi, t_tilde, params)
 
 
 def update_user_grads(params: LegacyParams, cache, d_out: np.ndarray):
-    s = params.store
-    out, alpha, u, inter = cache["out"], cache["alpha"], cache["u"], cache["inter"]
-    d_pre = d_out * out * (1.0 - out)
-    d_alpha = float(d_pre @ (u - inter))
-    d_u = d_pre * alpha
-    d_inter = d_pre * (1.0 - alpha)
-    s.accumulate("user/w_interact", d_inter * cache["q"])
-    d_q = float(d_inter @ s.get("user/w_interact"))
-    d_h = d_q * cache["tt"]
-    d_tt = d_q * cache["h"]
-    d_u = d_u + _gate_grads("user", u, alpha, d_alpha, params)
-    return d_u, d_h, d_tt
+    """Returns (d_u, d_h_poi, d_t_tilde)."""
+    return _interact_grads(params, cache, d_out)
 
 
-def _update_head(h: np.ndarray, u: np.ndarray, t_tilde: np.ndarray, params: LegacyParams):
-    s = params.store
-    q = float(u @ t_tilde)
-    inter = s.get("poi/w_interact") * q
-    alpha, _ = _gate("poi", h, params)
-    pre = alpha * h + (1.0 - alpha) * inter
-    out = sigmoid(pre)
-    cache = {"h": h.copy(), "u": u.copy(), "tt": t_tilde.copy(),
-             "q": q, "inter": inter, "alpha": alpha, "out": out}
-    return out, cache
-
-
-def _update_head_grads(params: LegacyParams, cache, d_out: np.ndarray):
-    s = params.store
-    out, alpha, h, inter = cache["out"], cache["alpha"], cache["h"], cache["inter"]
-    d_pre = d_out * out * (1.0 - out)
-    d_alpha = float(d_pre @ (h - inter))
-    d_h = d_pre * alpha
-    d_inter = d_pre * (1.0 - alpha)
-    s.accumulate("poi/w_interact", d_inter * cache["q"])
-    d_q = float(d_inter @ s.get("poi/w_interact"))
-    d_u = d_q * cache["tt"]
-    d_tt = d_q * cache["u"]
-    d_h = d_h + _gate_grads("poi", h, alpha, d_alpha, params)
-    return d_h, d_u, d_tt
-
-
-def blend_tail(t: np.ndarray, h_new: np.ndarray, rel: np.ndarray, params: LegacyParams, alpha: float | None = None):
+def blend_tail(t: np.ndarray, h_new: np.ndarray, rel: np.ndarray, params: LegacyParams):
     """t' = alpha_t * t + (1 - alpha_t) * (h' + rel); no outer squash."""
-    if alpha is None:
-        alpha, _ = _gate("tail", t, params)
-        gated = True
-    else:
-        gated = False
-    out = alpha * t + (1.0 - alpha) * (h_new + rel)
-    cache = {"t": t.copy(), "h_new": h_new.copy(), "rel": rel.copy(),
-             "alpha": alpha, "gated": gated}
-    return out, cache
-
-
-def blend_tail_grads(params: LegacyParams, cache, d_out: np.ndarray):
-    alpha, t = cache["alpha"], cache["t"]
-    target = cache["h_new"] + cache["rel"]
-    d_t = d_out * alpha
-    d_h = d_out * (1.0 - alpha)
-    if cache["gated"]:
-        d_alpha = float(d_out @ (t - target))
-        d_t = d_t + _gate_grads("tail", t, alpha, d_alpha, params)
-    return d_t, d_h
+    return _blend("tail", t, h_new + rel, params, squash=False)
 
 
 def blend_sibling(h: np.ndarray, t_new: np.ndarray, rel: np.ndarray, params: LegacyParams):
     """Pull a sibling head toward the translation pre-image t' - rel."""
-    pre_image = t_new - rel
-    alpha, _ = _gate("sibling", h, params)
-    pre = alpha * h + (1.0 - alpha) * pre_image
-    out = sigmoid(pre)
-    cache = {"h": h.copy(), "t_new": t_new.copy(), "rel": rel.copy(),
-             "pre_image": pre_image, "alpha": alpha, "out": out}
-    return out, cache
-
-
-def blend_sibling_grads(params: LegacyParams, cache, d_out: np.ndarray):
-    out, alpha, h = cache["out"], cache["alpha"], cache["h"]
-    d_pre = d_out * out * (1.0 - out)
-    d_alpha = float(d_pre @ (h - cache["pre_image"]))
-    d_h = d_pre * alpha
-    d_t = d_pre * (1.0 - alpha)
-    d_h = d_h + _gate_grads("sibling", h, alpha, d_alpha, params)
-    return d_h, d_t
+    return _blend("sibling", h, t_new - rel, params)
 
 
 @dataclass
@@ -240,7 +195,7 @@ def update_spatial(
     """
     if poi_id not in rep.heads:
         raise UnknownObjectError(f"unknown POI {poi_id}")
-    h_new, head_cache = _update_head(rep.heads[poi_id], u, t_tilde, params)
+    h_new, head_cache = _interact("poi", rep.heads[poi_id], u, t_tilde, params)
     rep.heads[poi_id] = h_new
     tail_caches = []
     sibling_caches = []
@@ -284,20 +239,20 @@ def update_spatial_grads(
         d_sib = d_heads.get(sib)
         if d_sib is None or not np.any(d_sib):
             continue
-        d_h_old, d_t = blend_sibling_grads(params, cache, d_sib)
+        d_h_old, d_t = _blend_grads(params, cache, d_sib)
         d_heads[sib] = d_h_old
         d_tails[key] = d_tails.get(key, np.zeros(n)) + d_t
     for key, cache in reversed(update.tail_caches):
         d_t = d_tails.get(key)
         if d_t is None or not np.any(d_t):
             continue
-        d_t_old, d_h = blend_tail_grads(params, cache, d_t)
+        d_t_old, d_h = _blend_grads(params, cache, d_t)
         d_tails[key] = d_t_old
         d_h_visited = d_h_visited + d_h
     d_u = np.zeros(n)
     d_tt = np.zeros(n)
     if np.any(d_h_visited):
-        _, d_u, d_tt = _update_head_grads(params, update.head_cache, d_h_visited)
+        _, d_u, d_tt = _interact_grads(params, update.head_cache, d_h_visited)
     return d_u, d_tt
 
 

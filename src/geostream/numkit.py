@@ -2,19 +2,18 @@
 
 Matrices are plain 2-D float64 numpy arrays in row-major order. The kernel
 adds the small amount of structure the rest of the package needs on top of
-numpy: stable activations, a named parameter store
-with gradient accumulators, plain SGD, and a central-difference gradient
-checker used to verify every hand-derived backward pass in the repo.
+numpy: stable activations, a named parameter store with gradient
+accumulators, plain SGD, and a binary container for named matrices.
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TrainingError
+from .errors import IngestionError, TrainingError
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -83,9 +82,6 @@ class ParamStore:
         for g in self._grads.values():
             g[...] = 0.0
 
-    def snapshot_grads(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self._grads.items()}
-
 
 def sgd_step(store: ParamStore, lr: float = 1e-5) -> None:
     """p <- p - lr * g for every parameter, then zero gradients."""
@@ -96,78 +92,6 @@ def sgd_step(store: ParamStore, lr: float = 1e-5) -> None:
         store.get(name)[...] -= lr * g
     store.zero_grads()
     store.step_count += 1
-
-
-@dataclass
-class GradCheckEntry:
-    param: str
-    index: int
-    analytic: float
-    numeric: float
-    rel_err: float
-
-
-@dataclass
-class GradCheckReport:
-    eps: float
-    tol: float
-    entries: list[GradCheckEntry] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(e.rel_err <= self.tol for e in self.entries)
-
-    @property
-    def max_rel_err(self) -> float:
-        return max((e.rel_err for e in self.entries), default=0.0)
-
-    def failures(self) -> list[GradCheckEntry]:
-        return [e for e in self.entries if e.rel_err > self.tol]
-
-
-def finite_diff_check(
-    f,
-    store: ParamStore,
-    eps: float = 1e-5,
-    tol: float = 1e-4,
-    analytic: dict[str, np.ndarray] | None = None,
-    max_coords_per_param: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> GradCheckReport:
-    """Compare analytic gradients against central differences.
-
-    The analytic gradients default to the store's current accumulators, so
-    the caller runs its backward pass once before checking. Each sampled
-    coordinate is perturbed in place by +/- eps and restored; the relative
-    error is |analytic - numeric| / max(1, |analytic|).
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if analytic is None:
-        analytic = store.snapshot_grads()
-    report = GradCheckReport(eps=eps, tol=tol)
-    for name in store.names():
-        p = store.get(name)
-        a = np.asarray(analytic[name], dtype=np.float64).reshape(-1)
-        flat = p.reshape(-1)
-        n = flat.size
-        if max_coords_per_param is not None and n > max_coords_per_param:
-            picker = rng if rng is not None else np.random.default_rng(0)
-            coords = picker.choice(n, size=max_coords_per_param, replace=False)
-        else:
-            coords = range(n)
-        for i in coords:
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = float(f(store))
-            flat[i] = orig - eps
-            f_minus = float(f(store))
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            ana = float(a[i])
-            rel = abs(ana - numeric) / max(1.0, abs(ana))
-            report.entries.append(GradCheckEntry(name, int(i), ana, numeric, rel))
-    return report
 
 
 _MATRIX_MAGIC = b"GSMX"
@@ -190,20 +114,37 @@ def save_matrices(path, matrices: dict[str, np.ndarray]) -> None:
 
 
 def load_matrices(path) -> dict[str, np.ndarray]:
+    """Read a ``save_matrices`` container.
+
+    A missing file raises ``OSError``. A damaged one raises
+    ``IngestionError`` naming the path: a wrong magic, a file cut short,
+    a name that is not UTF-8, or bytes after the last matrix.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MATRIX_MAGIC:
-            raise IOError(f"{path}: not a matrix container (magic {magic!r})")
-        _version, count = struct.unpack("<IQ", fh.read(12))
-        out: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(
-                struct.unpack("<Q", fh.read(8))[0] for _ in range(ndim)
-            )
-            size = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(size * 8), dtype="<f8").astype(np.float64)
-            out[name] = data.reshape(shape)
+        data = fh.read()
+    if data[:4] != _MATRIX_MAGIC:
+        raise IngestionError(f"{path}: not a matrix container (magic {data[:4]!r})")
+    pos = 4
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if n > len(data) - pos:
+            raise IngestionError(f"{path}: matrix container cut short at byte {len(data)}")
+        pos += n
+        return data[pos - n : pos]
+
+    _version, count = struct.unpack("<IQ", take(12))
+    out: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack("<H", take(2))
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise IngestionError(f"{path}: matrix name is not UTF-8") from None
+        (ndim,) = struct.unpack("<B", take(1))
+        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
+        data_bytes = take(8 * math.prod(shape))
+        out[name] = np.frombuffer(data_bytes, dtype="<f8").astype(np.float64).reshape(shape)
+    if pos != len(data):
+        raise IngestionError(f"{path}: {len(data) - pos} bytes after the last matrix")
     return out

@@ -148,16 +148,30 @@ class Transition:
     seq: int = -1
 
 
-def q_values(net: QNet, state: np.ndarray, cand: CandidateSet, table) -> np.ndarray:
-    """One Q-value per candidate, shared weights across the pair batch."""
+def _q(net: QNet, state: np.ndarray, vecs, pois) -> np.ndarray:
+    """Q of each action in one forward.
+
+    A pairwise net scores the rows state‖vec of ``vecs``; a vanilla net
+    reads its head at the POIs' columns, or at every column when ``pois``
+    is empty.
+    """
+    if net.mode == PAIRWISE:
+        vecs = np.atleast_2d(vecs)
+        x = np.concatenate([np.broadcast_to(state, (len(vecs), len(state))), vecs], axis=1)
+        return net.forward(x)[0][:, 0]
+    out = net.forward(state)[0][0]
+    return out[[net.action_index(p) for p in pois]] if pois else out
+
+
+def q_values(net: QNet, state: np.ndarray, cand: CandidateSet, vecs) -> np.ndarray:
+    """One Q-value per candidate, shared weights across the pair batch.
+
+    ``vecs`` holds the candidates' action vectors as rows in the order of
+    ``cand.pois`` (unused by a vanilla net).
+    """
     if len(cand) == 0:
         raise ActionSpaceError("empty candidate set")
-    if net.mode == PAIRWISE:
-        x = np.stack([np.concatenate([state, np.asarray(table[p])]) for p in cand.pois])
-        out, _ = net.forward(x)
-        return out[:, 0]
-    out, _ = net.forward(state)
-    return np.array([out[0, net.action_index(p)] for p in cand.pois])
+    return _q(net, state, vecs, cand.pois)
 
 
 def select_action(
@@ -166,7 +180,7 @@ def select_action(
     cand: CandidateSet,
     epsilon: float,
     rng: np.random.Generator,
-    table=None,
+    vecs=None,
 ) -> int:
     """Uniform over candidates with prob epsilon, else first-best by Q."""
     if len(cand) == 0:
@@ -175,34 +189,20 @@ def select_action(
         raise ValueError(f"epsilon {epsilon} outside [0, 1]")
     if epsilon > 0.0 and rng.random() < epsilon:
         return cand.pois[int(rng.integers(len(cand)))]
-    scores = q_values(net, state, cand, table)
+    scores = q_values(net, state, cand, vecs)
     return cand.pois[int(np.argmax(scores))]
 
 
 def _q_of(net: QNet, t: Transition) -> float:
-    if net.mode == PAIRWISE:
-        x = np.concatenate([t.state, t.action_vec])
-        return float(net.forward(x)[0][0, 0])
-    out, _ = net.forward(t.state)
-    return float(out[0, net.action_index(t.action_poi)])
+    return float(_q(net, t.state, t.action_vec, (t.action_poi,))[0])
 
 
 def _max_next_q(net: QNet, t: Transition) -> float:
     if t.terminal:
         return 0.0
-    if net.mode == PAIRWISE:
-        if t.next_vecs is None or len(t.next_vecs) == 0:
-            return 0.0
-        x = np.concatenate(
-            [np.broadcast_to(t.next_state, (len(t.next_vecs), len(t.next_state))), t.next_vecs],
-            axis=1,
-        )
-        out, _ = net.forward(x)
-        return float(out[:, 0].max())
-    out, _ = net.forward(t.next_state)
-    if t.next_pois:
-        return float(max(out[0, net.action_index(p)] for p in t.next_pois))
-    return float(out[0].max())
+    if net.mode == PAIRWISE and (t.next_vecs is None or len(t.next_vecs) == 0):
+        return 0.0
+    return float(_q(net, t.next_state, t.next_vecs, t.next_pois).max())
 
 
 def priority_of(t: Transition, mode: str, net: QNet, gamma: float) -> float:
@@ -283,21 +283,11 @@ def train_step(
     targets = np.array([t.reward + gamma * _max_next_q(bootstrap, t) for t in batch])
     if net.mode == PAIRWISE:
         x = np.stack([np.concatenate([t.state, t.action_vec]) for t in batch])
-        out, cache = net.forward(x)
-        q = out[:, 0]
-        errors = q - targets
-        loss = float(np.mean(errors**2))
-        if not np.isfinite(loss):
-            raise TrainingError("non-finite Bellman loss")
-        d_out = (2.0 / len(batch)) * errors.reshape(-1, 1)
-        d_x = net.backward(cache, d_out)
-        sgd_step(net.store, lr)
-        if encoder_feedback is not None:
-            encoder_feedback(batch, d_x[:, : net.dim_state])
-        return loss
-    x = np.stack([t.state for t in batch])
+        cols = np.zeros(len(batch), dtype=np.intp)
+    else:
+        x = np.stack([t.state for t in batch])
+        cols = np.array([net.action_index(t.action_poi) for t in batch])
     out, cache = net.forward(x)
-    cols = np.array([net.action_index(t.action_poi) for t in batch])
     rows = np.arange(len(batch))
     q = out[rows, cols]
     errors = q - targets
@@ -309,5 +299,5 @@ def train_step(
     d_x = net.backward(cache, d_out)
     sgd_step(net.store, lr)
     if encoder_feedback is not None:
-        encoder_feedback(batch, d_x)
+        encoder_feedback(batch, d_x[:, : net.dim_state])
     return loss

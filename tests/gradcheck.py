@@ -1,16 +1,91 @@
-"""Adapters between an ``Embedder`` and ``numkit.finite_diff_check``.
+"""Central-difference gradient checker and its ``Embedder`` adapters.
 
-The gradient checks perturb the live encoder parameters and raw
+``finite_diff_check`` verifies every hand-derived backward pass in the
+package. The embedder checks perturb the live encoder parameters and raw
 embeddings through one ``ParamStore`` and compare central differences
 with the hand-derived gradients of ``margin_loss_and_grads``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from geostream.embed import Embedder, ObjKey
 from geostream.numkit import ParamStore
+
+
+@dataclass
+class GradCheckEntry:
+    param: str
+    index: int
+    analytic: float
+    numeric: float
+    rel_err: float
+
+
+@dataclass
+class GradCheckReport:
+    eps: float
+    tol: float
+    entries: list[GradCheckEntry] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return all(e.rel_err <= self.tol for e in self.entries)
+
+    @property
+    def max_rel_err(self) -> float:
+        return max((e.rel_err for e in self.entries), default=0.0)
+
+    def failures(self) -> list[GradCheckEntry]:
+        return [e for e in self.entries if e.rel_err > self.tol]
+
+
+def finite_diff_check(
+    f,
+    store: ParamStore,
+    eps: float = 1e-5,
+    tol: float = 1e-4,
+    analytic: dict[str, np.ndarray] | None = None,
+    max_coords_per_param: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> GradCheckReport:
+    """Compare analytic gradients against central differences.
+
+    The analytic gradients default to the store's current accumulators, so
+    the caller runs its backward pass once before checking. Each sampled
+    coordinate is perturbed in place by +/- eps and restored; the relative
+    error is |analytic - numeric| / max(1, |analytic|).
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if analytic is None:
+        analytic = {name: store.grad(name).copy() for name in store.names()}
+    report = GradCheckReport(eps=eps, tol=tol)
+    for name in store.names():
+        p = store.get(name)
+        a = np.asarray(analytic[name], dtype=np.float64).reshape(-1)
+        flat = p.reshape(-1)
+        n = flat.size
+        if max_coords_per_param is not None and n > max_coords_per_param:
+            picker = rng if rng is not None else np.random.default_rng(0)
+            coords = picker.choice(n, size=max_coords_per_param, replace=False)
+        else:
+            coords = range(n)
+        for i in coords:
+            orig = flat[i]
+            flat[i] = orig + eps
+            f_plus = float(f(store))
+            flat[i] = orig - eps
+            f_minus = float(f(store))
+            flat[i] = orig
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            ana = float(a[i])
+            rel = abs(ana - numeric) / max(1.0, abs(ana))
+            report.entries.append(GradCheckEntry(name, int(i), ana, numeric, rel))
+    return report
 
 
 def build_check_store(embedder: Embedder, keys) -> ParamStore:

@@ -12,11 +12,11 @@ from geostream.embed import Embedder
 from geostream.harness import RunConfig, run_eval, run_training, split_stream
 from geostream.kgstore import RelType, build_static
 from geostream.metrics import avg_dist, prec_cat, rec_cat
-from geostream.numkit import finite_diff_check
 from geostream.policy import PriorityReplayBuffer, QNet, Transition, priority_of
 from geostream.reward import BaselineWindows, RewardWeights, compute_reward
 
 import gradcheck
+from gradcheck import finite_diff_check
 from conftest import WORDVEC_PATH, make_cyclic_stream, make_drifting_stream
 from test_candidates import _enumerate_paths
 from test_metrics import _ev, oracle_weighted

@@ -5,9 +5,9 @@ from geostream import embed, kgstore
 from geostream.embed import Embedder, EmbeddingTable, TrainBatch
 from geostream.errors import ConfigError, ConsistencyError
 from geostream.kgstore import EntityKind, RelType, Triple, build_static, poi, user
-from geostream.numkit import finite_diff_check
 
 import gradcheck
+from gradcheck import finite_diff_check
 from kg_oracle import induced_adjacency
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from geostream import cli, harness
-from geostream.errors import CompatibilityError, ConfigError, FormatError
+from geostream.errors import CompatibilityError, ConfigError, FormatError, IngestionError
 from geostream.harness import (
     Artifacts,
     Catalog,
@@ -336,6 +336,14 @@ class TestArtifactsRoundtrip:
             artifacts.legacy_params.store.get("temporal/w_in"),
         )
 
+    def test_cut_qnet_rejected(self, tmp_path):
+        artifacts, _, _ = run_training(_tiny_config(), records=make_cyclic_stream(40))
+        artifacts.save(tmp_path)
+        qnet = tmp_path / "qnet.bin"
+        qnet.write_bytes(qnet.read_bytes()[:-8])
+        with pytest.raises(IngestionError, match="qnet.bin"):
+            Artifacts.load(tmp_path)
+
 
 class TestSweepAndInspect:
     def test_sweep_grid(self):
@@ -386,6 +394,20 @@ class TestCli:
 
         assert cli.main(["inspect-kg", "--artifacts", str(out_dir)]) == 0
         assert '"pois": 6' in capsys.readouterr().out
+
+    def test_train_seed_flag_matches_config_seed(self, tmp_path):
+        data = tmp_path / "stream.tsv"
+        _write_tsv(data, make_cyclic_stream(40))
+        base = tmp_path / "base.cfg"
+        base.write_text(_tiny_config(dataset=str(data)).to_text())  # seed 3
+        seeded = tmp_path / "seeded.cfg"
+        seeded.write_text(_tiny_config(dataset=str(data), seed=7).to_text())
+        flag, conf = tmp_path / "flag", tmp_path / "conf"
+        assert cli.main(["train", "--config", str(base), "--seed", "7", "--out", str(flag)]) == 0
+        assert cli.main(["train", "--config", str(seeded), "--out", str(conf)]) == 0
+        assert "seed=7" in (flag / "config.txt").read_text().splitlines()
+        assert (flag / "config.txt").read_text() == (conf / "config.txt").read_text()
+        assert (flag / "trace.csv").read_text() == (conf / "trace.csv").read_text()
 
     def test_sweep_writes_csv(self, tmp_path):
         records = make_cyclic_stream(15)

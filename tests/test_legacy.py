@@ -20,7 +20,9 @@ from geostream.legacy import (
     update_user,
     update_user_grads,
 )
-from geostream.numkit import finite_diff_check
+
+import legacy_oracle
+from gradcheck import finite_diff_check
 
 
 def _sig(x):
@@ -159,7 +161,7 @@ class TestUpdateSpatial:
         t_new = rng.uniform(0, 1, size=4)
         h = rng.uniform(0, 1, size=4)
         _, cache = blend_sibling(h, t_new, np.zeros(4), p)
-        np.testing.assert_array_equal(cache["pre_image"], t_new)
+        np.testing.assert_array_equal(cache["target"], t_new)
 
     def test_tail_blend_alpha_zero_endpoint(self):
         p = _params()
@@ -167,7 +169,8 @@ class TestUpdateSpatial:
         t = rng.uniform(0, 1, size=4)
         h_new = rng.uniform(0, 1, size=4)
         rel = rng.normal(size=4)
-        out, _ = blend_tail(t, h_new, rel, p, alpha=0.0)
+        p.store.get("tail/gate_b")[...] = -1000.0  # the gate is exactly 0.0
+        out, _ = blend_tail(t, h_new, rel, p)
         np.testing.assert_array_equal(out, h_new + rel)
 
     def test_one_sibling_hand_case(self):
@@ -315,3 +318,74 @@ class TestTrafficBins:
         bins.record(0, 0, 1.0)
         bins.record(0, 0, 11.0)  # new bin
         assert bins.matrix()[0, 0] == 1.0
+
+
+def _oracle_case(seed, n=5, m=3):
+    """Random params with every gate bias moved off zero, and a seeded rng."""
+    rng = np.random.default_rng(seed)
+    p = LegacyParams(n, m, rng)
+    for prefix in ("user", "poi", "tail", "sibling"):
+        p.store.get(f"{prefix}/gate_b")[...] = rng.normal()
+    return rng, p
+
+
+def _assert_same_param_grads(a, b):
+    for name in a.store.names():
+        assert np.array_equal(a.store.grad(name), b.store.grad(name)), name
+
+
+class TestMatchesOracle:
+    """Every rule, forward and backward, equals the pre-blend code exactly."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_each_rule(self, seed):
+        rng, p = _oracle_case(seed)
+        q = copy.deepcopy(p)
+        x, y, tt, rel, d_out = (rng.normal(size=5) for _ in range(5))
+        rules = [
+            (lambda ps: update_user(x, y, tt, ps), update_user_grads,
+             lambda ps: legacy_oracle.update_user(x, y, tt, ps), legacy_oracle.update_user_grads),
+            (lambda ps: legacy._interact("poi", x, y, tt, ps), legacy._interact_grads,
+             lambda ps: legacy_oracle._update_head(x, y, tt, ps), legacy_oracle._update_head_grads),
+            (lambda ps: blend_tail(x, y, rel, ps), legacy._blend_grads,
+             lambda ps: legacy_oracle.blend_tail(x, y, rel, ps), legacy_oracle.blend_tail_grads),
+            (lambda ps: blend_sibling(x, y, rel, ps), legacy._blend_grads,
+             lambda ps: legacy_oracle.blend_sibling(x, y, rel, ps), legacy_oracle.blend_sibling_grads),
+        ]
+        for fwd, bwd, o_fwd, o_bwd in rules:
+            out, cache = fwd(p)
+            o_out, o_cache = o_fwd(q)
+            assert np.array_equal(out, o_out)
+            got, want = bwd(p, cache, d_out), o_bwd(q, o_cache, d_out)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            _assert_same_param_grads(p, q)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_spatial_chain(self, seed):
+        rng, p = _oracle_case(seed)
+        q = copy.deepcopy(p)
+        # two categories over three zones: tails with several members each
+        catalog = [(i, i % 2, i % 3) for i in range(7)]
+        rep = SpatialKgRep.from_catalog(catalog, 5, rng)
+        o_rep = copy.deepcopy(rep)
+        u, tt = rng.uniform(0, 1, size=5), rng.uniform(0, 1, size=5)
+        poi = int(rng.integers(7))
+        upd = update_spatial(rep, poi, u, tt, p)
+        o_upd = legacy_oracle.update_spatial(o_rep, poi, u, tt, q)
+        for k in rep.heads:
+            assert np.array_equal(rep.heads[k], o_rep.heads[k])
+        for k in rep.tails:
+            assert np.array_equal(rep.tails[k], o_rep.tails[k])
+        assert upd.touched_heads == o_upd.touched_heads
+        assert upd.touched_tails == o_upd.touched_tails
+        # a zero seed on one sibling exercises the skip branch
+        d_heads = {k: rng.normal(size=5) for k in upd.touched_heads}
+        d_heads[upd.touched_heads[-1]] = np.zeros(5)
+        d_tails = {k: rng.normal(size=5) for k in upd.touched_tails}
+        got = update_spatial_grads(p, upd, d_heads, d_tails)
+        want = legacy_oracle.update_spatial_grads(q, o_upd, d_heads, d_tails)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        _assert_same_param_grads(p, q)

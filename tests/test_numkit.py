@@ -1,12 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from geostream.errors import TrainingError
+from geostream.errors import IngestionError, TrainingError
 from geostream.numkit import (
     ParamStore,
-    finite_diff_check,
     load_matrices,
     relu,
     row_softmax,
@@ -14,6 +14,8 @@ from geostream.numkit import (
     sgd_step,
     sigmoid,
 )
+
+from gradcheck import finite_diff_check
 
 
 class TestActivations:
@@ -144,3 +146,35 @@ def test_matrix_container_roundtrip(tmp_path):
     for k in mats:
         np.testing.assert_array_equal(loaded[k], mats[k])
         assert loaded[k].shape == mats[k].shape
+
+
+class TestDamagedContainer:
+    """A damaged file fails as ``IngestionError`` naming it; a missing one as ``OSError``."""
+
+    def _saved(self, tmp_path):
+        path = tmp_path / "mats.bin"
+        save_matrices(path, {"a/w": np.arange(6.0).reshape(2, 3), "b": np.array([1.5])})
+        return path, path.read_bytes()
+
+    @pytest.mark.parametrize("cut", [2, 10, 20, -8])
+    def test_cut_short(self, tmp_path, cut):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(raw[:cut])
+        with pytest.raises(IngestionError, match=re.escape(str(path))):
+            load_matrices(path)
+
+    def test_bad_magic(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(b"GSMZ" + raw[4:])
+        with pytest.raises(IngestionError, match="not a matrix container"):
+            load_matrices(path)
+
+    def test_bytes_after_last_matrix(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(raw + bytes(8))
+        with pytest.raises(IngestionError, match="8 bytes after the last matrix"):
+            load_matrices(path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(OSError):
+            load_matrices(tmp_path / "absent.bin")

@@ -4,7 +4,6 @@ import pytest
 from geostream import policy
 from geostream.candidates import CandidateSet
 from geostream.errors import ActionSpaceError
-from geostream.numkit import finite_diff_check
 from geostream.policy import (
     PriorityReplayBuffer,
     QNet,
@@ -15,6 +14,9 @@ from geostream.policy import (
     train_step,
 )
 
+import policy_oracle
+from gradcheck import finite_diff_check
+
 
 def _cand(pois):
     return CandidateSet(tuple(pois), tuple("UV" for _ in pois), 1)
@@ -22,6 +24,11 @@ def _cand(pois):
 
 def _table(rng, pois, d):
     return {p: rng.normal(size=d) for p in pois}
+
+
+def _rows(table, pois):
+    """Action vectors as a matrix whose rows follow ``pois``."""
+    return np.stack([table[p] for p in pois])
 
 
 def _transition(rng, net, poi, table, reward, terminal=False, next_pois=(0, 1)):
@@ -42,7 +49,7 @@ class TestQValues:
         rng = np.random.default_rng(1)
         net = QNet(4, 3, hidden=8, rng=rng)
         table = _table(rng, [7], 3)
-        scores = q_values(net, rng.normal(size=4), _cand([7]), table)
+        scores = q_values(net, rng.normal(size=4), _cand([7]), _rows(table, [7]))
         assert scores.shape == (1,)
 
     def test_duplicate_embeddings_share_weights(self):
@@ -50,7 +57,7 @@ class TestQValues:
         net = QNet(4, 3, hidden=8, rng=rng)
         vec = rng.normal(size=3)
         table = {1: vec, 2: vec.copy()}
-        scores = q_values(net, rng.normal(size=4), _cand([1, 2]), table)
+        scores = q_values(net, rng.normal(size=4), _cand([1, 2]), _rows(table, [1, 2]))
         assert scores[0] == scores[1]
 
     def test_zero_head_gives_constant_bias(self):
@@ -59,23 +66,23 @@ class TestQValues:
         net.store.get("out/w")[...] = 0.0
         net.store.get("out/b")[...] = 1.25
         table = _table(rng, [1, 2, 3], 3)
-        scores = q_values(net, rng.normal(size=4), _cand([1, 2, 3]), table)
+        scores = q_values(net, rng.normal(size=4), _cand([1, 2, 3]), _rows(table, [1, 2, 3]))
         np.testing.assert_array_equal(scores, [1.25, 1.25, 1.25])
 
     def test_empty_candidates(self):
         rng = np.random.default_rng(4)
         net = QNet(4, 3, hidden=8, rng=rng)
         with pytest.raises(ActionSpaceError):
-            q_values(net, rng.normal(size=4), _cand([]), {})
+            q_values(net, rng.normal(size=4), _cand([]), np.zeros((0, 3)))
 
     def test_argmax_invariant_to_bias_shift(self):
         rng = np.random.default_rng(5)
         net = QNet(4, 3, hidden=8, rng=rng)
         table = _table(rng, list(range(6)), 3)
         s = rng.normal(size=4)
-        base = np.argmax(q_values(net, s, _cand(range(6)), table))
+        base = np.argmax(q_values(net, s, _cand(range(6)), _rows(table, range(6))))
         net.store.get("out/b")[...] += 17.0
-        shifted = np.argmax(q_values(net, s, _cand(range(6)), table))
+        shifted = np.argmax(q_values(net, s, _cand(range(6)), _rows(table, range(6))))
         assert base == shifted
 
 
@@ -85,8 +92,8 @@ class TestSelectAction:
         net = QNet(4, 3, hidden=8, rng=rng)
         table = _table(rng, [0, 1, 2], 3)
         s = rng.normal(size=4)
-        scores = q_values(net, s, _cand([0, 1, 2]), table)
-        pick = select_action(net, s, _cand([0, 1, 2]), 0.0, rng, table)
+        scores = q_values(net, s, _cand([0, 1, 2]), _rows(table, [0, 1, 2]))
+        pick = select_action(net, s, _cand([0, 1, 2]), 0.0, rng, _rows(table, [0, 1, 2]))
         assert pick == [0, 1, 2][int(np.argmax(scores))]
 
     def test_greedy_is_pure_function(self):
@@ -95,7 +102,9 @@ class TestSelectAction:
         table = _table(rng, [0, 1, 2], 3)
         s = rng.normal(size=4)
         picks = {
-            select_action(net, s, _cand([0, 1, 2]), 0.0, np.random.default_rng(i), table)
+            select_action(
+                net, s, _cand([0, 1, 2]), 0.0, np.random.default_rng(i), _rows(table, [0, 1, 2])
+            )
             for i in range(10)
         }
         assert len(picks) == 1
@@ -105,7 +114,7 @@ class TestSelectAction:
         net = QNet(4, 3, hidden=8, rng=rng)
         net.store.get("out/w")[...] = 0.0  # all scores equal the bias
         table = _table(rng, [5, 9], 3)
-        pick = select_action(net, rng.normal(size=4), _cand([5, 9]), 0.0, rng, table)
+        pick = select_action(net, rng.normal(size=4), _cand([5, 9]), 0.0, rng, _rows(table, [5, 9]))
         assert pick == 5
 
     def test_epsilon_one_is_uniform(self):
@@ -114,10 +123,11 @@ class TestSelectAction:
         pois = list(range(8))
         table = _table(rng, pois, 2)
         s = rng.normal(size=2)
+        vecs = _rows(table, pois)
         draws = np.zeros(8)
         n = 10_000
         for _ in range(n):
-            draws[select_action(net, s, _cand(pois), 1.0, rng, table)] += 1
+            draws[select_action(net, s, _cand(pois), 1.0, rng, vecs)] += 1
         expected = n / 8
         chi2 = float(((draws - expected) ** 2 / expected).sum())
         # 7 dof: mean 7, sd sqrt(14); 3 sigma above is ~18.2
@@ -384,3 +394,82 @@ def test_frozen_target_network():
     q = float(net.forward(np.concatenate([t.state, t.action_vec]))[0][0, 0])
     loss = train_step(net, [t], 0.9, lr=0.0, target_net=frozen)
     assert loss == pytest.approx((y - q) ** 2)
+
+
+def _oracle_nets(seed, d_s=5, d_a=3, pois=tuple(range(6))):
+    """A pairwise and a vanilla net over the same POIs."""
+    return {
+        policy.PAIRWISE: QNet(d_s, d_a, hidden=7, rng=np.random.default_rng(seed)),
+        policy.VANILLA: QNet(
+            d_s, mode=policy.VANILLA, action_ids=pois, hidden=7,
+            rng=np.random.default_rng(seed + 100),
+        ),
+    }
+
+
+def _oracle_transition(rng, mode, table, terminal=False, next_pois=(4, 0, 2)):
+    pairwise = mode == policy.PAIRWISE
+    poi = int(rng.integers(len(table)))
+    return Transition(
+        state=rng.normal(size=5),
+        action_poi=poi,
+        action_vec=table[poi] if pairwise else None,
+        reward=float(rng.normal()),
+        next_state=rng.normal(size=5),
+        next_pois=tuple(next_pois),
+        next_vecs=_rows(table, next_pois) if pairwise and next_pois else None,
+        terminal=terminal,
+    )
+
+
+class TestMatchesOracle:
+    """Scores, TD priorities and Bellman steps equal the per-mode code exactly."""
+
+    @pytest.mark.parametrize("mode", [policy.PAIRWISE, policy.VANILLA])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_q_values(self, mode, seed):
+        rng = np.random.default_rng(seed)
+        net = _oracle_nets(seed)[mode]
+        table = _table(rng, range(6), 3)
+        for pois in ([3], [5, 1, 4], [2, 0, 1, 3, 5, 4]):
+            s = rng.normal(size=5)
+            got = q_values(net, s, _cand(pois), _rows(table, pois))
+            assert np.array_equal(got, policy_oracle.q_values(net, s, _cand(pois), table))
+
+    @pytest.mark.parametrize("mode", [policy.PAIRWISE, policy.VANILLA])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_td_priority(self, mode, seed):
+        rng = np.random.default_rng(seed)
+        net = _oracle_nets(seed)[mode]
+        table = _table(rng, range(6), 3)
+        cases = [
+            _oracle_transition(rng, mode, table),
+            _oracle_transition(rng, mode, table, next_pois=(5,)),
+            _oracle_transition(rng, mode, table, next_pois=()),
+            _oracle_transition(rng, mode, table, terminal=True),
+        ]
+        for t in cases:
+            assert priority_of(t, "td", net, 0.9) == policy_oracle.priority_of(t, "td", net, 0.9)
+
+    @pytest.mark.parametrize("mode", [policy.PAIRWISE, policy.VANILLA])
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_train_step(self, mode, frozen):
+        rng = np.random.default_rng(7)
+        net = _oracle_nets(7)[mode]
+        twin = net.clone()
+        target = _oracle_nets(8)[mode] if frozen else None
+        table = _table(rng, range(6), 3)
+        batch = [
+            _oracle_transition(rng, mode, table, terminal=i == 2, next_pois=(i, 5))
+            for i in range(4)
+        ]
+        seen = {}
+        loss = train_step(net, batch, 0.9, lr=0.05, target_net=target,
+                          encoder_feedback=lambda b, d: seen.setdefault("new", d))
+        o_loss = policy_oracle.train_step(twin, batch, 0.9, lr=0.05, target_net=target,
+                                          encoder_feedback=lambda b, d: seen.setdefault("old", d))
+        assert loss == o_loss
+        for name in net.store.names():
+            assert np.array_equal(net.store.get(name), twin.store.get(name)), name
+        assert seen["new"].shape == (4, 5)
+        assert np.array_equal(seen["new"], seen["old"])
