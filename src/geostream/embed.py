@@ -1,9 +1,9 @@
 """Context-aware translational embedding of the dynamic graph.
 
-Every object (entity or relation kind) carries a raw d-dim vector. Its
-joint embedding blends that vector with an encoding of its context, the
-star the graph store returns (the object, then its neighbors; a relation
-kind alone):
+Every object (entity or relation kind) carries a raw d-dim vector, one
+row of the table's ``(objects, d)`` matrix. Its joint embedding blends
+that vector with an encoding of its context, the star the graph store
+returns (the object, then its neighbors; a relation kind alone):
 
   * the context star is passed through m graph-convolution layers
     with renormalized adjacency (A + I, symmetric degree scaling),
@@ -12,6 +12,13 @@ kind alone):
     through a trainable per-coordinate scale (all-ones at init, i.e. a
     plain dot product),
   * a sigmoid gate mixes the raw vector with the context vector.
+
+For an n-node star the renormalized adjacency has three distinct
+entries: 1/n on the centre, 1/sqrt(2n) between the centre and a leaf,
+and 1/2 on a leaf. So the stars of any list of objects are encoded in
+one pass: their nodes are stacked, each layer is one matrix product plus
+per-star sums, and the attention is a softmax per star. The backward
+pass runs over the same stacked stars.
 
 Training minimizes a pairwise hinge on the L1 translation residual
 ``|h* + r* - t*|`` of joint embeddings, with negatives drawn by
@@ -25,101 +32,108 @@ differences in the test suite.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kgstore
-from .errors import ConfigError, ConsistencyError, TrainingError, UnknownObjectError
+from .errors import (
+    ConfigError,
+    ConsistencyError,
+    IngestionError,
+    TrainingError,
+    UnknownObjectError,
+)
 from .kgstore import DynamicKg, EntityId, EntityKind, Triple, ent_key, rel_key
-from .numkit import ParamStore, relu, row_softmax, sgd_step, sigmoid
+from .numkit import ParamStore, load_matrices, relu, save_matrices, sgd_step, sigmoid
 
 ObjKey = tuple[int, int]
 
-_TABLE_MAGIC = b"GSET"
-
 
 class EmbeddingTable:
-    """Raw vectors per object with a per-object version counter."""
+    """Raw vectors of all objects: one ``(n, d)`` matrix ``vecs``, the
+    row of each key in ``rows``, and a ``version`` that every write bumps."""
 
     def __init__(self, d: int):
         if d < 1:
             raise ConfigError("embedding dimension must be >= 1")
         self.d = d
-        self._vecs: dict[ObjKey, np.ndarray] = {}
-        self._versions: dict[ObjKey, int] = {}
+        self.vecs = np.zeros((0, d))
+        self.rows: dict[ObjKey, int] = {}
+        self.version = 0
 
     def __contains__(self, key: ObjKey) -> bool:
-        return key in self._vecs
+        return key in self.rows
 
     def __len__(self) -> int:
-        return len(self._vecs)
+        return len(self.rows)
 
     def keys(self) -> list[ObjKey]:
-        return sorted(self._vecs)
+        return sorted(self.rows)
+
+    def row_of(self, key: ObjKey) -> int:
+        try:
+            return self.rows[key]
+        except KeyError:
+            raise UnknownObjectError(f"no embedding for object {key}") from None
 
     def get(self, key: ObjKey) -> np.ndarray:
-        try:
-            return self._vecs[key]
-        except KeyError:
-            raise UnknownObjectError(f"no embedding for object {key}") from None
+        """The object's row, a view into ``vecs``."""
+        return self.vecs[self.row_of(key)]
 
-    def version(self, key: ObjKey) -> int:
-        try:
-            return self._versions[key]
-        except KeyError:
-            raise UnknownObjectError(f"no embedding for object {key}") from None
+    def _append(self, keys, vecs: np.ndarray) -> None:
+        for key in keys:
+            self.rows[key] = len(self.rows)
+        self.vecs = np.concatenate([self.vecs, vecs])
+        self.version += 1
 
-    def init_object(self, key: ObjKey, rng: np.random.Generator) -> np.ndarray:
-        bound = 6.0 / np.sqrt(self.d)
-        vec = rng.uniform(-bound, bound, size=self.d)
-        self._vecs[key] = vec
-        self._versions[key] = 0
-        return vec
+    def init_objects(self, keys, rng: np.random.Generator) -> None:
+        """Append new objects with uniform random vectors, drawn in order."""
+        keys = list(keys)
+        if keys:
+            bound = 6.0 / np.sqrt(self.d)
+            self._append(keys, rng.uniform(-bound, bound, size=(len(keys), self.d)))
 
     def set(self, key: ObjKey, value) -> None:
         value = np.asarray(value, dtype=np.float64)
         if value.shape != (self.d,):
             raise ConfigError(f"vector for {key} has shape {value.shape}, want ({self.d},)")
-        if key in self._vecs and np.array_equal(self._vecs[key], value):
-            return
-        self._vecs[key] = value.copy()
-        self._versions[key] = self._versions.get(key, -1) + 1
+        if key not in self.rows:
+            self._append([key], value[None, :])
+        elif not np.array_equal(self.vecs[self.rows[key]], value):
+            self.vecs[self.rows[key]] = value
+            self.version += 1
 
-    def apply_grad(self, key: ObjKey, grad: np.ndarray, lr: float) -> None:
-        step = lr * grad
+    def step(self, grads: np.ndarray, rows, lr: float) -> None:
+        """SGD on the given rows of ``vecs`` with a gradient matrix of the same shape."""
+        step = lr * grads[rows]
         if not np.any(step):
             return
         if not np.isfinite(step).all():
-            raise TrainingError(f"non-finite embedding update for {key}")
-        self._vecs[key] -= step
-        self._versions[key] += 1
+            raise TrainingError("non-finite embedding update")
+        self.vecs[rows] -= step
+        self.version += 1
 
     def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(_TABLE_MAGIC)
-            fh.write(struct.pack("<IQ", self.d, len(self._vecs)))
-            for key in self.keys():
-                kind, index = key
-                fh.write(struct.pack("<BQ", kind, index))
-                fh.write(self._vecs[key].astype("<f8").tobytes())
-                fh.write(struct.pack("<Q", self._versions[key]))
+        keys = np.array(list(self.rows), dtype=np.float64).reshape(-1, 2)
+        save_matrices(path, {"keys": keys, "vecs": self.vecs})
 
     @classmethod
     def load(cls, path) -> "EmbeddingTable":
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != _TABLE_MAGIC:
-                raise IOError(f"{path}: not an embedding table (magic {magic!r})")
-            d, count = struct.unpack("<IQ", fh.read(12))
-            table = cls(d)
-            for _ in range(count):
-                kind, index = struct.unpack("<BQ", fh.read(9))
-                vec = np.frombuffer(fh.read(8 * d), dtype="<f8").astype(np.float64)
-                (version,) = struct.unpack("<Q", fh.read(8))
-                table._vecs[(kind, index)] = vec
-                table._versions[(kind, index)] = version
+        mats = load_matrices(path)
+        if sorted(mats) != ["keys", "vecs"]:
+            raise IngestionError(f"{path}: want entries keys and vecs, found {sorted(mats)}")
+        keys, vecs = mats["keys"], mats["vecs"]
+        if keys.ndim != 2 or keys.shape[1] != 2 or vecs.ndim != 2:
+            raise IngestionError(f"{path}: keys {keys.shape} or vecs {vecs.shape} misshapen")
+        if len(keys) != len(vecs):
+            raise IngestionError(f"{path}: {len(keys)} keys but {len(vecs)} vectors")
+        if not (np.isfinite(keys).all() and np.array_equal(keys, np.round(keys))):
+            raise IngestionError(f"{path}: non-integral object key")
+        table = cls(vecs.shape[1])
+        table._append([(int(k), int(i)) for k, i in keys], vecs)
+        if len(table) != len(keys):
+            raise IngestionError(f"{path}: duplicate object key")
         return table
 
 
@@ -155,16 +169,12 @@ class ContextEncoder:
         self.version += 1
 
     def save(self, path) -> None:
-        from .numkit import save_matrices
-
         mats = {name: self.store.get(name) for name in self.store.names()}
         mats["meta"] = np.array([self.d, self.layers], dtype=np.float64)
         save_matrices(path, mats)
 
     @classmethod
     def load(cls, path) -> "ContextEncoder":
-        from .numkit import load_matrices
-
         mats = load_matrices(path)
         d, layers = (int(v) for v in mats.pop("meta"))
         enc = cls(d, layers)
@@ -188,13 +198,34 @@ class TrainBatch:
                 raise ConfigError("negative must differ in exactly one endpoint")
 
 
-def _norm_adjacency(n: int) -> np.ndarray:
-    """Renormalized adjacency of the n-node star centred on node 0."""
-    a_hat = np.eye(n)
-    a_hat[0, 1:] = a_hat[1:, 0] = 1.0
-    d_hat = a_hat.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(d_hat)
-    return a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
+class _Stars:
+    """The stars of a key list, stacked node by node.
+
+    ``rows`` holds the table row of each node, ``seg`` the star each node
+    belongs to, and ``starts`` where each star begins (at its centre).
+    """
+
+    def __init__(self, kg: DynamicKg, table: EmbeddingTable, keys):
+        nodes = [kg.context_of(key) for key in keys]
+        self.rows = np.array([table.row_of(k) for star in nodes for k in star], dtype=np.intp)
+        sizes = np.array([len(star) for star in nodes])
+        self.starts = np.concatenate([[0], np.cumsum(sizes[:-1])]).astype(np.intp)
+        self.seg = np.repeat(np.arange(len(nodes)), sizes)
+        self.centre = self.starts[self.seg]  # each node's centre
+        is_centre = self.centre == np.arange(len(self.seg))
+        n = sizes[self.seg].astype(np.float64)
+        self.self_w = np.where(is_centre, 1.0 / n, 0.5)[:, None]
+        self.cross_w = np.where(is_centre, 0.0, 1.0 / np.sqrt(2.0 * n))[:, None]
+
+    def mix(self, x: np.ndarray) -> np.ndarray:
+        """The renormalized star adjacency times ``x``, per star. The
+        adjacency is symmetric, so the backward pass mixes the same way."""
+        out = self.self_w * x + self.cross_w * x[self.centre]
+        out[self.starts] += np.add.reduceat(self.cross_w * x, self.starts)
+        return out
+
+    def sum(self, x: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(x, self.starts)
 
 
 class Embedder:
@@ -223,138 +254,104 @@ class Embedder:
                 f"table dimension {self.table.d} != encoder dimension {self.enc.d}"
             )
         self.margin = margin
-        self._joint_cache: dict[ObjKey, tuple[tuple, np.ndarray]] = {}
+        self._joint_memo: tuple[tuple, np.ndarray] | None = None
         if table is None:
-            for key in kg.object_keys():
-                self.table.init_object(key, self.rng)
+            self.table.init_objects(kg.object_keys(), self.rng)
 
     # -- forward / backward ------------------------------------------------
 
-    def _joint_forward(self, nodes) -> tuple[np.ndarray, dict]:
-        key = nodes[0]  # every context lists its own object first
-        s = _norm_adjacency(len(nodes))
-        zs = [np.stack([self.table.get(k) for k in nodes])]
-        ms = []
-        ps = []
-        for i in range(self.enc.layers):
-            p = s @ zs[-1]
-            m = p @ self.enc.gcn_weight(i)
-            ps.append(p)
-            ms.append(m)
-            zs.append(relu(m))
+    def _forward(self, keys) -> tuple[np.ndarray, dict]:
+        """Joint embeddings of ``keys``, one row each, and the tape."""
+        enc = self.enc
+        st = _Stars(self.kg, self.table, keys)
+        zs = [self.table.vecs[st.rows]]
+        for i in range(enc.layers):
+            zs.append(relu(st.mix(zs[-1]) @ enc.gcn_weight(i)))
         zm = zs[-1]
-        o = self.table.get(key)
-        scores = zm @ (self.enc.att_scale * o)
-        alpha = row_softmax(scores.reshape(1, -1))[0]
-        cx = zm.T @ alpha
-        g = sigmoid(self.enc.gate)
+        o = zs[0][st.starts]
+        scores = (zm * (enc.att_scale * o)[st.seg]).sum(axis=1)
+        e = np.exp(scores - np.maximum.reduceat(scores, st.starts)[st.seg])
+        alpha = e / st.sum(e)[st.seg]
+        cx = st.sum(alpha[:, None] * zm)
+        g = sigmoid(enc.gate)
         ostar = g * o + (1.0 - g) * cx
-        cache = {
-            "key": key,
-            "nodes": nodes,
-            "s": s,
-            "zs": zs,
-            "ms": ms,
-            "ps": ps,
-            "alpha": alpha,
-            "cx": cx,
-            "g": g,
-            "o": o,
-        }
+        cache = {"st": st, "zs": zs, "alpha": alpha, "cx": cx, "g": g, "o": o}
         return ostar, cache
 
-    def _joint_backward(self, cache: dict, d_ostar: np.ndarray, grads: dict[ObjKey, np.ndarray]) -> None:
+    def _backward(self, cache: dict, d_ostar: np.ndarray, grads: np.ndarray) -> None:
+        """Encoder grads into its store; raw-vector grads into ``grads``
+        (one row per table row)."""
         enc = self.enc
-        key, o, cx, g, alpha = (
-            cache["key"],
-            cache["o"],
-            cache["cx"],
-            cache["g"],
-            cache["alpha"],
-        )
+        st, o, cx, g, alpha = (cache[k] for k in ("st", "o", "cx", "g", "alpha"))
         zm = cache["zs"][-1]
-        enc.store.accumulate("gate", d_ostar * (o - cx) * g * (1.0 - g))
-        d_o = d_ostar * g
-        d_cx = d_ostar * (1.0 - g)
-        d_alpha = zm @ d_cx
-        d_zm = np.outer(alpha, d_cx)
-        d_scores = alpha * (d_alpha - float(alpha @ d_alpha))
-        q = enc.att_scale * o
-        d_zm += np.outer(d_scores, q)
-        d_q = zm.T @ d_scores
-        enc.store.accumulate("att/scale", d_q * o)
-        d_o = d_o + d_q * enc.att_scale
-        d_z = d_zm
+        enc.store.accumulate("gate", (d_ostar * (o - cx) * g * (1.0 - g)).sum(axis=0))
+        d_cx = (d_ostar * (1.0 - g))[st.seg]
+        d_alpha = (zm * d_cx).sum(axis=1)
+        d_scores = alpha * (d_alpha - st.sum(alpha * d_alpha)[st.seg])
+        d_z = alpha[:, None] * d_cx + d_scores[:, None] * (enc.att_scale * o)[st.seg]
+        d_q = st.sum(d_scores[:, None] * zm)
+        enc.store.accumulate("att/scale", (d_q * o).sum(axis=0))
         for i in reversed(range(enc.layers)):
-            d_m = d_z * (cache["ms"][i] > 0)
-            enc.store.accumulate(f"gcn/w{i}", cache["ps"][i].T @ d_m)
-            d_z = cache["s"].T @ (d_m @ enc.gcn_weight(i).T)
-        for row, node in enumerate(cache["nodes"]):
-            grads[node] = grads.get(node, 0.0) + d_z[row]
-        grads[key] = grads.get(key, 0.0) + d_o
+            # the tape keeps only the layer outputs: relu(m) > 0 iff m > 0,
+            # and the mixed input is recomputed
+            d_m = d_z * (cache["zs"][i + 1] > 0)
+            enc.store.accumulate(f"gcn/w{i}", st.mix(cache["zs"][i]).T @ d_m)
+            d_z = st.mix(d_m @ enc.gcn_weight(i).T)
+        d_z[st.starts] += d_ostar * g + d_q * enc.att_scale
+        np.add.at(grads, st.rows, d_z)
 
-    def joint_of(self, key) -> np.ndarray:
-        """Fresh joint embedding of an object (no cache)."""
-        return self._joint_forward(self.kg.context_of(key))[0]
-
-    def _signature(self, nodes) -> tuple:
-        # a context is the star over its nodes, so they determine it exactly
-        return (
-            self.enc.version,
-            nodes,
-            tuple(self.table.version(k) for k in nodes),
-        )
+    def joint_all(self) -> np.ndarray:
+        """Joint embeddings of every table row, recomputed when the graph,
+        the encoder or the table moved."""
+        sig = (self.kg.version, self.enc.version, self.table.version)
+        if self._joint_memo is None or self._joint_memo[0] != sig:
+            self._joint_memo = (sig, self._forward(list(self.table.rows))[0])
+        return self._joint_memo[1]
 
     def joint_cached(self, key: ObjKey) -> np.ndarray:
-        nodes = self.kg.context_of(key)
-        sig = self._signature(nodes)
-        hit = self._joint_cache.get(key)
-        if hit is not None and hit[0] == sig:
-            return hit[1]
-        vec = self._joint_forward(nodes)[0]
-        self._joint_cache[key] = (sig, vec)
-        return vec
+        row = self.table.row_of(key)
+        return self.joint_all()[row]
 
     # -- losses --------------------------------------------------------------
 
-    def _triple_forward(self, triple: Triple) -> list[tuple[np.ndarray, dict]]:
-        """Joint forwards of a triple's head, relation kind and tail."""
-        keys = (ent_key(triple.head), rel_key(triple.rel), ent_key(triple.tail))
-        return [self._joint_forward(self.kg.context_of(k)) for k in keys]
-
-    def triple_residual(self, triple: Triple) -> float:
-        (h, _), (r, _), (t, _) = self._triple_forward(triple)
-        return float(np.abs(h + r - t).sum())
+    def _hinge(self, batch: TrainBatch):
+        """Per-pair hinge values, the triples' residual vectors (positives,
+        then negatives), their head/relation/tail indices into the forward
+        and its tape; every distinct object is forwarded once."""
+        index: dict[ObjKey, int] = {}
+        triples = [pos for pos, _ in batch.pairs] + [neg for _, neg in batch.pairs]
+        hrt = np.array([
+            [index.setdefault(k, len(index)) for k in (ent_key(t.head), rel_key(t.rel), ent_key(t.tail))]
+            for t in triples
+        ])
+        ostar, cache = self._forward(list(index))
+        e = ostar[hrt[:, 0]] + ostar[hrt[:, 1]] - ostar[hrt[:, 2]]
+        f = np.abs(e).sum(axis=1)
+        n = len(batch.pairs)
+        return f[:n] + batch.margin - f[n:], e, hrt, cache
 
     def margin_loss(self, batch: TrainBatch) -> float:
-        total = 0.0
-        for pos, neg in batch.pairs:
-            total += max(0.0, self.triple_residual(pos) + batch.margin - self.triple_residual(neg))
-        return total
+        if not batch.pairs:
+            return 0.0
+        hinge = self._hinge(batch)[0]
+        return float(hinge[hinge > 0.0].sum())
 
-    def margin_loss_and_grads(self, batch: TrainBatch) -> tuple[float, dict[ObjKey, np.ndarray]]:
-        """Hinge loss plus gradients; encoder grads accumulate in its store."""
-        grads: dict[ObjKey, np.ndarray] = {}
-        total = 0.0
-        for pos, neg in batch.pairs:
-            fwd = {}
-            for tag, triple in (("pos", pos), ("neg", neg)):
-                (h, ch), (r, cr), (t, ct) = self._triple_forward(triple)
-                e = h + r - t
-                fwd[tag] = (e, ch, cr, ct)
-            f_pos = float(np.abs(fwd["pos"][0]).sum())
-            f_neg = float(np.abs(fwd["neg"][0]).sum())
-            hinge = f_pos + batch.margin - f_neg
-            if hinge <= 0.0:
-                continue
-            total += hinge
-            for tag, sign in (("pos", 1.0), ("neg", -1.0)):
-                e, ch, cr, ct = fwd[tag]
-                de = sign * np.sign(e)
-                self._joint_backward(ch, de, grads)
-                self._joint_backward(cr, de, grads)
-                self._joint_backward(ct, -de, grads)
-        return total, grads
+    def margin_loss_and_grads(self, batch: TrainBatch) -> tuple[float, np.ndarray]:
+        """Hinge loss plus raw-vector gradients, one row per table row;
+        encoder grads accumulate in its store."""
+        grads = np.zeros_like(self.table.vecs)
+        if not batch.pairs:
+            return 0.0, grads
+        hinge, e, hrt, cache = self._hinge(batch)
+        active = (hinge > 0.0).astype(np.float64)
+        if active.any():
+            # the backward is linear in d_ostar, so sum it per object first
+            de = np.concatenate([active, -active])[:, None] * np.sign(e)
+            d_ostar = np.zeros_like(cache["o"])
+            for col, sign in ((0, 1.0), (1, 1.0), (2, -1.0)):
+                np.add.at(d_ostar, hrt[:, col], sign * de)
+            self._backward(cache, d_ostar, grads)
+        return float(hinge[hinge > 0.0].sum()), grads
 
     # -- training ----------------------------------------------------------
 
@@ -394,12 +391,6 @@ class Embedder:
                     pairs.append((pos, neg))
         return TrainBatch(pairs, self.margin)
 
-    def _apply_grads(self, grads: dict[ObjKey, np.ndarray], lr: float, allowed=None) -> None:
-        for key in sorted(grads):
-            if allowed is not None and key not in allowed:
-                continue
-            self.table.apply_grad(key, grads[key], lr)
-
     def train_init(self, epochs: int, lr: float, neg_per_pos: int = 1) -> np.ndarray:
         """SGD on the hinge loss over the full graph; returns the pooled state."""
         triples = sorted(self.kg.triples(), key=kgstore._triple_sort_key)
@@ -416,7 +407,7 @@ class Embedder:
                     raise TrainingError(f"non-finite loss in epoch {epoch}")
                 sgd_step(self.enc.store, lr)
                 self.enc.bump()
-                self._apply_grads(grads, lr)
+                self.table.step(grads, slice(None), lr)  # every row
         return self.pool_state()
 
     def incremental_update(
@@ -435,16 +426,15 @@ class Embedder:
             raise ConsistencyError(
                 f"delta version {delta.version} != graph version {self.kg.version}"
             )
-        affected = set(delta.affected)
-        for key in sorted(affected):
-            if key not in self.table:
-                self.table.init_object(key, self.rng)
+        affected = sorted(delta.affected)
+        self.table.init_objects([k for k in affected if k not in self.table], self.rng)
         pool = sorted(
             set(self.kg.triples_incident_to(affected)) | set(delta.added),
             key=kgstore._triple_sort_key,
         )
         if not pool:
             return
+        rows = [self.table.rows[k] for k in affected]
         for _ in range(steps):
             if max_triples is not None and len(pool) > max_triples:
                 picks = self.rng.choice(len(pool), size=max_triples, replace=False)
@@ -456,28 +446,21 @@ class Embedder:
                 continue
             _, grads = self.margin_loss_and_grads(batch)
             self.enc.store.zero_grads()  # encoder is frozen during local updates
-            self._apply_grads(grads, lr, allowed=affected)
+            self.table.step(grads, rows, lr)
 
     # -- state ---------------------------------------------------------------
+
+    def _relation_rows(self) -> np.ndarray:
+        return np.array([kgstore.key_is_relation(k) for k in self.table.rows], dtype=bool)
 
     def pool_state(self) -> np.ndarray:
         """Mean entity joint embedding concatenated with mean relation joint."""
         if len(self.table) == 0:
             raise ConfigError("cannot pool an empty table")
-        ent_sum = np.zeros(self.table.d)
-        rel_sum = np.zeros(self.table.d)
-        n_ent = n_rel = 0
-        for key in self.table.keys():
-            vec = self.joint_cached(key)
-            if kgstore.key_is_relation(key):
-                rel_sum += vec
-                n_rel += 1
-            else:
-                ent_sum += vec
-                n_ent += 1
-        ent_mean = ent_sum / n_ent if n_ent else ent_sum
-        rel_mean = rel_sum / n_rel if n_rel else rel_sum
-        return np.concatenate([ent_mean, rel_mean])
+        joint = self.joint_all()
+        rel = self._relation_rows()
+        means = [joint[m].mean(axis=0) if m.any() else np.zeros(self.table.d) for m in (~rel, rel)]
+        return np.concatenate(means)
 
     def state_feedback(self, d_state: np.ndarray, affected, lr: float) -> None:
         """Push a state-gradient into the encoder and affected embeddings.
@@ -490,17 +473,14 @@ class Embedder:
         if not keys:
             return
         d = self.table.d
-        n_ent = sum(1 for k in self.table.keys() if not kgstore.key_is_relation(k))
-        n_rel = len(self.table) - n_ent
-        grads: dict[ObjKey, np.ndarray] = {}
-        for key in keys:
-            if kgstore.key_is_relation(key):
-                seed = d_state[d:] / max(n_rel, 1)
-            else:
-                seed = d_state[:d] / max(n_ent, 1)
-            _, cache = self._joint_forward(self.kg.context_of(key))
-            self._joint_backward(cache, seed, grads)
+        rows = [self.table.rows[k] for k in keys]
+        rel = self._relation_rows()
+        n_rel = int(rel.sum())
+        n_ent = len(rel) - n_rel
+        seed = np.where(rel[rows, None], d_state[d:] / max(n_rel, 1), d_state[:d] / max(n_ent, 1))
+        _, cache = self._forward(keys)
+        grads = np.zeros_like(self.table.vecs)
+        self._backward(cache, seed, grads)
         sgd_step(self.enc.store, lr)
         self.enc.bump()
-        self._apply_grads(grads, lr, allowed=set(keys))
-
+        self.table.step(grads, rows, lr)

@@ -14,6 +14,7 @@ reproduce byte-identical traces.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
@@ -220,7 +221,6 @@ def parse_checkins(path) -> list[CheckInRecord]:
     if total and malformed > 0.1 * total:
         raise FormatError(f"{malformed}/{total} malformed lines in {path}")
     records.sort(key=lambda r: r.timestamp)
-    parse_checkins.last_malformed = malformed  # type: ignore[attr-defined]
     return records
 
 
@@ -805,12 +805,15 @@ def run_eval(
     wv = _load_wordvecs(config)
     weights = config.reward_weights()
     windows = BaselineWindows(config.b)
+    # the replay advances the environment, so it runs on copies and a
+    # second call on the same artifacts starts from the same state
     if artifacts.legacy_params is not None:
+        users, rep = copy.deepcopy((artifacts.legacy_users, artifacts.legacy_rep))
         driver = _RirlDriver(
             config, catalog, rng,
             params=artifacts.legacy_params,
-            users=artifacts.legacy_users,
-            rep=artifacts.legacy_rep,
+            users=users,
+            rep=rep,
         )
     else:
         if artifacts.embedder is None:
@@ -819,7 +822,8 @@ def run_eval(
             raise CompatibilityError(
                 f"artifact dimension {artifacts.embedder.table.d} != configured d {config.d}"
             )
-        driver = _DrprDriver(config, catalog, rng, kg=artifacts.kg, embedder=artifacts.embedder)
+        kg, embedder = copy.deepcopy((artifacts.kg, artifacts.embedder))
+        driver = _DrprDriver(config, catalog, rng, kg=kg, embedder=embedder)
         driver.static = driver.static or config.frozen_eval
     log = _replay_stream(
         driver, artifacts.net, test_records, catalog, config, rng, wv, weights,

@@ -63,14 +63,13 @@ def transform_temporal(t_mat: np.ndarray, params: LegacyParams):
     return out, cache
 
 
-def transform_temporal_grads(params: LegacyParams, cache, d_out: np.ndarray) -> np.ndarray:
+def transform_temporal_grads(params: LegacyParams, cache, d_out: np.ndarray) -> None:
     s = params.store
     d_z3 = d_out * cache["out"] * (1.0 - cache["out"])
     s.accumulate("temporal/bias", d_z3)
     s.accumulate("temporal/w_flow", cache["z1"].T @ d_z3)
     d_z1 = np.outer(d_z3, s.get("temporal/w_flow"))
     s.accumulate("temporal/w_in", d_z1 @ cache["t"].T)
-    return s.get("temporal/w_in").T @ d_z1  # dT, for completeness
 
 
 def _blend(prefix: str, x: np.ndarray, target: np.ndarray, params: LegacyParams, squash: bool = True):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from geostream.embed import Embedder, ObjKey
+from geostream.embed import Embedder
 from geostream.numkit import ParamStore
 
 
@@ -103,15 +103,15 @@ def build_check_store(embedder: Embedder, keys) -> ParamStore:
 
 
 def fill_check_grads(
-    store: ParamStore, embedder: Embedder, emb_grads: dict[ObjKey, np.ndarray]
+    store: ParamStore, embedder: Embedder, emb_grads: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Collect analytic grads matching ``build_check_store`` naming."""
+    """Collect analytic grads matching ``build_check_store`` naming;
+    ``emb_grads`` has one row per table row."""
     analytic = {}
     for name in store.names():
         if name.startswith("emb/"):
             kind, index = name[4:].split(":")
-            key = (int(kind), int(index))
-            analytic[name] = np.asarray(emb_grads.get(key, np.zeros(embedder.table.d)))
+            analytic[name] = emb_grads[embedder.table.row_of((int(kind), int(index)))]
         else:
             analytic[name] = embedder.enc.store.grad(name).copy()
     return analytic

@@ -145,14 +145,14 @@ def test_03_incremental_update_locality():
         p = int(rng.integers(50))
         t = clocks.get(u, 0.0) + 1.0
         clocks[u] = t
-        before = {k: emb.table.version(k) for k in emb.table.keys()}
+        before = {k: emb.table.get(k).copy() for k in emb.table.keys()}
         delta = kg.apply_visit(u, p, t)
         emb.incremental_update(delta, steps=1, lr=0.05, max_triples=12)
         for k, v in before.items():
-            if k not in delta.affected and emb.table.version(k) != v:
+            if k not in delta.affected and not np.array_equal(emb.table.get(k), v):
                 violations += 1
     _report("03 incremental-update locality", violations == 0,
-            f"{violations} version changes outside affected+new over 200 deltas")
+            f"{violations} vector changes outside affected+new over 200 deltas")
 
 
 def test_04_exit_mechanism():

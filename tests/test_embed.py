@@ -1,13 +1,19 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geostream import embed, kgstore
 from geostream.embed import Embedder, EmbeddingTable, TrainBatch
-from geostream.errors import ConfigError, ConsistencyError
+from geostream.errors import ConfigError, ConsistencyError, IngestionError
 from geostream.kgstore import EntityKind, RelType, Triple, build_static, poi, user
+from geostream.numkit import load_matrices, save_matrices
 
 import gradcheck
 from gradcheck import finite_diff_check
+from embed_oracle import OracleEmbedder, OracleTable
 from kg_oracle import induced_adjacency
 
 
@@ -40,7 +46,7 @@ class TestEncodeContext:
         emb = Embedder(kg, d=4, layers=1, rng=np.random.default_rng(1))
         key = kgstore.ent_key(kgstore.rpoi(0))  # unconnected entity
         z = emb.table.get(key)
-        cx = emb._joint_forward(kg.context_of(kgstore.rpoi(0)))[1]["cx"]
+        cx = emb._forward([kgstore.rpoi(0)])[1]["cx"][0]
         expected = np.maximum(z @ emb.enc.gcn_weight(0), 0.0)
         np.testing.assert_allclose(cx, expected, atol=1e-12)
 
@@ -50,7 +56,7 @@ class TestEncodeContext:
         # zone 0's only neighbor is poi 0; give both the same raw vector
         emb.table.set(kgstore.ent_key(kgstore.zone(0)), np.array([0.3, -1.0, 0.5, 2.0]))
         emb.table.set(kgstore.ent_key(poi(0)), np.array([0.3, -1.0, 0.5, 2.0]))
-        _, cache = emb._joint_forward(kg.context_of(kgstore.zone(0)))
+        _, cache = emb._forward([kgstore.zone(0)])
         np.testing.assert_allclose(cache["alpha"], [0.5, 0.5], atol=1e-12)
 
     def test_three_node_star_matches_oracle(self):
@@ -65,7 +71,7 @@ class TestEncodeContext:
             z0, induced_adjacency(kg.triples(), nodes), [emb.enc.gcn_weight(0)],
             emb.enc.att_scale, emb.table.get(nodes[0]),
         )
-        cx = emb._joint_forward(kg.context_of(obj))[1]["cx"]
+        cx = emb._forward([obj])[1]["cx"][0]
         np.testing.assert_allclose(cx, expected, atol=1e-12)
 
     def test_two_layer_matches_oracle(self):
@@ -81,7 +87,7 @@ class TestEncodeContext:
                 [emb.enc.gcn_weight(0), emb.enc.gcn_weight(1)],
                 emb.enc.att_scale, emb.table.get(nodes[0]),
             )
-            cx = emb._joint_forward(kg.context_of(obj))[1]["cx"]
+            cx = emb._forward([obj])[1]["cx"][0]
             np.testing.assert_allclose(cx, expected, atol=1e-12)
 
     def test_dimension_mismatch(self):
@@ -108,8 +114,8 @@ class TestEncodeContext:
             src = (kind, inv[idx]) if kind in (EntityKind.POI, EntityKind.RPOI) else key
             emb_b.table.set(key, emb_a.table.get(src))
         for p in (0, 1, 2):
-            cx_a = emb_a._joint_forward(kg_a.context_of(poi(p)))[1]["cx"]
-            cx_b = emb_b._joint_forward(kg_b.context_of(poi(perm[p])))[1]["cx"]
+            cx_a = emb_a._forward([poi(p)])[1]["cx"][0]
+            cx_b = emb_b._forward([poi(perm[p])])[1]["cx"][0]
             np.testing.assert_allclose(cx_a, cx_b, atol=1e-10)
 
 
@@ -128,7 +134,14 @@ class TestJointOf:
                 [emb.enc.gcn_weight(0), emb.enc.gcn_weight(1)],
                 emb.enc.att_scale, emb.enc.gate, emb.table.get(nodes[0]),
             )
-            np.testing.assert_allclose(emb.joint_of(obj), expected, atol=1e-12)
+            np.testing.assert_allclose(emb._forward([obj])[0][0], expected, atol=1e-12)
+
+
+def _residual(emb, triple):
+    """L1 translation residual of a triple's joint embeddings."""
+    keys = (triple.head, kgstore.rel_key(triple.rel), triple.tail)
+    h, r, t = emb._forward(keys)[0]
+    return float(np.abs(h + r - t).sum())
 
 
 def _flat_embedder(values, d=1):
@@ -153,8 +166,8 @@ class TestMarginLoss:
         emb.table.set(kgstore.rel_key(RelType.BELONG_TO), np.zeros(1))
         pos = Triple(poi(0), RelType.BELONG_TO, kgstore.category(0))
         neg = Triple(poi(0), RelType.BELONG_TO, kgstore.category(1))
-        assert emb.triple_residual(pos) == pytest.approx(0.2)
-        assert emb.triple_residual(neg) == pytest.approx(1.5)
+        assert _residual(emb, pos) == pytest.approx(0.2)
+        assert _residual(emb, neg) == pytest.approx(1.5)
         assert emb.margin_loss(TrainBatch([(pos, neg)], margin=1.0)) == 0.0
 
     def test_equal_residuals_cost_margin(self):
@@ -211,7 +224,7 @@ class TestMarginLoss:
             loss = emb.margin_loss(batch)
             assert loss >= 0.0
             separated = all(
-                emb.triple_residual(n) >= emb.triple_residual(p) + batch.margin
+                _residual(emb, n) >= _residual(emb, p) + batch.margin
                 for p, n in batch.pairs
             )
             assert (loss == 0.0) == separated
@@ -264,9 +277,9 @@ class TestIncrementalUpdate:
     def test_empty_delta_changes_nothing(self, toy_kg):
         emb = Embedder(toy_kg, d=4, rng=np.random.default_rng(71))
         delta = kgstore.DeltaReport((), (), frozenset(), toy_kg.version)
-        versions = {k: emb.table.version(k) for k in emb.table.keys()}
+        before = emb.table.vecs.copy()
         emb.incremental_update(delta, steps=3, lr=0.05)
-        assert versions == {k: emb.table.version(k) for k in emb.table.keys()}
+        np.testing.assert_array_equal(emb.table.vecs, before)
 
     def test_stale_delta_rejected(self, toy_kg):
         emb = Embedder(toy_kg, d=4, rng=np.random.default_rng(72))
@@ -281,13 +294,15 @@ class TestIncrementalUpdate:
         emb = Embedder(kg, d=4, rng=np.random.default_rng(73))
         far_key = kgstore.ent_key(poi(3))
         far_before = emb.table.get(far_key).copy()
-        far_version = emb.table.version(far_key)
         delta = kg.apply_visit(42, 0, 1.0)
         emb.incremental_update(delta, steps=3, lr=0.05)
         user_key = kgstore.ent_key(user(42))
         assert user_key in emb.table
-        assert emb.table.version(user_key) >= 1  # initialized then trained
-        assert emb.table.version(far_key) == far_version
+        # initialized then trained: the row moved away from an untrained twin's
+        twin_kg = build_static([(i, i, i) for i in range(4)], window=5)
+        twin = Embedder(twin_kg, d=4, rng=np.random.default_rng(73))
+        twin.incremental_update(twin_kg.apply_visit(42, 0, 1.0), steps=0, lr=0.05)
+        assert not np.array_equal(emb.table.get(user_key), twin.table.get(user_key))
         np.testing.assert_array_equal(emb.table.get(far_key), far_before)
 
     def test_eviction_endpoints_are_retrained(self):
@@ -309,12 +324,12 @@ class TestIncrementalUpdate:
             p = int(rng.integers(12))
             t = clocks.get(u, 0.0) + 1.0
             clocks[u] = t
-            before = {k: emb.table.version(k) for k in emb.table.keys()}
+            before = {k: emb.table.get(k).copy() for k in emb.table.keys()}
             delta = kg.apply_visit(u, p, t)
             emb.incremental_update(delta, steps=2, lr=0.05)
             for k, v in before.items():
                 if k not in delta.affected:
-                    assert emb.table.version(k) == v
+                    np.testing.assert_array_equal(emb.table.get(k), v)
 
 
 class TestPoolState:
@@ -323,8 +338,8 @@ class TestPoolState:
         state = emb.pool_state()
         ents = [k for k in emb.table.keys() if not kgstore.key_is_relation(k)]
         rels = [k for k in emb.table.keys() if kgstore.key_is_relation(k)]
-        ent_mean = np.mean([emb.joint_of(kgstore.EntityId(*k)) for k in ents], axis=0)
-        rel_mean = np.mean([emb.joint_of(k) for k in rels], axis=0)
+        ent_mean = np.mean([emb._forward([k])[0][0] for k in ents], axis=0)
+        rel_mean = np.mean([emb._forward([k])[0][0] for k in rels], axis=0)
         np.testing.assert_allclose(state, np.concatenate([ent_mean, rel_mean]), atol=1e-12)
 
     def test_entity_half_mean_hand_case(self):
@@ -355,9 +370,68 @@ class TestPoolState:
         np.testing.assert_allclose(s2, fresh.pool_state(), atol=1e-12)
 
 
+@st.composite
+def _cases(draw):
+    """(pois, window, visits, layers, d, seed): a skeleton, a visit stream
+    long enough to evict, and the encoder's shape and random seed."""
+    n_pois = draw(st.integers(1, 6))
+    window = draw(st.integers(1, 3))
+    visits = draw(st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, n_pois - 1)), max_size=25,
+    ))
+    pois = [(i, i % 2, i % 3) for i in range(n_pois)]
+    return pois, window, visits, draw(st.integers(1, 3)), draw(st.integers(2, 8)), draw(st.integers(0, 2**16))
+
+
+def _assert_close(a, b):
+    np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_cases())
+def test_matches_per_object_oracle(case):
+    """Loss, raw and encoder grads, pooled state and feedback updates equal
+    the per-object dense-adjacency embedder's."""
+    pois, window, visits, layers, d, seed = case
+    kg = build_static(pois, window=window)
+    emb = Embedder(kg, d=d, layers=layers, rng=np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    emb.enc.gate[...] = rng.normal(size=d) * 2.0
+    emb.enc.att_scale[...] = rng.normal(size=d)
+    for t, (u, p) in enumerate(visits):
+        emb.incremental_update(kg.apply_visit(u, p, float(t)), steps=1, lr=0.05)
+    table = OracleTable(d)
+    for key in emb.table.keys():
+        table.set(key, emb.table.get(key))
+    oracle = OracleEmbedder(kg, table, copy.deepcopy(emb.enc))
+
+    batch = emb.make_batch(sorted(kg.triples(), key=kgstore._triple_sort_key))
+    loss, grads = emb.margin_loss_and_grads(batch)
+    oracle_loss, oracle_grads = oracle.margin_loss_and_grads(batch)
+    _assert_close(loss, oracle_loss)
+    _assert_close(emb.margin_loss(batch), oracle.margin_loss(batch))
+    for key in emb.table.keys():
+        _assert_close(grads[emb.table.row_of(key)], oracle_grads.get(key, np.zeros(d)))
+    for name in emb.enc.store.names():
+        _assert_close(emb.enc.store.grad(name), oracle.enc.store.grad(name))
+    emb.enc.store.zero_grads()
+    oracle.enc.store.zero_grads()
+    _assert_close(emb.pool_state(), oracle.pool_state())
+
+    d_state = rng.normal(size=2 * d)
+    affected = [k for k in emb.table.keys() if rng.random() < 0.5]
+    emb.state_feedback(d_state, affected, lr=0.5)
+    oracle.state_feedback(d_state, affected, lr=0.5)
+    for key in emb.table.keys():
+        _assert_close(emb.table.get(key), oracle.table.get(key))
+    for name in emb.enc.store.names():
+        _assert_close(emb.enc.store.get(name), oracle.enc.store.get(name))
+    _assert_close(emb.pool_state(), oracle.pool_state())
+
+
 def test_table_roundtrip(tmp_path, toy_kg):
     emb = Embedder(toy_kg, d=5, rng=np.random.default_rng(91))
-    emb.table.apply_grad(kgstore.ent_key(poi(0)), np.ones(5), 0.1)
+    emb.table.step(np.ones_like(emb.table.vecs), [emb.table.row_of(kgstore.ent_key(poi(0)))], 0.1)
     path = tmp_path / "table.bin"
     emb.table.save(path)
     loaded = EmbeddingTable.load(path)
@@ -365,7 +439,51 @@ def test_table_roundtrip(tmp_path, toy_kg):
     assert loaded.keys() == emb.table.keys()
     for k in emb.table.keys():
         np.testing.assert_array_equal(loaded.get(k), emb.table.get(k))
-        assert loaded.version(k) == emb.table.version(k)
+
+
+class TestDamagedTable:
+    def _saved(self, tmp_path, toy_kg, **mats):
+        """Path of a table container with the given entries replaced (None drops one)."""
+        emb = Embedder(toy_kg, d=3, rng=np.random.default_rng(93))
+        path = tmp_path / "embeddings.bin"
+        emb.table.save(path)
+        entries = load_matrices(path)
+        entries.update(mats)
+        save_matrices(path, {k: v for k, v in entries.items() if v is not None})
+        return path
+
+    def _rejects(self, path, match):
+        with pytest.raises(IngestionError, match=match) as err:
+            EmbeddingTable.load(path)
+        assert str(path) in str(err.value)
+
+    def test_bad_magic(self, tmp_path, toy_kg):
+        path = self._saved(tmp_path, toy_kg)
+        path.write_bytes(b"GSET" + path.read_bytes()[4:])
+        self._rejects(path, "magic")
+
+    def test_cut_short(self, tmp_path, toy_kg):
+        path = self._saved(tmp_path, toy_kg)
+        path.write_bytes(path.read_bytes()[:-8])
+        self._rejects(path, "cut short")
+
+    @pytest.mark.parametrize("entry", ["keys", "vecs"])
+    def test_missing_entry(self, tmp_path, toy_kg, entry):
+        self._rejects(self._saved(tmp_path, toy_kg, **{entry: None}), "want entries")
+
+    def test_extra_entry(self, tmp_path, toy_kg):
+        self._rejects(self._saved(tmp_path, toy_kg, meta=np.zeros(2)), "want entries")
+
+    def test_non_integral_key(self, tmp_path, toy_kg):
+        path = self._saved(tmp_path, toy_kg)
+        keys = load_matrices(path)["keys"]
+        keys[0, 1] = 0.5
+        self._rejects(self._saved(tmp_path, toy_kg, keys=keys), "non-integral")
+
+    def test_row_counts_disagree(self, tmp_path, toy_kg):
+        path = self._saved(tmp_path, toy_kg)
+        vecs = load_matrices(path)["vecs"]
+        self._rejects(self._saved(tmp_path, toy_kg, vecs=vecs[:-1]), "keys but")
 
 
 def test_encoder_roundtrip(tmp_path):

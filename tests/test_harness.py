@@ -74,7 +74,6 @@ class TestParseCheckins:
             fh.write("u9\tv9\tc9\tCafe\t40.0\t-74.0\tnot-a-time\n")
         out = parse_checkins(path)
         assert len(out) == 12
-        assert parse_checkins.last_malformed == 1
 
     def test_foursquare_timestamp(self, tmp_path):
         path = tmp_path / "c.tsv"
@@ -294,6 +293,22 @@ class TestEval:
         report, _ = run_eval(cfg, artifacts, test_events, agent=agent)
         assert abs(report["prec_cat"] - 1.0 / 6.0) < 0.04
 
+    @pytest.mark.parametrize("mode", ["drpr", "rirl"])
+    def test_second_eval_repeats_first(self, mode, tmp_path):
+        cfg, artifacts, test_events = self._trained(agent_mode=mode)
+
+        def saved(name):
+            artifacts.save(tmp_path / name)
+            return {f.name: f.read_bytes() for f in (tmp_path / name).iterdir()}
+
+        before = saved("before")
+        report1, log1 = run_eval(cfg, artifacts, test_events)
+        report2, log2 = run_eval(cfg, artifacts, test_events)
+        del report1["wall_s"], report2["wall_s"]
+        assert report2 == report1
+        assert log2.to_trace_csv() == log1.to_trace_csv()
+        assert saved("after") == before  # the replay ran on copies
+
     def test_unknown_test_user_rejected(self):
         cfg, artifacts, _ = self._trained()
         alien = [CheckInRecord("uX", "v0", "c0", "Museum", 40.7, -74.0, 2e9)]
@@ -342,6 +357,14 @@ class TestArtifactsRoundtrip:
         qnet = tmp_path / "qnet.bin"
         qnet.write_bytes(qnet.read_bytes()[:-8])
         with pytest.raises(IngestionError, match="qnet.bin"):
+            Artifacts.load(tmp_path)
+
+    def test_cut_embeddings_rejected(self, tmp_path):
+        artifacts, _, _ = run_training(_tiny_config(), records=make_cyclic_stream(40))
+        artifacts.save(tmp_path)
+        emb = tmp_path / "embeddings.bin"
+        emb.write_bytes(emb.read_bytes()[:-8])
+        with pytest.raises(IngestionError, match="embeddings.bin"):
             Artifacts.load(tmp_path)
 
 
