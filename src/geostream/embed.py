@@ -255,6 +255,7 @@ class Embedder:
             )
         self.margin = margin
         self._joint_memo: tuple[tuple, np.ndarray] | None = None
+        self._rel_mask = np.zeros(0, dtype=bool)
         if table is None:
             self.table.init_objects(kg.object_keys(), self.rng)
 
@@ -428,10 +429,9 @@ class Embedder:
             )
         affected = sorted(delta.affected)
         self.table.init_objects([k for k in affected if k not in self.table], self.rng)
-        pool = sorted(
-            set(self.kg.triples_incident_to(affected)) | set(delta.added),
-            key=kgstore._triple_sort_key,
-        )
+        # every added triple is live with both endpoints affected, so the
+        # incident triples already include it
+        pool = self.kg.triples_incident_to(affected)
         if not pool:
             return
         rows = [self.table.rows[k] for k in affected]
@@ -451,7 +451,10 @@ class Embedder:
     # -- state ---------------------------------------------------------------
 
     def _relation_rows(self) -> np.ndarray:
-        return np.array([kgstore.key_is_relation(k) for k in self.table.rows], dtype=bool)
+        # the table only appends, so the mask changes only with its length
+        if len(self._rel_mask) != len(self.table):
+            self._rel_mask = np.array([kgstore.key_is_relation(k) for k in self.table.rows], dtype=bool)
+        return self._rel_mask
 
     def pool_state(self) -> np.ndarray:
         """Mean entity joint embedding concatenated with mean relation joint."""

@@ -38,6 +38,7 @@ from .errors import (
     ConfigError,
     DataError,
     FormatError,
+    IngestionError,
 )
 from .kgstore import DynamicKg, EntityKind
 from .numkit import sgd_step
@@ -405,6 +406,8 @@ class Artifacts:
         if self.embedder is not None:
             self.embedder.table.save(os.path.join(out_dir, "embeddings.bin"))
             self.embedder.enc.save(os.path.join(out_dir, "encoder.bin"))
+            with open(os.path.join(out_dir, "embed_rng.json"), "w") as fh:
+                json.dump(self.embedder.rng.bit_generator.state, fh)
         if self.legacy_params is not None:
             from .numkit import save_matrices
 
@@ -442,7 +445,7 @@ class Artifacts:
                     f"artifact dimension {table.d} != configured d {config.d}"
                 )
             art.embedder = embed_mod.Embedder(
-                kg, margin=config.margin, rng=np.random.default_rng(config.seed + 1),
+                kg, margin=config.margin, rng=_load_rng(os.path.join(out_dir, "embed_rng.json")),
                 table=table, enc=enc,
             )
         legacy_path = os.path.join(out_dir, "legacy.bin")
@@ -477,6 +480,20 @@ class Artifacts:
             art.legacy_users = users
             art.legacy_rep = rep
         return art
+
+
+def _load_rng(path) -> np.random.Generator:
+    """A generator resumed from the bit-generator state saved at ``path``."""
+    rng = np.random.default_rng()
+    try:
+        with open(path) as fh:
+            state = json.load(fh)
+        rng.bit_generator.state = state
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise IngestionError(f"{path}: bad generator state: {exc}") from None
+    if rng.bit_generator.state != state:  # the setter silently truncates floats
+        raise IngestionError(f"{path}: bad generator state")
+    return rng
 
 
 # -- the environment drivers -------------------------------------------------------

@@ -134,6 +134,8 @@ class DynamicKg:
         self._refs: dict[Triple, int] = {}
         # entity -> neighbor -> live triples joining the two, either direction
         self._nbrs: dict[EntityId, dict[EntityId, set[Triple]]] = {}
+        # entity -> its context_of keys; dropped when its neighbor set changes
+        self._stars: dict[EntityId, tuple[tuple[int, int], ...]] = {}
         self._windows: dict[int, deque[_VisitEvent]] = {}
 
     # -- edge store ------------------------------------------------------
@@ -150,8 +152,9 @@ class DynamicKg:
         self._refs[t] = count + 1
         if count:
             return False
-        self._nbrs[t.head].setdefault(t.tail, set()).add(t)
-        self._nbrs[t.tail].setdefault(t.head, set()).add(t)
+        for a, b in ((t.head, t.tail), (t.tail, t.head)):
+            self._nbrs[a].setdefault(b, set()).add(t)
+            self._stars.pop(a, None)
         return True
 
     def _unref(self, t: Triple) -> None:
@@ -164,6 +167,7 @@ class DynamicKg:
             joined.discard(t)
             if not joined:
                 del self._nbrs[a][b]
+                self._stars.pop(a, None)
 
     def _push_event(self, user_id: int, poi_id: int, time: float, src: int | None) -> list[Triple]:
         """Append a window event referencing its visit edge and, when
@@ -241,13 +245,17 @@ class DynamicKg:
         or ``rel_key``): the object itself, then an entity's sorted
         neighbors. Every edge joins a POI to a non-POI, so no two neighbors
         are adjacent and an entity's context is the star centred on it.
+        An entity's keys are memoized until its neighbor set changes.
         """
         if key_is_relation(key):
             return (key,)
-        nbrs = self._nbrs.get(key)
-        if nbrs is None:
-            raise UnknownObjectError(f"unknown entity {key}")
-        return (ent_key(key),) + tuple(ent_key(e) for e in sorted(nbrs))
+        star = self._stars.get(key)
+        if star is None:
+            nbrs = self._nbrs.get(key)
+            if nbrs is None:
+                raise UnknownObjectError(f"unknown entity {key}")
+            star = self._stars[key] = (ent_key(key),) + tuple(ent_key(e) for e in sorted(nbrs))
+        return star
 
     def popularity(self, pois) -> list[int]:
         """POIs by descending lifetime visits; ties by ascending index."""

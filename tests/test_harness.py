@@ -340,6 +340,38 @@ class TestArtifactsRoundtrip:
         report, _ = run_eval(cfg, loaded, test_events)
         assert set(report) == {"prec_cat", "rec_cat", "avg_sim", "avg_dist_km", "wall_s"}
 
+    def test_drpr_load_then_eval_matches_memory(self, tmp_path):
+        # eval draws negatives and triple samples from the embedder's
+        # generator, so a reload must resume it where training left it; the
+        # large embedding steps make a reseeded generator change predictions
+        cfg = _tiny_config(stream_length=60, lr_embed=0.5, incr_steps=3, seed=4)
+        records = make_cyclic_stream(60, n_pois=9)
+        artifacts, _, _ = run_training(cfg, records=records)
+        artifacts.save(tmp_path)
+        loaded = Artifacts.load(tmp_path)
+        assert loaded.embedder.rng.bit_generator.state == artifacts.embedder.rng.bit_generator.state
+        _, test_events = split_stream(records[: cfg.stream_length], cfg.split_fraction)
+        loaded_report, loaded_log = run_eval(cfg, loaded, test_events)
+        report, log = run_eval(cfg, artifacts, test_events)
+        del report["wall_s"], loaded_report["wall_s"]
+        assert loaded_report == report
+        assert loaded_log.to_trace_csv() == log.to_trace_csv()
+
+    @pytest.mark.parametrize("damage", [
+        None, "", "[1, 2]", '{"bit_generator": "MT19937"}',
+        '{"bit_generator": "PCG64", "state": {"state": 1.5, "inc": 1}, "has_uint32": 0, "uinteger": 0}',
+    ])
+    def test_damaged_rng_rejected(self, tmp_path, damage):
+        artifacts, _, _ = run_training(_tiny_config(), records=make_cyclic_stream(40))
+        artifacts.save(tmp_path)
+        path = tmp_path / "embed_rng.json"
+        if damage is None:
+            path.unlink()
+        else:
+            path.write_text(damage)
+        with pytest.raises(IngestionError, match="embed_rng.json"):
+            Artifacts.load(tmp_path)
+
     def test_rirl_save_load(self, tmp_path):
         cfg = _tiny_config(agent_mode="rirl")
         artifacts, _, _ = run_training(cfg, records=make_cyclic_stream(40))

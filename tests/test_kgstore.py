@@ -346,6 +346,8 @@ def test_snapshot_then_continue_matches_memory(stream):
         assert kg2.triples() == kg.triples()
         assert all(kg2.window_events(uid) == kg.window_events(uid) for uid in kg.users)
         assert kg2.version == kg.version
+        # the reloaded store memoizes its stars from the replayed edges
+        assert all(kg2.context_of(k) == kg.context_of(k) for k in kg.object_keys())
 
 
 def _star(n):
@@ -386,4 +388,6 @@ def test_store_matches_oracle(stream):
         delta = kg.apply_visit(u, p, t)
         assert delta == oracle.apply_visit(u, p, t)
         assert kg.triples_incident_to(delta.affected) == oracle.triples_incident_to(delta.affected)
+        # incremental_update trains on this list alone, so it must hold the additions
+        assert set(delta.added) <= set(kg.triples_incident_to(delta.affected))
         _assert_same_queries(kg, oracle)
