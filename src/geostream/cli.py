@@ -24,10 +24,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     config = harness.RunConfig.from_file(args.config)
+    _, test_events = harness.stream_split(config)
     artifacts = harness.Artifacts.load(args.artifacts, config)
-    records = harness.parse_checkins(config.dataset)
-    records = records[config.stream_offset : config.stream_offset + config.stream_length]
-    _, test_events = harness.split_stream(records, config.split_fraction)
     report, log = harness.run_eval(config, artifacts, test_events)
     out_path = os.path.join(args.artifacts, "eval_report.json")
     with open(out_path, "w") as fh:

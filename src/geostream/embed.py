@@ -45,7 +45,9 @@ from .errors import (
     UnknownObjectError,
 )
 from .kgstore import DynamicKg, EntityId, EntityKind, Triple, ent_key, rel_key
-from .numkit import ParamStore, load_matrices, relu, save_matrices, sgd_step, sigmoid
+from .numkit import (
+    ParamStore, load_matrices, pop_meta, relu, save_matrices, sgd_step, sigmoid,
+)
 
 ObjKey = tuple[int, int]
 
@@ -176,10 +178,8 @@ class ContextEncoder:
     @classmethod
     def load(cls, path) -> "ContextEncoder":
         mats = load_matrices(path)
-        d, layers = (int(v) for v in mats.pop("meta"))
-        enc = cls(d, layers)
-        for name, arr in mats.items():
-            enc.store.get(name)[...] = arr
+        enc = cls(*pop_meta(mats, path, 2))
+        enc.store.load_exact(mats, path)
         return enc
 
 

@@ -41,7 +41,7 @@ from .errors import (
     IngestionError,
 )
 from .kgstore import DynamicKg, EntityKind
-from .numkit import sgd_step
+from .numkit import load_matrices, pop_meta, save_matrices, sgd_step
 from .reward import (
     BaselineWindows,
     PoiInfo,
@@ -160,11 +160,12 @@ class RunConfig:
             if key not in known:
                 raise ConfigError(f"unknown config key {key!r}")
             typ = known[key].type
-            if typ in ("int", int):
-                kwargs[key] = int(val)
-            elif typ in ("float", float):
-                kwargs[key] = float(val)
-            elif typ in ("bool", bool):
+            if typ in ("int", "float"):
+                try:
+                    kwargs[key] = int(val) if typ == "int" else float(val)
+                except (TypeError, ValueError):
+                    raise ConfigError(f"bad {typ} for {key!r}: {val!r}") from None
+            elif typ == "bool":
                 if val.lower() in ("true", "1", "yes"):
                     kwargs[key] = True
                 elif val.lower() in ("false", "0", "no"):
@@ -240,6 +241,27 @@ def split_stream(records, fraction: float):
     """Earliest floor(fraction * n) records for training, rest for testing."""
     cut = floor(fraction * len(records))
     return records[:cut], records[cut:]
+
+
+def _read_stream(config: RunConfig) -> list[CheckInRecord]:
+    """The whole check-in stream of ``config.dataset``."""
+    if not config.dataset:
+        raise ConfigError("config.dataset is required when records are not given")
+    return parse_checkins(config.dataset)
+
+
+def stream_split(config: RunConfig, records=None):
+    """Train and test events of the configured slice of ``records``.
+
+    ``records`` is the whole stream; it is read from ``config.dataset``
+    when not given.
+    """
+    if records is None:
+        records = _read_stream(config)
+    records = records[config.stream_offset : config.stream_offset + config.stream_length]
+    if not records:
+        raise DataError("empty stream slice")
+    return split_stream(records, config.split_fraction)
 
 
 # -- catalog -------------------------------------------------------------------
@@ -358,9 +380,6 @@ class EventRecord:
 class EpisodeLog:
     events: list[EventRecord] = field(default_factory=list)
 
-    def append(self, rec: EventRecord) -> None:
-        self.events.append(rec)
-
     def __len__(self) -> int:
         return len(self.events)
 
@@ -385,14 +404,15 @@ class EpisodeLog:
 
 @dataclass
 class Artifacts:
+    """A trained run: config, catalog, Q-network and the environment.
+
+    The environment owns its agent mode's trained state and its files.
+    """
+
     config: RunConfig
     catalog: Catalog
-    kg: DynamicKg
     net: policy_mod.QNet
-    embedder: embed_mod.Embedder | None = None
-    legacy_params: legacy_mod.LegacyParams | None = None
-    legacy_users: dict[int, np.ndarray] | None = None
-    legacy_rep: legacy_mod.SpatialKgRep | None = None
+    env: _DrprDriver | _RirlDriver
 
     def save(self, out_dir) -> None:
         os.makedirs(out_dir, exist_ok=True)
@@ -400,31 +420,8 @@ class Artifacts:
             fh.write(self.config.to_text())
         with open(os.path.join(out_dir, "catalog.tsv"), "w") as fh:
             fh.write(self.catalog.to_tsv())
-        with open(os.path.join(out_dir, "kg_snapshot.txt"), "w") as fh:
-            fh.write(self.kg.export_snapshot())
         self.net.save(os.path.join(out_dir, "qnet.bin"))
-        if self.embedder is not None:
-            self.embedder.table.save(os.path.join(out_dir, "embeddings.bin"))
-            self.embedder.enc.save(os.path.join(out_dir, "encoder.bin"))
-            with open(os.path.join(out_dir, "embed_rng.json"), "w") as fh:
-                json.dump(self.embedder.rng.bit_generator.state, fh)
-        if self.legacy_params is not None:
-            from .numkit import save_matrices
-
-            mats = {
-                f"param/{n}": self.legacy_params.store.get(n)
-                for n in self.legacy_params.store.names()
-            }
-            mats["meta"] = np.array([self.legacy_params.n, self.legacy_params.m], dtype=float)
-            for uid, vec in self.legacy_users.items():
-                mats[f"user/{uid}"] = vec
-            for pid, vec in self.legacy_rep.heads.items():
-                mats[f"head/{pid}"] = vec
-            for name, vec in self.legacy_rep.rels.items():
-                mats[f"rel/{name}"] = vec
-            for (kind, idx), vec in self.legacy_rep.tails.items():
-                mats[f"tail/{kind}:{idx}"] = vec
-            save_matrices(os.path.join(out_dir, "legacy.bin"), mats)
+        self.env.save(out_dir)
 
     @classmethod
     def load(cls, out_dir, config: RunConfig | None = None) -> "Artifacts":
@@ -432,54 +429,10 @@ class Artifacts:
             config = RunConfig.from_file(os.path.join(out_dir, "config.txt"))
         with open(os.path.join(out_dir, "catalog.tsv")) as fh:
             catalog = Catalog.from_tsv(fh.read())
-        with open(os.path.join(out_dir, "kg_snapshot.txt")) as fh:
-            kg = kgstore.import_snapshot(fh.read())
         net = policy_mod.QNet.load(os.path.join(out_dir, "qnet.bin"))
-        art = cls(config=config, catalog=catalog, kg=kg, net=net)
-        emb_path = os.path.join(out_dir, "embeddings.bin")
-        if os.path.exists(emb_path):
-            table = embed_mod.EmbeddingTable.load(emb_path)
-            enc = embed_mod.ContextEncoder.load(os.path.join(out_dir, "encoder.bin"))
-            if table.d != config.d:
-                raise CompatibilityError(
-                    f"artifact dimension {table.d} != configured d {config.d}"
-                )
-            art.embedder = embed_mod.Embedder(
-                kg, margin=config.margin, rng=_load_rng(os.path.join(out_dir, "embed_rng.json")),
-                table=table, enc=enc,
-            )
-        legacy_path = os.path.join(out_dir, "legacy.bin")
-        if os.path.exists(legacy_path):
-            from .numkit import load_matrices
-
-            mats = load_matrices(legacy_path)
-            n, m = (int(v) for v in mats.pop("meta"))
-            if n != config.legacy_n:
-                raise CompatibilityError(
-                    f"legacy dimension {n} != configured legacy_n {config.legacy_n}"
-                )
-            params = legacy_mod.LegacyParams(n, m)
-            rep = legacy_mod.SpatialKgRep.from_catalog(
-                catalog.skeleton(), n, np.random.default_rng(0)
-            )
-            users: dict[int, np.ndarray] = {}
-            for name, arr in mats.items():
-                kind, _, rest = name.partition("/")
-                if kind == "param":
-                    params.store.get(rest)[...] = arr
-                elif kind == "user":
-                    users[int(rest)] = arr
-                elif kind == "head":
-                    rep.heads[int(rest)] = arr
-                elif kind == "rel":
-                    rep.rels[rest] = arr
-                elif kind == "tail":
-                    tk, _, ti = rest.partition(":")
-                    rep.tails[(tk, int(ti))] = arr
-            art.legacy_params = params
-            art.legacy_users = users
-            art.legacy_rep = rep
-        return art
+        drpr = os.path.exists(os.path.join(out_dir, "embeddings.bin"))
+        env = (_DrprDriver if drpr else _RirlDriver).load(out_dir, config, catalog)
+        return cls(config=config, catalog=catalog, net=net, env=env)
 
 
 def _load_rng(path) -> np.random.Generator:
@@ -497,6 +450,10 @@ def _load_rng(path) -> np.random.Generator:
 
 
 # -- the environment drivers -------------------------------------------------------
+#
+# One class per agent mode owns that mode's trained state: it builds it
+# (``fresh``), sizes the Q-network for it (``new_net``), persists it
+# (``save``/``load``) and copies it for evaluation (``replica``).
 
 
 def _load_wordvecs(config: RunConfig) -> WordVectors:
@@ -507,24 +464,62 @@ def _load_wordvecs(config: RunConfig) -> WordVectors:
 
 
 class _DrprDriver:
-    """Dynamic-KG environment: graph deltas plus local embedding updates."""
+    """Dynamic-KG environment: the graph and its embedder, updated locally per visit."""
 
-    def __init__(self, config: RunConfig, catalog: Catalog, rng: np.random.Generator,
-                 kg: DynamicKg | None = None, embedder: embed_mod.Embedder | None = None):
+    def __init__(self, config: RunConfig, catalog: Catalog, kg: DynamicKg,
+                 embedder: embed_mod.Embedder):
+        if embedder.table.d != config.d:
+            raise CompatibilityError(
+                f"artifact dimension {embedder.table.d} != configured d {config.d}"
+            )
         self.config = config
         self.catalog = catalog
-        window = 10**9 if config.agent_mode == "drpr-noexit" else config.w
-        self.kg = kg if kg is not None else kgstore.build_static(catalog.skeleton(), window=window)
-        if embedder is not None:
-            self.embedder = embedder
-        else:
-            self.embedder = embed_mod.Embedder(
-                self.kg, d=config.d, layers=config.gcn_layers,
-                margin=config.margin, rng=rng,
-            )
-            self.embedder.train_init(config.init_epochs, config.lr_embed, config.neg_per_pos)
+        self.kg = kg
+        self.embedder = embedder
         self.last_affected: frozenset = frozenset()
         self.static = config.agent_mode == "drpr-static"
+
+    @classmethod
+    def fresh(cls, config: RunConfig, catalog: Catalog, rng: np.random.Generator):
+        window = 10**9 if config.agent_mode == "drpr-noexit" else config.w
+        kg = kgstore.build_static(catalog.skeleton(), window=window)
+        embedder = embed_mod.Embedder(
+            kg, d=config.d, layers=config.gcn_layers, margin=config.margin, rng=rng,
+        )
+        embedder.train_init(config.init_epochs, config.lr_embed, config.neg_per_pos)
+        return cls(config, catalog, kg, embedder)
+
+    def new_net(self, rng: np.random.Generator) -> policy_mod.QNet:
+        d = self.config.d
+        return policy_mod.QNet(dim_state=2 * d, dim_action=d, hidden=self.config.qnet_hidden, rng=rng)
+
+    def replica(self, config: RunConfig, rng: np.random.Generator) -> "_DrprDriver":
+        """A copy to evaluate under ``config``; replaying it leaves this one as it is."""
+        kg, embedder = copy.deepcopy((self.kg, self.embedder))
+        env = _DrprDriver(config, self.catalog, kg, embedder)
+        env.static = env.static or config.frozen_eval
+        return env
+
+    def save(self, out_dir) -> None:
+        with open(os.path.join(out_dir, "kg_snapshot.txt"), "w") as fh:
+            fh.write(self.kg.export_snapshot())
+        self.embedder.table.save(os.path.join(out_dir, "embeddings.bin"))
+        self.embedder.enc.save(os.path.join(out_dir, "encoder.bin"))
+        with open(os.path.join(out_dir, "embed_rng.json"), "w") as fh:
+            json.dump(self.embedder.rng.bit_generator.state, fh)
+
+    @classmethod
+    def load(cls, out_dir, config: RunConfig, catalog: Catalog) -> "_DrprDriver":
+        with open(os.path.join(out_dir, "kg_snapshot.txt")) as fh:
+            kg = kgstore.import_snapshot(fh.read())
+        embedder = embed_mod.Embedder(
+            kg,
+            margin=config.margin,
+            table=embed_mod.EmbeddingTable.load(os.path.join(out_dir, "embeddings.bin")),
+            enc=embed_mod.ContextEncoder.load(os.path.join(out_dir, "encoder.bin")),
+            rng=_load_rng(os.path.join(out_dir, "embed_rng.json")),
+        )
+        return cls(config, catalog, kg, embedder)
 
     def advance(self, user_idx: int, poi_idx: int, ts: float) -> None:
         if self.static:
@@ -560,26 +555,99 @@ class _DrprDriver:
 
 
 class _RirlDriver:
-    """Legacy environment: gated user/spatial updates with traffic context."""
+    """Legacy environment: gated user/spatial updates with traffic context.
 
-    def __init__(self, config: RunConfig, catalog: Catalog, rng: np.random.Generator,
-                 params=None, users=None, rep=None):
+    Owns the update-rule weights, the user vectors and the spatial representation.
+    """
+
+    def __init__(self, config: RunConfig, catalog: Catalog, rng: np.random.Generator | None,
+                 params: legacy_mod.LegacyParams, users: dict[int, np.ndarray],
+                 rep: legacy_mod.SpatialKgRep):
+        if params.n != config.legacy_n:
+            raise CompatibilityError(
+                f"legacy dimension {params.n} != configured legacy_n {config.legacy_n}"
+            )
         self.config = config
         self.catalog = catalog
-        self.rng = rng
-        n = config.legacy_n
-        m = max(len(catalog.zones), 1)
-        self.params = params if params is not None else legacy_mod.LegacyParams(n, m, rng)
-        self.rep = rep if rep is not None else legacy_mod.SpatialKgRep.from_catalog(
-            catalog.skeleton(), n, rng
-        )
-        self.users: dict[int, np.ndarray] = users if users is not None else {}
+        self.rng = rng  # draws the vectors of users seen for the first time
+        self.params = params
+        self.users = users
+        self.rep = rep
         self.traffic = legacy_mod.TrafficBins(
             range(len(catalog.zones)), bin_seconds=config.legacy_bin_hours * 3600.0
         )
         self.last_zone: dict[int, int] = {}
         self.last_update: legacy_mod.SpatialUpdate | None = None
         self.last_user_cache = None
+
+    @classmethod
+    def fresh(cls, config: RunConfig, catalog: Catalog, rng: np.random.Generator):
+        n = config.legacy_n
+        params = legacy_mod.LegacyParams(n, max(len(catalog.zones), 1), rng)
+        rep = legacy_mod.SpatialKgRep.from_catalog(catalog.skeleton(), n, rng)
+        return cls(config, catalog, rng, params, {}, rep)
+
+    def new_net(self, rng: np.random.Generator) -> policy_mod.QNet:
+        return policy_mod.QNet(
+            dim_state=4 * self.config.legacy_n, hidden=self.config.qnet_hidden,
+            mode=policy_mod.VANILLA, action_ids=tuple(range(len(self.catalog.poi_info))), rng=rng,
+        )
+
+    def replica(self, config: RunConfig, rng: np.random.Generator) -> "_RirlDriver":
+        """A copy to evaluate under ``config``, drawing new users from ``rng``.
+
+        The traffic starts empty; the weights are shared, as evaluation never trains them.
+        """
+        users, rep = copy.deepcopy((self.users, self.rep))
+        return _RirlDriver(config, self.catalog, rng, self.params, users, rep)
+
+    def save(self, out_dir) -> None:
+        # this mode keeps no graph; the skeleton alone keeps `inspect-kg` working
+        skeleton = kgstore.build_static(self.catalog.skeleton(), window=self.config.w)
+        with open(os.path.join(out_dir, "kg_snapshot.txt"), "w") as fh:
+            fh.write(skeleton.export_snapshot())
+        store = self.params.store
+        mats = {f"param/{name}": store.get(name) for name in store.names()}
+        mats["meta"] = np.array([self.params.n, self.params.m], dtype=float)
+        for uid, vec in self.users.items():
+            mats[f"user/{uid}"] = vec
+        for pid, vec in self.rep.heads.items():
+            mats[f"head/{pid}"] = vec
+        for name, vec in self.rep.rels.items():
+            mats[f"rel/{name}"] = vec
+        for (kind, idx), vec in self.rep.tails.items():
+            mats[f"tail/{kind}:{idx}"] = vec
+        save_matrices(os.path.join(out_dir, "legacy.bin"), mats)
+
+    @classmethod
+    def load(cls, out_dir, config: RunConfig, catalog: Catalog) -> "_RirlDriver":
+        """The saved state; it draws no new user until ``replica`` gives it a generator."""
+        path = os.path.join(out_dir, "legacy.bin")
+        mats = load_matrices(path)
+        n, m = pop_meta(mats, path, 2)
+        params = legacy_mod.LegacyParams(n, m)
+        rep = legacy_mod.SpatialKgRep.from_catalog(
+            catalog.skeleton(), n, np.random.default_rng(0)
+        )
+        weights: dict[str, np.ndarray] = {}
+        users: dict[int, np.ndarray] = {}
+        for name, arr in mats.items():
+            kind, _, rest = name.partition("/")
+            if kind == "param":
+                weights[rest] = arr
+            elif kind == "user":
+                users[int(rest)] = arr
+            elif kind == "head":
+                rep.heads[int(rest)] = arr
+            elif kind == "rel":
+                rep.rels[rest] = arr
+            elif kind == "tail":
+                tk, _, ti = rest.partition(":")
+                rep.tails[(tk, int(ti))] = arr
+            else:
+                raise IngestionError(f"{path}: unknown entry {name!r}")
+        params.store.load_exact(weights, path, prefix="param/")
+        return cls(config, catalog, None, params, users, rep)
 
     def _user_vec(self, user_idx: int) -> np.ndarray:
         if user_idx not in self.users:
@@ -636,37 +704,28 @@ class _RirlDriver:
         sgd_step(self.params.store, self.config.lr_feedback)
 
 
-def _make_driver(config: RunConfig, catalog: Catalog, rng: np.random.Generator):
-    if config.agent_mode == "rirl":
-        return _RirlDriver(config, catalog, rng)
-    return _DrprDriver(config, catalog, rng)
-
-
 # -- training loop -----------------------------------------------------------------
 
 
 def _replay_stream(
-    driver,
+    env: _DrprDriver | _RirlDriver,
     net: policy_mod.QNet,
     events,
-    catalog: Catalog,
-    config: RunConfig,
     rng: np.random.Generator,
     wv: WordVectors,
-    weights: RewardWeights,
-    windows: BaselineWindows,
     buf: policy_mod.PriorityReplayBuffer | None,
     train: bool,
     agent=None,
     progress=None,
 ) -> EpisodeLog:
+    config, catalog = env.config, env.catalog
+    weights = config.reward_weights()
+    windows = BaselineWindows(config.b)
     log = EpisodeLog()
     pending: dict[int, policy_mod.Transition] = {}
     prev: tuple[int, int, float] | None = None
     n = len(events)
-    feedback = None
-    if train and config.encoder_feedback:
-        feedback = driver.feedback
+    feedback = env.feedback if train and config.encoder_feedback else None
     target_net = None
     train_steps = 0
     for l in range(n):
@@ -674,12 +733,12 @@ def _replay_stream(
             progress(l)
         rec = events[l]
         if prev is not None:
-            driver.advance(*prev)
+            env.advance(*prev)
         user_idx = catalog.users[rec.user]
         real_idx = catalog.venues[rec.venue]
-        state = driver.state(user_idx)
-        cand = driver.candidates_for(user_idx)
-        vecs = driver.action_vectors(cand)
+        state = env.state(user_idx)
+        cand = env.candidates_for(user_idx)
+        vecs = env.action_vectors(cand)
         if buf is not None and user_idx in pending:
             t = pending.pop(user_idx)
             t.next_state = state
@@ -702,27 +761,10 @@ def _replay_stream(
                 action_vec=None if vecs is None else vecs[cand.pois.index(action)],
                 reward=r,
             )
-        log.append(
-            EventRecord(
-                index=l,
-                user=rec.user,
-                pred_raw=catalog.raw_venues[action],
-                real_raw=rec.venue,
-                pred_idx=action,
-                real_idx=real_idx,
-                reward=r,
-                r_d=parts[0],
-                r_c=parts[1],
-                r_p=parts[2],
-            )
-        )
-        if (
-            train
-            and config.train_every
-            and (l + 1) % config.train_every == 0
-            and buf is not None
-            and len(buf)
-        ):
+        log.events.append(EventRecord(
+            l, rec.user, catalog.raw_venues[action], rec.venue, action, real_idx, r, *parts
+        ))
+        if train and buf and config.train_every and (l + 1) % config.train_every == 0:
             if config.target_refresh and train_steps % config.target_refresh == 0:
                 target_net = net.clone()
             batch = buf.sample_batch(
@@ -736,7 +778,7 @@ def _replay_stream(
             train_steps += 1
         prev = (user_idx, real_idx, rec.timestamp)
     if prev is not None:
-        driver.advance(*prev)
+        env.advance(*prev)
     if buf is not None:
         for user_idx in list(pending):
             t = pending.pop(user_idx)
@@ -751,57 +793,19 @@ def run_training(
     """Train on the earliest split of the stream; returns artifacts + log."""
     started = _time.perf_counter()
     rng = np.random.default_rng(config.seed)
-    if records is None:
-        if not config.dataset:
-            raise ConfigError("config.dataset is required when records are not given")
-        records = parse_checkins(config.dataset)
-    records = records[config.stream_offset : config.stream_offset + config.stream_length]
-    if not records:
-        raise DataError("empty stream slice")
-    train_events, _ = split_stream(records, config.split_fraction)
-    catalog = Catalog.build(records, config.cell_deg)
+    train_events, test_events = stream_split(config, records)
+    catalog = Catalog.build(train_events + test_events, config.cell_deg)
     wv = _load_wordvecs(config)
-    weights = config.reward_weights()
-    windows = BaselineWindows(config.b)
-    driver = _make_driver(config, catalog, rng)
-    if config.agent_mode == "rirl":
-        net = policy_mod.QNet(
-            dim_state=4 * config.legacy_n,
-            hidden=config.qnet_hidden,
-            mode=policy_mod.VANILLA,
-            action_ids=tuple(range(len(catalog.poi_info))),
-            rng=rng,
-        )
-    else:
-        net = policy_mod.QNet(
-            dim_state=2 * config.d,
-            dim_action=config.d,
-            hidden=config.qnet_hidden,
-            rng=rng,
-        )
+    env = (_RirlDriver if config.agent_mode == "rirl" else _DrprDriver).fresh(config, catalog, rng)
+    net = env.new_net(rng)
     buf = policy_mod.PriorityReplayBuffer(config.buffer_capacity, config.priority_mode)
-    log = _replay_stream(
-        driver, net, train_events, catalog, config, rng, wv, weights, windows,
-        buf, train=True, progress=progress,
-    )
-    if isinstance(driver, _DrprDriver):
-        artifacts = Artifacts(
-            config=config, catalog=catalog, kg=driver.kg, net=net,
-            embedder=driver.embedder,
-        )
-    else:
-        artifacts = Artifacts(
-            config=config, catalog=catalog,
-            kg=kgstore.build_static(catalog.skeleton(), window=config.w), net=net,
-            legacy_params=driver.params, legacy_users=driver.users,
-            legacy_rep=driver.rep,
-        )
+    log = _replay_stream(env, net, train_events, rng, wv, buf, train=True, progress=progress)
     report = {
         "events": len(log),
         "mean_reward": float(np.mean([e.reward for e in log.events])) if len(log) else 0.0,
         "wall_s": _time.perf_counter() - started,
     }
-    return artifacts, log, report
+    return Artifacts(config=config, catalog=catalog, net=net, env=env), log, report
 
 
 def run_eval(
@@ -820,32 +824,10 @@ def run_eval(
                 f"test event references unknown user/venue: {rec.user}/{rec.venue}"
             )
     wv = _load_wordvecs(config)
-    weights = config.reward_weights()
-    windows = BaselineWindows(config.b)
-    # the replay advances the environment, so it runs on copies and a
+    # the replay advances the environment, so it runs on a replica and a
     # second call on the same artifacts starts from the same state
-    if artifacts.legacy_params is not None:
-        users, rep = copy.deepcopy((artifacts.legacy_users, artifacts.legacy_rep))
-        driver = _RirlDriver(
-            config, catalog, rng,
-            params=artifacts.legacy_params,
-            users=users,
-            rep=rep,
-        )
-    else:
-        if artifacts.embedder is None:
-            raise CompatibilityError("artifacts carry no representation module")
-        if artifacts.embedder.table.d != config.d:
-            raise CompatibilityError(
-                f"artifact dimension {artifacts.embedder.table.d} != configured d {config.d}"
-            )
-        kg, embedder = copy.deepcopy((artifacts.kg, artifacts.embedder))
-        driver = _DrprDriver(config, catalog, rng, kg=kg, embedder=embedder)
-        driver.static = driver.static or config.frozen_eval
-    log = _replay_stream(
-        driver, artifacts.net, test_records, catalog, config, rng, wv, weights,
-        windows, buf=None, train=False, agent=agent,
-    )
+    env = artifacts.env.replica(config, rng)
+    log = _replay_stream(env, artifacts.net, test_records, rng, wv, None, train=False, agent=agent)
     eval_log = log.to_eval_log(catalog)
     report = {
         "prec_cat": metrics_mod.prec_cat(eval_log),
@@ -862,7 +844,8 @@ def sweep_reward(config: RunConfig, grid_steps: int, records=None) -> list[dict]
     if grid_steps < 1:
         raise ConfigError("grid_steps must be >= 1")
     if records is None:
-        records = parse_checkins(config.dataset)
+        records = _read_stream(config)
+    _, test_events = stream_split(config, records)
     rows = []
     for i in range(grid_steps + 1):
         for j in range(grid_steps + 1 - i):
@@ -870,9 +853,7 @@ def sweep_reward(config: RunConfig, grid_steps: int, records=None) -> list[dict]
             lc = j / grid_steps
             lp = max(0.0, 1.0 - ld - lc)
             cfg = replace(config, lambda_d=ld, lambda_c=lc, lambda_p=lp)
-            artifacts, _, _ = run_training(cfg, records=list(records))
-            slice_ = records[cfg.stream_offset : cfg.stream_offset + cfg.stream_length]
-            _, test_events = split_stream(slice_, cfg.split_fraction)
+            artifacts, _, _ = run_training(cfg, records=records)
             report, _ = run_eval(cfg, artifacts, test_events)
             rows.append(
                 {
@@ -918,8 +899,7 @@ def inspect_kg(artifacts_dir) -> dict:
 
 
 def write_run_outputs(out_dir, artifacts: Artifacts, log: EpisodeLog, report: dict) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    artifacts.save(out_dir)
+    artifacts.save(out_dir)  # creates out_dir
     with open(os.path.join(out_dir, "trace.csv"), "w") as fh:
         fh.write(log.to_trace_csv())
     with open(os.path.join(out_dir, "report.json"), "w") as fh:

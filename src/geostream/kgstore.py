@@ -340,7 +340,8 @@ _SNAPSHOT_HEADER = "# geostream-kg 2"
 
 
 def _triple_sort_key(t: Triple):
-    return (t.rel, t.time if t.time is not None else -1.0, ent_key(t.head), ent_key(t.tail))
+    # an EntityId orders exactly like its ent_key pair
+    return (t.rel, t.time if t.time is not None else -1.0, t.head, t.tail)
 
 
 def build_static(pois, window: int = 50) -> DynamicKg:

@@ -82,6 +82,23 @@ class ParamStore:
         for g in self._grads.values():
             g[...] = 0.0
 
+    def load_exact(self, mats: dict[str, np.ndarray], path, prefix: str = "") -> None:
+        """Copy in ``mats``, read from ``path``: exactly the store's names and shapes.
+
+        Otherwise raise ``IngestionError`` naming the entry as in the file, ``prefix + name``.
+        """
+        unknown = mats.keys() - self._params.keys()
+        if unknown:
+            raise IngestionError(f"{path}: unknown entry {prefix + min(unknown)!r}")
+        for name, p in self._params.items():
+            if name not in mats:
+                raise IngestionError(f"{path}: entry {prefix + name!r} missing")
+            if mats[name].shape != p.shape:
+                raise IngestionError(
+                    f"{path}: entry {prefix + name!r} has shape {mats[name].shape}, want {p.shape}")
+        for name, p in self._params.items():
+            p[...] = mats[name]
+
 
 def sgd_step(store: ParamStore, lr: float = 1e-5) -> None:
     """p <- p - lr * g for every parameter, then zero gradients."""
@@ -148,3 +165,11 @@ def load_matrices(path) -> dict[str, np.ndarray]:
     if pos != len(data):
         raise IngestionError(f"{path}: {len(data) - pos} bytes after the last matrix")
     return out
+
+
+def pop_meta(mats: dict[str, np.ndarray], path, size: int) -> tuple[int, ...]:
+    """Remove the ``meta`` entry of a loaded container; its ``size`` integers."""
+    meta = mats.pop("meta", None)
+    if meta is None or meta.shape != (size,):
+        raise IngestionError(f"{path}: entry 'meta' missing or not {size} values")
+    return tuple(int(v) for v in meta)

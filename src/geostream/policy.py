@@ -17,8 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .candidates import CandidateSet
-from .errors import ActionSpaceError, CompatibilityError, TrainingError
-from .numkit import ParamStore, relu, row_softmax, save_matrices, load_matrices, sgd_step
+from .errors import ActionSpaceError, TrainingError
+from .numkit import (
+    ParamStore, load_matrices, pop_meta, relu, row_softmax, save_matrices, sgd_step,
+)
 
 PAIRWISE = "pairwise"
 VANILLA = "vanilla"
@@ -117,20 +119,10 @@ class QNet:
     @classmethod
     def load(cls, path) -> "QNet":
         mats = load_matrices(path)
-        meta = mats.pop("meta")
-        mode = PAIRWISE if meta[0] == 0.0 else VANILLA
+        vanilla, dim_state, dim_action, hidden = pop_meta(mats, path, 4)
         action_ids = tuple(int(a) for a in mats.pop("actions", []))
-        net = cls(
-            dim_state=int(meta[1]),
-            dim_action=int(meta[2]),
-            hidden=int(meta[3]),
-            mode=mode,
-            action_ids=action_ids,
-        )
-        for name, arr in mats.items():
-            if net.store.get(name).shape != arr.shape:
-                raise CompatibilityError(f"checkpoint {name} shape {arr.shape} mismatch")
-            net.store.get(name)[...] = arr
+        net = cls(dim_state, dim_action, hidden, VANILLA if vanilla else PAIRWISE, action_ids)
+        net.store.load_exact(mats, path)
         return net
 
 

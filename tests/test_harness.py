@@ -1,6 +1,8 @@
 import calendar
 import json
 import os
+import re
+import shutil
 import time
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 from geostream import cli, harness
 from geostream.errors import CompatibilityError, ConfigError, FormatError, IngestionError
+from geostream.numkit import load_matrices, save_matrices
 from geostream.harness import (
     Artifacts,
     Catalog,
@@ -153,6 +156,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(split_fraction=1.5)
 
+    @pytest.mark.parametrize("key, val", [("d", "abc"), ("gamma", "high"), ("seed", "1.5")])
+    def test_badly_typed_value_rejected(self, key, val):
+        with pytest.raises(ConfigError, match=re.escape(f"{key!r}: {val!r}")):
+            RunConfig.from_mapping({key: val})
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ConfigError):
             RunConfig(lambda_d=0.9, lambda_c=0.9, lambda_p=0.9)
@@ -181,8 +189,8 @@ class TestTrainingLoop:
         artifacts, log, report = run_training(cfg, records=make_cyclic_stream(40))
         assert len(log) == 24  # floor(0.8 * 30)
         assert report["events"] == 24
-        assert artifacts.embedder is not None
-        assert artifacts.kg.version == 24  # every train event applied
+        assert artifacts.env.embedder is not None
+        assert artifacts.env.kg.version == 24  # every train event applied
         assert all(0.0 < e.reward < 1.0 for e in log.events)
 
     def test_zero_training_events(self):
@@ -229,13 +237,13 @@ class TestTrainingLoop:
     def test_static_mode_never_touches_graph(self):
         cfg = _tiny_config(agent_mode="drpr-static")
         artifacts, log, _ = run_training(cfg, records=make_cyclic_stream(40))
-        assert artifacts.kg.version == 0
+        assert artifacts.env.kg.version == 0
         assert len(log) == 24
 
     def test_noexit_mode_keeps_every_visit(self):
         cfg = _tiny_config(agent_mode="drpr-noexit", w=2)
         artifacts, _, _ = run_training(cfg, records=make_cyclic_stream(40))
-        assert len(artifacts.kg.window_events(0)) == 24  # far beyond w=2
+        assert len(artifacts.env.kg.window_events(0)) == 24  # far beyond w=2
 
     def test_nocand_mode_uses_full_action_set(self):
         cfg = _tiny_config(agent_mode="drpr-nocand")
@@ -245,7 +253,7 @@ class TestTrainingLoop:
     def test_rirl_mode_runs(self):
         cfg = _tiny_config(agent_mode="rirl")
         artifacts, log, _ = run_training(cfg, records=make_cyclic_stream(40))
-        assert artifacts.legacy_params is not None
+        assert artifacts.env.params is not None
         assert len(log) == 24
 
 
@@ -331,10 +339,10 @@ class TestArtifactsRoundtrip:
         artifacts.save(tmp_path)
         loaded = Artifacts.load(tmp_path)
         assert loaded.config == cfg
-        assert loaded.kg.export_snapshot() == artifacts.kg.export_snapshot()
-        for key in artifacts.embedder.table.keys():
+        assert loaded.env.kg.export_snapshot() == artifacts.env.kg.export_snapshot()
+        for key in artifacts.env.embedder.table.keys():
             np.testing.assert_array_equal(
-                loaded.embedder.table.get(key), artifacts.embedder.table.get(key)
+                loaded.env.embedder.table.get(key), artifacts.env.embedder.table.get(key)
             )
         _, test_events = split_stream(records[: cfg.stream_length], cfg.split_fraction)
         report, _ = run_eval(cfg, loaded, test_events)
@@ -349,7 +357,7 @@ class TestArtifactsRoundtrip:
         artifacts, _, _ = run_training(cfg, records=records)
         artifacts.save(tmp_path)
         loaded = Artifacts.load(tmp_path)
-        assert loaded.embedder.rng.bit_generator.state == artifacts.embedder.rng.bit_generator.state
+        assert loaded.env.embedder.rng.bit_generator.state == artifacts.env.embedder.rng.bit_generator.state
         _, test_events = split_stream(records[: cfg.stream_length], cfg.split_fraction)
         loaded_report, loaded_log = run_eval(cfg, loaded, test_events)
         report, log = run_eval(cfg, artifacts, test_events)
@@ -377,10 +385,10 @@ class TestArtifactsRoundtrip:
         artifacts, _, _ = run_training(cfg, records=make_cyclic_stream(40))
         artifacts.save(tmp_path)
         loaded = Artifacts.load(tmp_path)
-        assert loaded.legacy_params is not None
+        assert loaded.env.params is not None
         np.testing.assert_array_equal(
-            loaded.legacy_params.store.get("temporal/w_in"),
-            artifacts.legacy_params.store.get("temporal/w_in"),
+            loaded.env.params.store.get("temporal/w_in"),
+            artifacts.env.params.store.get("temporal/w_in"),
         )
 
     def test_cut_qnet_rejected(self, tmp_path):
@@ -400,6 +408,65 @@ class TestArtifactsRoundtrip:
             Artifacts.load(tmp_path)
 
 
+class TestArtifactFiles:
+    _SHARED = {"config.txt", "catalog.tsv", "kg_snapshot.txt", "qnet.bin"}
+    _ENV = {"drpr": {"embeddings.bin", "encoder.bin", "embed_rng.json"}, "rirl": {"legacy.bin"}}
+
+    @pytest.mark.parametrize("mode", harness.AGENT_MODES)
+    def test_save_load_save_is_byte_identical(self, mode, tmp_path):
+        cfg = _tiny_config(agent_mode=mode)
+        records = make_cyclic_stream(40)
+        artifacts, _, _ = run_training(cfg, records=records)
+        artifacts.save(tmp_path / "a")
+        loaded = Artifacts.load(tmp_path / "a")
+        loaded.save(tmp_path / "b")
+        files = {f.name: f.read_bytes() for f in (tmp_path / "a").iterdir()}
+        assert set(files) == self._SHARED | self._ENV["rirl" if mode == "rirl" else "drpr"]
+        assert {f.name: f.read_bytes() for f in (tmp_path / "b").iterdir()} == files
+        # and the reload evaluates exactly like the artifacts in memory
+        _, test_events = split_stream(records[: cfg.stream_length], cfg.split_fraction)
+        assert (run_eval(cfg, loaded, test_events)[1].to_trace_csv()
+                == run_eval(cfg, artifacts, test_events)[1].to_trace_csv())
+
+    # per file: a parameter entry to drop, and one to cut to a shape that broadcasts
+    _ENTRIES = {
+        "encoder.bin": ("gate", "att/scale"),
+        "qnet.bin": ("out/b", "fc1/b"),
+        "legacy.bin": ("param/user/gate_b", "param/temporal/bias"),
+    }
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        dirs = {}
+        for mode in ("drpr", "rirl"):
+            dirs[mode] = tmp_path_factory.mktemp(mode)
+            artifacts, _, _ = run_training(_tiny_config(agent_mode=mode), records=make_cyclic_stream(40))
+            artifacts.save(dirs[mode])
+        return dirs
+
+    @pytest.mark.parametrize("damage", ["missing", "unknown", "wrong-shape", "no-meta"])
+    @pytest.mark.parametrize("name", ["encoder.bin", "qnet.bin", "legacy.bin"])
+    def test_damaged_parameters_rejected(self, saved, tmp_path, name, damage):
+        shutil.copytree(saved["rirl" if name == "legacy.bin" else "drpr"], tmp_path, dirs_exist_ok=True)
+        mats = load_matrices(tmp_path / name)
+        dropped, cut = self._ENTRIES[name]
+        if damage == "missing":
+            entry = dropped
+            del mats[entry]
+        elif damage == "unknown":
+            entry = "param/bogus" if name == "legacy.bin" else "bogus"
+            mats[entry] = np.zeros(1)
+        elif damage == "wrong-shape":
+            entry = cut
+            mats[entry] = mats[entry][:1]
+        else:
+            entry = "meta"
+            del mats[entry]
+        save_matrices(tmp_path / name, mats)
+        with pytest.raises(IngestionError, match=f"{re.escape(name)}: .*'{re.escape(entry)}'"):
+            Artifacts.load(tmp_path)
+
+
 class TestSweepAndInspect:
     def test_sweep_grid(self):
         cfg = _tiny_config(stream_length=15, init_epochs=0, train_every=0)
@@ -416,7 +483,7 @@ class TestSweepAndInspect:
         summary = harness.inspect_kg(tmp_path)
         assert summary["pois"] == 6
         assert summary["window_capacity"] == cfg.w
-        assert summary["triples"] == artifacts.kg.n_triples()
+        assert summary["triples"] == artifacts.env.kg.n_triples()
 
 
 class TestWordvecEnvOverride:
@@ -463,6 +530,16 @@ class TestCli:
         assert "seed=7" in (flag / "config.txt").read_text().splitlines()
         assert (flag / "config.txt").read_text() == (conf / "config.txt").read_text()
         assert (flag / "trace.csv").read_text() == (conf / "trace.csv").read_text()
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--out", "out"], ["eval", "--artifacts", "out"],
+        ["sweep-reward", "--grid-steps", "1"],
+    ])
+    def test_missing_dataset_is_a_config_error(self, tmp_path, command):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(_tiny_config().to_text())  # dataset left empty
+        with pytest.raises(ConfigError, match="dataset"):
+            cli.main([*command, "--config", str(cfg_path)])
 
     def test_sweep_writes_csv(self, tmp_path):
         records = make_cyclic_stream(15)
