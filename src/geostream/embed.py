@@ -254,7 +254,10 @@ class Embedder:
                 f"table dimension {self.table.d} != encoder dimension {self.enc.d}"
             )
         self.margin = margin
+        # joint embeddings of every row at the (graph, encoder, table)
+        # versions; the rows of the stale keys' stars are still to redo
         self._joint_memo: tuple[tuple, np.ndarray] | None = None
+        self._stale: set[ObjKey] = set()
         self._rel_mask = np.zeros(0, dtype=bool)
         if table is None:
             self.table.init_objects(kg.object_keys(), self.rng)
@@ -302,12 +305,27 @@ class Embedder:
         np.add.at(grads, st.rows, d_z)
 
     def joint_all(self) -> np.ndarray:
-        """Joint embeddings of every table row, recomputed when the graph,
-        the encoder or the table moved."""
+        """Joint embeddings of every table row.
+
+        After local updates only the stars holding a stale key are
+        re-encoded, into a copy of the memo; a move the memo does not
+        account for (the encoder, or a graph or table write outside
+        ``incremental_update``) re-encodes every row.
+        """
         sig = (self.kg.version, self.enc.version, self.table.version)
-        if self._joint_memo is None or self._joint_memo[0] != sig:
-            self._joint_memo = (sig, self._forward(list(self.table.rows))[0])
-        return self._joint_memo[1]
+        memo = self._joint_memo
+        if memo is None or memo[0] != sig:
+            joint = self._forward(list(self.table.rows))[0]
+        elif self._stale:
+            # stars are symmetric: the rows whose star holds k are k's star
+            keys = sorted({m for k in self._stale for m in self.kg.context_of(k)})
+            joint = np.empty_like(self.table.vecs)
+            joint[: len(memo[1])] = memo[1]
+            joint[[self.table.rows[k] for k in keys]] = self._forward(keys)[0]
+        else:
+            return memo[1]
+        self._joint_memo, self._stale = (sig, joint), set()
+        return joint
 
     def joint_cached(self, key: ObjKey) -> np.ndarray:
         row = self.table.row_of(key)
@@ -427,13 +445,16 @@ class Embedder:
             raise ConsistencyError(
                 f"delta version {delta.version} != graph version {self.kg.version}"
             )
+        # the memo follows only a delta that starts where it stands; the
+        # delta covers every object whose star or raw vector moves here
+        memo = self._joint_memo
+        start = (delta.version - 1, self.enc.version, self.table.version)
+        follows = memo is not None and memo[0] == start
         affected = sorted(delta.affected)
         self.table.init_objects([k for k in affected if k not in self.table], self.rng)
         # every added triple is live with both endpoints affected, so the
         # incident triples already include it
         pool = self.kg.triples_incident_to(affected)
-        if not pool:
-            return
         rows = [self.table.rows[k] for k in affected]
         for _ in range(steps):
             if max_triples is not None and len(pool) > max_triples:
@@ -447,6 +468,9 @@ class Embedder:
             _, grads = self.margin_loss_and_grads(batch)
             self.enc.store.zero_grads()  # encoder is frozen during local updates
             self.table.step(grads, rows, lr)
+        if follows:
+            self._stale |= delta.affected
+            self._joint_memo = ((self.kg.version, self.enc.version, self.table.version), memo[1])
 
     # -- state ---------------------------------------------------------------
 

@@ -430,8 +430,7 @@ class Artifacts:
         with open(os.path.join(out_dir, "catalog.tsv")) as fh:
             catalog = Catalog.from_tsv(fh.read())
         net = policy_mod.QNet.load(os.path.join(out_dir, "qnet.bin"))
-        drpr = os.path.exists(os.path.join(out_dir, "embeddings.bin"))
-        env = (_DrprDriver if drpr else _RirlDriver).load(out_dir, config, catalog)
+        env = _env_class(config).load(out_dir, config, catalog)
         return cls(config=config, catalog=catalog, net=net, env=env)
 
 
@@ -629,23 +628,28 @@ class _RirlDriver:
         rep = legacy_mod.SpatialKgRep.from_catalog(
             catalog.skeleton(), n, np.random.default_rng(0)
         )
+        # the catalog fixes which head, relation and tail vectors exist
+        slots = {f"head/{p}": (rep.heads, p) for p in rep.heads}
+        slots.update({f"rel/{r}": (rep.rels, r) for r in rep.rels})
+        slots.update({f"tail/{k}:{i}": (rep.tails, (k, i)) for k, i in rep.tails})
         weights: dict[str, np.ndarray] = {}
         users: dict[int, np.ndarray] = {}
         for name, arr in mats.items():
             kind, _, rest = name.partition("/")
             if kind == "param":
                 weights[rest] = arr
-            elif kind == "user":
+                continue
+            if arr.shape != (n,):
+                raise IngestionError(f"{path}: entry {name!r} has shape {arr.shape}, want ({n},)")
+            if kind == "user" and rest.isdecimal():
                 users[int(rest)] = arr
-            elif kind == "head":
-                rep.heads[int(rest)] = arr
-            elif kind == "rel":
-                rep.rels[rest] = arr
-            elif kind == "tail":
-                tk, _, ti = rest.partition(":")
-                rep.tails[(tk, int(ti))] = arr
+            elif name in slots:
+                vecs, key = slots.pop(name)
+                vecs[key] = arr
             else:
                 raise IngestionError(f"{path}: unknown entry {name!r}")
+        if slots:
+            raise IngestionError(f"{path}: missing entry {min(slots)!r}")
         params.store.load_exact(weights, path, prefix="param/")
         return cls(config, catalog, None, params, users, rep)
 
@@ -702,6 +706,10 @@ class _RirlDriver:
             d_tt = d_tt + dtt2
         legacy_mod.transform_temporal_grads(self.params, self._t_cache, d_tt)
         sgd_step(self.params.store, self.config.lr_feedback)
+
+
+def _env_class(config: RunConfig) -> type[_DrprDriver] | type[_RirlDriver]:
+    return _RirlDriver if config.agent_mode == "rirl" else _DrprDriver
 
 
 # -- training loop -----------------------------------------------------------------
@@ -796,7 +804,7 @@ def run_training(
     train_events, test_events = stream_split(config, records)
     catalog = Catalog.build(train_events + test_events, config.cell_deg)
     wv = _load_wordvecs(config)
-    env = (_RirlDriver if config.agent_mode == "rirl" else _DrprDriver).fresh(config, catalog, rng)
+    env = _env_class(config).fresh(config, catalog, rng)
     net = env.new_net(rng)
     buf = policy_mod.PriorityReplayBuffer(config.buffer_capacity, config.priority_mode)
     log = _replay_stream(env, net, train_events, rng, wv, buf, train=True, progress=progress)

@@ -370,6 +370,116 @@ class TestPoolState:
         np.testing.assert_allclose(s2, fresh.pool_state(), atol=1e-12)
 
 
+def _full_joint(emb):
+    return emb._forward(list(emb.table.rows))[0]
+
+
+class TestIncrementalJoint:
+    def _warm(self):
+        kg = build_static([(i, i % 3, i % 4) for i in range(12)], window=2)
+        emb = Embedder(kg, d=4, rng=np.random.default_rng(95))
+        for t, (u, p) in enumerate([(0, 0), (1, 5), (0, 7), (2, 3), (1, 9)]):
+            emb.incremental_update(kg.apply_visit(u, p, float(t)), steps=1, lr=0.05)
+        emb.joint_all()
+        return kg, emb
+
+    @staticmethod
+    def _forwarded(monkeypatch, emb):
+        """``joint_all()``, and the key lists it passed to ``_forward``."""
+        seen = []
+        forward = emb._forward
+        monkeypatch.setattr(emb, "_forward", lambda keys: seen.append(list(keys)) or forward(keys))
+        return emb.joint_all(), seen
+
+    def test_reencodes_only_the_affected_stars(self, monkeypatch):
+        kg, emb = self._warm()
+        delta = kg.apply_visit(0, 4, 10.0)  # evicts user 0's visit to p0
+        assert delta.removed
+        emb.incremental_update(delta, steps=1, lr=0.05)
+        joint, seen = self._forwarded(monkeypatch, emb)
+        assert emb.joint_all() is joint  # then a memo hit
+        want = sorted({m for k in delta.affected for m in kg.context_of(k)})
+        assert seen == [want]
+        assert len(want) < len(emb.table)
+        np.testing.assert_array_equal(joint, _full_joint(emb))
+
+    def test_earlier_rows_keep_their_values(self):
+        kg, emb = self._warm()
+        before = emb.joint_all()
+        kept = before.copy()
+        row = emb.joint_cached(kgstore.ent_key(poi(4)))
+        emb.incremental_update(kg.apply_visit(3, 4, 10.0), steps=1, lr=0.05)
+        after = emb.joint_all()
+        assert after.shape == (len(emb.table), 4) and len(emb.table) == len(before) + 1
+        np.testing.assert_array_equal(before, kept)  # patched into a copy
+        assert not np.array_equal(row, after[emb.table.row_of(kgstore.ent_key(poi(4)))])
+
+    @pytest.mark.parametrize("outside", ["table_set", "unseen_visit", "feedback"])
+    def test_unaccounted_moves_reencode_every_row(self, monkeypatch, outside):
+        kg, emb = self._warm()
+        key = kgstore.ent_key(kgstore.category(2))
+        if outside == "table_set":
+            emb.table.set(key, emb.table.get(key) + 1.0)
+        elif outside == "unseen_visit":
+            kg.apply_visit(2, 8, 20.0)
+        else:
+            emb.state_feedback(np.ones(8), [key], lr=0.1)
+        emb.incremental_update(kg.apply_visit(1, 11, 30.0), steps=1, lr=0.05)
+        joint, seen = self._forwarded(monkeypatch, emb)
+        assert seen == [list(emb.table.rows)]
+        np.testing.assert_array_equal(joint, _full_joint(emb))
+
+
+_STREAM_OP = st.one_of(
+    st.tuples(st.just("visit"), st.integers(0, 4), st.integers(0, 5), st.integers(0, 2)),
+    st.tuples(st.just("unseen"), st.integers(0, 4), st.integers(0, 5)),
+    st.tuples(st.just("feedback"), st.integers(0, 2**16)),
+    st.tuples(st.just("set"), st.integers(0, 2**16)),
+    st.tuples(st.just("copy")),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_pois=st.integers(1, 6), window=st.integers(1, 3), layers=st.integers(1, 2),
+    d=st.integers(2, 5), seed=st.integers(0, 2**16),
+    steps=st.lists(st.lists(_STREAM_OP, min_size=1, max_size=3), max_size=12),
+)
+def test_patched_joint_equals_full_forward(n_pois, window, layers, d, seed, steps):
+    """After every step of a random stream the memoized matrix equals a
+    fresh forward of every row, bit for bit. A step is one to three of:
+    a local update (evicting, or by a new user), encoder feedback, a raw
+    write, a visit the embedder never sees, a deep copy."""
+    kg = build_static([(i, i % 2, i % 3) for i in range(n_pois)], window=window)
+    emb = Embedder(kg, d=d, layers=layers, rng=np.random.default_rng(seed))
+    clock = 0.0
+    for step in steps:
+        for op, *args in step:
+            if op == "visit":
+                u, p, n_steps = args
+                clock += 1.0
+                emb.incremental_update(kg.apply_visit(u, p % n_pois, clock), steps=n_steps, lr=0.05)
+            elif op == "unseen":
+                u, p = args
+                # the embedder has no row for an object it never saw arrive
+                known = {kgstore.ent_key(user(u)), kgstore.rel_key(RelType.ALSO_VISIT)}
+                if known <= emb.table.rows.keys():
+                    clock += 1.0
+                    kg.apply_visit(u, p % n_pois, clock)
+            elif op == "feedback":
+                rng = np.random.default_rng(args[0])
+                keys = [k for k in emb.table.keys() if rng.random() < 0.3]
+                emb.state_feedback(rng.normal(size=2 * d), keys, lr=0.1)
+            elif op == "set":
+                rng = np.random.default_rng(args[0])
+                keys = emb.table.keys()
+                emb.table.set(keys[int(rng.integers(len(keys)))], rng.normal(size=d))
+            else:
+                emb = copy.deepcopy(emb)
+                kg = emb.kg
+        assert np.array_equal(emb.joint_all(), _full_joint(emb))
+
+
 @st.composite
 def _cases(draw):
     """(pois, window, visits, layers, d, seed): a skeleton, a visit stream

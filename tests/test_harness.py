@@ -466,6 +466,42 @@ class TestArtifactFiles:
         with pytest.raises(IngestionError, match=f"{re.escape(name)}: .*'{re.escape(entry)}'"):
             Artifacts.load(tmp_path)
 
+    # a vector entry of legacy.bin: how to damage it, and the entry the error names
+    @pytest.mark.parametrize("damage, entry", [
+        ("missing", "head/0"),
+        ("missing", "rel/belong_to"),
+        ("missing", "tail/zone:3"),
+        ("unknown", "head/6"),
+        ("unknown", "rel/also_visit"),
+        ("unknown", "tail/cat:9"),
+        ("unknown", "user/u0"),
+        ("short", "head/1"),
+        ("short", "rel/locate_at"),
+        ("short", "tail/cat:2"),
+        ("short", "user/0"),
+        ("matrix", "head/2"),
+    ])
+    def test_damaged_legacy_vectors_rejected(self, saved, tmp_path, damage, entry):
+        shutil.copytree(saved["rirl"], tmp_path, dirs_exist_ok=True)
+        mats = load_matrices(tmp_path / "legacy.bin")
+        if damage == "missing":
+            del mats[entry]
+        elif damage == "unknown":
+            mats[entry] = mats["head/0"]
+        elif damage == "short":
+            mats[entry] = mats[entry][:2]
+        else:
+            mats[entry] = mats[entry][None, :]
+        save_matrices(tmp_path / "legacy.bin", mats)
+        with pytest.raises(IngestionError, match=f"legacy.bin: .*'{re.escape(entry)}'"):
+            Artifacts.load(tmp_path)
+
+    def test_drpr_without_embeddings_names_the_file(self, saved, tmp_path):
+        shutil.copytree(saved["drpr"], tmp_path, dirs_exist_ok=True)
+        (tmp_path / "embeddings.bin").unlink()
+        with pytest.raises(FileNotFoundError, match="embeddings.bin"):
+            Artifacts.load(tmp_path)
+
 
 class TestSweepAndInspect:
     def test_sweep_grid(self):

@@ -1,0 +1,54 @@
+"""Pinned trace digests: a fixed config and seed must keep producing the
+same train and eval ``trace.csv``, byte for byte.
+
+Speed work on the encoder, the graph store or the replay may reorder
+bookkeeping but never change what the loop computes, so these digests
+hold across such changes. They were recorded with Python 3.11, numpy 2.4
+and OpenBLAS 0.3.31 (scipy-openblas, x86-64); another BLAS build or CPU
+kernel may round dense products differently and move a digest without
+any code change. Each run takes about a second.
+"""
+
+import hashlib
+
+from geostream.harness import RunConfig, run_eval, run_training, split_stream
+
+from conftest import WORDVEC_PATH, make_drifting_stream
+
+N_EVENTS = 240
+
+
+def _digests(**overrides) -> tuple[str, str]:
+    records = make_drifting_stream(n_events=N_EVENTS, seed=5)
+    cfg = RunConfig(
+        stream_length=N_EVENTS, split_fraction=0.75, d=8, k=2, w=3, b=60,
+        gamma=0.1, epsilon_start=0.5, epsilon_end=0.05,
+        init_epochs=1, incr_steps=1, max_incr_triples=12,
+        lr_embed=0.01, lr_q=0.05, lr_feedback=0.005,
+        train_every=2, batch_size=8, buffer_capacity=60,
+        qnet_hidden=16, legacy_n=8, seed=3, wordvecs=WORDVEC_PATH,
+        priority_mode="td", stochastic_replay=True, **overrides,
+    )
+    artifacts, train_log, _ = run_training(cfg, records=list(records))
+    _, test_events = split_stream(records, cfg.split_fraction)
+    _, eval_log = run_eval(cfg, artifacts, test_events)
+    return tuple(
+        hashlib.sha256(log.to_trace_csv().encode()).hexdigest()
+        for log in (train_log, eval_log)
+    )
+
+
+def test_drpr_trace_digests():
+    # w=3 evicts on most visits; train_every=2 runs Bellman steps whose
+    # encoder feedback forces full re-encodes between local ones
+    assert _digests(agent_mode="drpr") == (
+        "5bbe98de9cb1eeda35452e5653a07a9401ae8a6d07fe1267a15a808fc0309ce8",
+        "7a0e1f5acfe0d05f43e3c97daf5b0bae56293dee5caad65f051d3a1f93fa7049",
+    )
+
+
+def test_rirl_trace_digests():
+    assert _digests(agent_mode="rirl") == (
+        "702d44c87866a7d5b3c09c92ddfe884059bc331d64d8b2eeace68c3c24d9dc83",
+        "b1f6a09c8f5a790a5d350111d4900d0b63a615fb3cae688f4f19ca55d48a39b9",
+    )
