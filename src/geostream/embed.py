@@ -45,9 +45,7 @@ from .errors import (
     UnknownObjectError,
 )
 from .kgstore import DynamicKg, EntityId, EntityKind, Triple, ent_key, rel_key
-from .numkit import (
-    ParamStore, load_matrices, pop_meta, relu, save_matrices, sgd_step, sigmoid,
-)
+from .numkit import ParamStore, load_matrices, relu, save_matrices, sgd_step, sigmoid
 
 ObjKey = tuple[int, int]
 
@@ -169,18 +167,6 @@ class ContextEncoder:
 
     def bump(self) -> None:
         self.version += 1
-
-    def save(self, path) -> None:
-        mats = {name: self.store.get(name) for name in self.store.names()}
-        mats["meta"] = np.array([self.d, self.layers], dtype=np.float64)
-        save_matrices(path, mats)
-
-    @classmethod
-    def load(cls, path) -> "ContextEncoder":
-        mats = load_matrices(path)
-        enc = cls(*pop_meta(mats, path, 2))
-        enc.store.load_exact(mats, path)
-        return enc
 
 
 @dataclass

@@ -41,7 +41,7 @@ from .errors import (
     IngestionError,
 )
 from .kgstore import DynamicKg, EntityKind
-from .numkit import load_matrices, pop_meta, save_matrices, sgd_step
+from .numkit import load_matrices, save_matrices, sgd_step
 from .reward import (
     BaselineWindows,
     PoiInfo,
@@ -309,9 +309,6 @@ class Catalog:
             for i in range(len(self.poi_info))
         ]
 
-    def info(self, poi_idx: int) -> PoiInfo:
-        return self.poi_info[poi_idx]
-
     def to_tsv(self) -> str:
         out = io.StringIO()
         for u in self.raw_users:
@@ -330,31 +327,62 @@ class Catalog:
 
     @classmethod
     def from_tsv(cls, text: str) -> "Catalog":
+        """Parse ``to_tsv`` output; ``IngestionError`` names the first bad line."""
         cat = cls()
-        cat_names: dict[int, str] = {}
-        for line in text.splitlines():
-            if not line:
-                continue
-            parts = line.split("\t")
-            tag = parts[0]
-            if tag == "U":
-                cat.users[parts[1]] = len(cat.users)
-                cat.raw_users.append(parts[1])
-            elif tag == "C":
-                cat_names[int(parts[1])] = parts[2]
-                cat.categories[parts[2]] = int(parts[1])
-            elif tag == "Z":
-                cat.zones[(int(parts[2]), int(parts[3]))] = int(parts[1])
-            elif tag == "P":
-                idx = len(cat.venues)
-                cat.venues[parts[1]] = idx
-                cat.raw_venues.append(parts[1])
-                cat.poi_category.append(int(parts[2]))
-                cat.poi_zone.append(int(parts[3]))
-                cat.poi_info.append(
-                    PoiInfo(idx, parts[6], float(parts[4]), float(parts[5]))
-                )
+        for no, line in enumerate(text.splitlines(), 1):
+            if line:
+                try:
+                    cat._read_line(line.split("\t"))
+                except ValueError as exc:
+                    raise IngestionError(f"line {no}: {exc}") from None
         return cat
+
+    def _read_line(self, parts: list[str]) -> None:
+        tag = parts[0]
+        if tag not in _TSV_FIELDS:
+            raise ValueError(f"unknown tag {tag!r}")
+        if len(parts) != _TSV_FIELDS[tag]:
+            raise ValueError(f"{tag} line has {len(parts)} fields, want {_TSV_FIELDS[tag]}")
+        if tag == "U":
+            _claim_next(self.users, parts[1], "user")
+            self.raw_users.append(parts[1])
+        elif tag == "C":
+            _claim_next(self.categories, parts[2], "category", int(parts[1]))
+        elif tag == "Z":
+            _claim_next(self.zones, (int(parts[2]), int(parts[3])), "zone", int(parts[1]))
+        else:
+            c, z = int(parts[2]), int(parts[3])
+            if not (0 <= c < len(self.categories) and 0 <= z < len(self.zones)):
+                raise ValueError(f"category {c} or zone {z} not declared")
+            idx = _claim_next(self.venues, parts[1], "venue")
+            self.raw_venues.append(parts[1])
+            self.poi_category.append(c)
+            self.poi_zone.append(z)
+            self.poi_info.append(PoiInfo(idx, parts[6], float(parts[4]), float(parts[5])))
+
+
+# fields per catalog line, by tag
+_TSV_FIELDS = {"U": 2, "C": 3, "Z": 4, "P": 7}
+
+
+def _claim_next(index: dict, key, what: str, idx: int | None = None) -> int:
+    """Give ``key`` the next index of ``index``; a stated ``idx`` must be that index."""
+    if key in index:
+        raise ValueError(f"duplicate {what} {key!r}")
+    if idx is not None and idx != len(index):
+        raise ValueError(f"{what} index {idx}, want {len(index)}")
+    index[key] = len(index)
+    return index[key]
+
+
+def _parse_file(path, parse, *args):
+    """``parse(text, *args)`` of the file at ``path``; an ``IngestionError`` names the file."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return parse(text, *args)
+    except IngestionError as exc:
+        raise IngestionError(f"{path}: {exc}") from None
 
 
 # -- episode log -----------------------------------------------------------------
@@ -396,7 +424,7 @@ class EpisodeLog:
 
     def to_eval_log(self, catalog: Catalog, tail: int | None = None) -> metrics_mod.EvalLog:
         events = self.events[-tail:] if tail else self.events
-        return [(catalog.info(e.pred_idx), catalog.info(e.real_idx)) for e in events]
+        return [(catalog.poi_info[e.pred_idx], catalog.poi_info[e.real_idx]) for e in events]
 
 
 # -- trained artifacts -------------------------------------------------------------
@@ -420,17 +448,17 @@ class Artifacts:
             fh.write(self.config.to_text())
         with open(os.path.join(out_dir, "catalog.tsv"), "w") as fh:
             fh.write(self.catalog.to_tsv())
-        self.net.save(os.path.join(out_dir, "qnet.bin"))
+        self.net.store.save(os.path.join(out_dir, "qnet.bin"))
         self.env.save(out_dir)
 
     @classmethod
     def load(cls, out_dir, config: RunConfig | None = None) -> "Artifacts":
         if config is None:
             config = RunConfig.from_file(os.path.join(out_dir, "config.txt"))
-        with open(os.path.join(out_dir, "catalog.tsv")) as fh:
-            catalog = Catalog.from_tsv(fh.read())
-        net = policy_mod.QNet.load(os.path.join(out_dir, "qnet.bin"))
+        catalog = _parse_file(os.path.join(out_dir, "catalog.tsv"), Catalog.from_tsv)
         env = _env_class(config).load(out_dir, config, catalog)
+        net = env.new_net(None)
+        net.store.load(os.path.join(out_dir, "qnet.bin"))
         return cls(config=config, catalog=catalog, net=net, env=env)
 
 
@@ -467,10 +495,6 @@ class _DrprDriver:
 
     def __init__(self, config: RunConfig, catalog: Catalog, kg: DynamicKg,
                  embedder: embed_mod.Embedder):
-        if embedder.table.d != config.d:
-            raise CompatibilityError(
-                f"artifact dimension {embedder.table.d} != configured d {config.d}"
-            )
         self.config = config
         self.catalog = catalog
         self.kg = kg
@@ -488,7 +512,7 @@ class _DrprDriver:
         embedder.train_init(config.init_epochs, config.lr_embed, config.neg_per_pos)
         return cls(config, catalog, kg, embedder)
 
-    def new_net(self, rng: np.random.Generator) -> policy_mod.QNet:
+    def new_net(self, rng: np.random.Generator | None) -> policy_mod.QNet:
         d = self.config.d
         return policy_mod.QNet(dim_state=2 * d, dim_action=d, hidden=self.config.qnet_hidden, rng=rng)
 
@@ -503,19 +527,23 @@ class _DrprDriver:
         with open(os.path.join(out_dir, "kg_snapshot.txt"), "w") as fh:
             fh.write(self.kg.export_snapshot())
         self.embedder.table.save(os.path.join(out_dir, "embeddings.bin"))
-        self.embedder.enc.save(os.path.join(out_dir, "encoder.bin"))
+        self.embedder.enc.store.save(os.path.join(out_dir, "encoder.bin"))
         with open(os.path.join(out_dir, "embed_rng.json"), "w") as fh:
             json.dump(self.embedder.rng.bit_generator.state, fh)
 
     @classmethod
     def load(cls, out_dir, config: RunConfig, catalog: Catalog) -> "_DrprDriver":
-        with open(os.path.join(out_dir, "kg_snapshot.txt")) as fh:
-            kg = kgstore.import_snapshot(fh.read())
+        kg = _parse_file(
+            os.path.join(out_dir, "kg_snapshot.txt"), kgstore.import_snapshot, catalog.skeleton()
+        )
+        path = os.path.join(out_dir, "embeddings.bin")
+        table = embed_mod.EmbeddingTable.load(path)
+        if table.d != config.d:
+            raise CompatibilityError(f"{path}: dimension {table.d} != configured d {config.d}")
+        enc = embed_mod.ContextEncoder(config.d, config.gcn_layers)
+        enc.store.load(os.path.join(out_dir, "encoder.bin"))
         embedder = embed_mod.Embedder(
-            kg,
-            margin=config.margin,
-            table=embed_mod.EmbeddingTable.load(os.path.join(out_dir, "embeddings.bin")),
-            enc=embed_mod.ContextEncoder.load(os.path.join(out_dir, "encoder.bin")),
+            kg, margin=config.margin, table=table, enc=enc,
             rng=_load_rng(os.path.join(out_dir, "embed_rng.json")),
         )
         return cls(config, catalog, kg, embedder)
@@ -562,10 +590,6 @@ class _RirlDriver:
     def __init__(self, config: RunConfig, catalog: Catalog, rng: np.random.Generator | None,
                  params: legacy_mod.LegacyParams, users: dict[int, np.ndarray],
                  rep: legacy_mod.SpatialKgRep):
-        if params.n != config.legacy_n:
-            raise CompatibilityError(
-                f"legacy dimension {params.n} != configured legacy_n {config.legacy_n}"
-            )
         self.config = config
         self.catalog = catalog
         self.rng = rng  # draws the vectors of users seen for the first time
@@ -586,7 +610,7 @@ class _RirlDriver:
         rep = legacy_mod.SpatialKgRep.from_catalog(catalog.skeleton(), n, rng)
         return cls(config, catalog, rng, params, {}, rep)
 
-    def new_net(self, rng: np.random.Generator) -> policy_mod.QNet:
+    def new_net(self, rng: np.random.Generator | None) -> policy_mod.QNet:
         return policy_mod.QNet(
             dim_state=4 * self.config.legacy_n, hidden=self.config.qnet_hidden,
             mode=policy_mod.VANILLA, action_ids=tuple(range(len(self.catalog.poi_info))), rng=rng,
@@ -601,13 +625,12 @@ class _RirlDriver:
         return _RirlDriver(config, self.catalog, rng, self.params, users, rep)
 
     def save(self, out_dir) -> None:
-        # this mode keeps no graph; the skeleton alone keeps `inspect-kg` working
+        # this mode keeps no graph; a snapshot of the bare skeleton keeps `inspect-kg` working
         skeleton = kgstore.build_static(self.catalog.skeleton(), window=self.config.w)
         with open(os.path.join(out_dir, "kg_snapshot.txt"), "w") as fh:
             fh.write(skeleton.export_snapshot())
         store = self.params.store
         mats = {f"param/{name}": store.get(name) for name in store.names()}
-        mats["meta"] = np.array([self.params.n, self.params.m], dtype=float)
         for uid, vec in self.users.items():
             mats[f"user/{uid}"] = vec
         for pid, vec in self.rep.heads.items():
@@ -623,8 +646,8 @@ class _RirlDriver:
         """The saved state; it draws no new user until ``replica`` gives it a generator."""
         path = os.path.join(out_dir, "legacy.bin")
         mats = load_matrices(path)
-        n, m = pop_meta(mats, path, 2)
-        params = legacy_mod.LegacyParams(n, m)
+        n = config.legacy_n
+        params = legacy_mod.LegacyParams(n, max(len(catalog.zones), 1))
         rep = legacy_mod.SpatialKgRep.from_catalog(
             catalog.skeleton(), n, np.random.default_rng(0)
         )
@@ -759,7 +782,7 @@ def _replay_stream(
         else:
             action = policy_mod.select_action(net, state, cand, epsilon, rng, vecs)
         parts = component_rewards(
-            catalog.info(action), catalog.info(real_idx), wv, config.d_floor_km
+            catalog.poi_info[action], catalog.poi_info[real_idx], wv, config.d_floor_km
         )
         r = compute_reward(parts, weights, windows)
         if buf is not None:
@@ -885,9 +908,11 @@ def sweep_rows_to_csv(rows: list[dict]) -> str:
 
 
 def inspect_kg(artifacts_dir) -> dict:
-    """Entity/triple counts of a stored graph snapshot."""
-    with open(os.path.join(artifacts_dir, "kg_snapshot.txt")) as fh:
-        kg = kgstore.import_snapshot(fh.read())
+    """Entity/triple counts of a stored graph snapshot on its catalog's skeleton."""
+    catalog = _parse_file(os.path.join(artifacts_dir, "catalog.tsv"), Catalog.from_tsv)
+    kg = _parse_file(
+        os.path.join(artifacts_dir, "kg_snapshot.txt"), kgstore.import_snapshot, catalog.skeleton()
+    )
     triples = kg.triples()
     by_rel: dict[str, int] = {}
     for t in triples:

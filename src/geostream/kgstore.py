@@ -143,9 +143,6 @@ class DynamicKg:
     def _add_entity(self, e: EntityId) -> None:
         self._nbrs.setdefault(e, {})
 
-    def has_entity(self, e: EntityId) -> bool:
-        return e in self._nbrs
-
     def _ref(self, t: Triple) -> bool:
         """Take a reference on ``t``; True if that made it live."""
         count = self._refs.get(t, 0)
@@ -301,9 +298,6 @@ class DynamicKg:
     def triples(self) -> set[Triple]:
         return set(self._refs)
 
-    def n_triples(self) -> int:
-        return len(self._refs)
-
     def triples_incident_to(self, keys) -> list[Triple]:
         """Triples touching any affected entity, in a deterministic order."""
         found: set[Triple] = set()
@@ -323,12 +317,11 @@ class DynamicKg:
     # -- snapshot text format ---------------------------------------------
 
     def export_snapshot(self) -> str:
-        """Exact text form: the static skeleton, lifetime visit counts and
-        every window event with the POI its cascade came from (or ``-``)."""
+        """Exact text form on top of the static skeleton: lifetime visit
+        counts and every window event with the POI its cascade came from
+        (or ``-``)."""
         lines = [_SNAPSHOT_HEADER, f"window {self.window_capacity}", f"version {self.version}"]
-        for p in sorted(self.pois):
-            cat, zn = self.poi_static(p)
-            lines.append(f"poi {p} {cat} {zn} {self.visit_counts[p]}")
+        lines += [f"poi {p} {self.visit_counts[p]}" for p in sorted(self.pois)]
         for user_id in sorted(self._windows):
             for e in self._windows[user_id]:
                 src = "-" if e.cascade is None else e.cascade.head.index
@@ -336,7 +329,7 @@ class DynamicKg:
         return "\n".join(lines) + "\n"
 
 
-_SNAPSHOT_HEADER = "# geostream-kg 2"
+_SNAPSHOT_HEADER = "# geostream-kg 3"
 
 
 def _triple_sort_key(t: Triple):
@@ -352,8 +345,10 @@ def build_static(pois, window: int = 50) -> DynamicKg:
     return kg
 
 
-def import_snapshot(text: str) -> DynamicKg:
-    """Rebuild a graph from its exported text form by replaying its lines."""
+def import_snapshot(text: str, skeleton) -> DynamicKg:
+    """Rebuild a graph from its exported text form: the static skeleton from
+    ``skeleton`` (as for ``build_static``), then the snapshot's lines replayed.
+    """
     lines = [ln.split() for ln in text.splitlines() if ln.strip()]
     if not lines or " ".join(lines[0]) != _SNAPSHOT_HEADER:
         raise IngestionError(f"not a {_SNAPSHOT_HEADER!r} snapshot")
@@ -362,11 +357,13 @@ def import_snapshot(text: str) -> DynamicKg:
             len(f) != 2 for f in lines[1:3]
         ):
             raise IngestionError("snapshot must start with its window and version lines")
-        kg = DynamicKg(window_capacity=int(lines[1][1]), version=int(lines[2][1]))
+        kg = build_static(skeleton, window=int(lines[1][1]))
+        kg.version = int(lines[2][1])
+        pois = []
         for tag, *fields in lines[3:]:
-            if tag == "poi" and len(fields) == 4:
-                p, cat, zn, visits = (int(f) for f in fields)
-                kg.add_poi(p, cat, zn)
+            if tag == "poi" and len(fields) == 2:
+                p, visits = (int(f) for f in fields)
+                pois.append(p)
                 kg.visit_counts[p] = visits
             elif tag == "event" and len(fields) == 4:
                 src = None if fields[3] == "-" else int(fields[3])
@@ -375,6 +372,10 @@ def import_snapshot(text: str) -> DynamicKg:
                 raise IngestionError(f"bad snapshot line {' '.join([tag, *fields])!r}")
     except ValueError as exc:
         raise IngestionError(f"bad snapshot: {exc}") from None
+    if pois != sorted(kg.pois):
+        raise IngestionError(
+            f"snapshot POI lines ({len(pois)}) do not list the skeleton's {len(kg.pois)} POIs in order"
+        )
     return kg
 
 

@@ -99,6 +99,14 @@ class ParamStore:
         for name, p in self._params.items():
             p[...] = mats[name]
 
+    def save(self, path) -> None:
+        """Write every parameter as a ``save_matrices`` container."""
+        save_matrices(path, self._params)
+
+    def load(self, path) -> None:
+        """Copy in the container ``save`` wrote, as checked by ``load_exact``."""
+        self.load_exact(load_matrices(path), path)
+
 
 def sgd_step(store: ParamStore, lr: float = 1e-5) -> None:
     """p <- p - lr * g for every parameter, then zero gradients."""
@@ -165,11 +173,3 @@ def load_matrices(path) -> dict[str, np.ndarray]:
     if pos != len(data):
         raise IngestionError(f"{path}: {len(data) - pos} bytes after the last matrix")
     return out
-
-
-def pop_meta(mats: dict[str, np.ndarray], path, size: int) -> tuple[int, ...]:
-    """Remove the ``meta`` entry of a loaded container; its ``size`` integers."""
-    meta = mats.pop("meta", None)
-    if meta is None or meta.shape != (size,):
-        raise IngestionError(f"{path}: entry 'meta' missing or not {size} values")
-    return tuple(int(v) for v in meta)

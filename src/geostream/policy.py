@@ -18,9 +18,7 @@ import numpy as np
 
 from .candidates import CandidateSet
 from .errors import ActionSpaceError, TrainingError
-from .numkit import (
-    ParamStore, load_matrices, pop_meta, relu, row_softmax, save_matrices, sgd_step,
-)
+from .numkit import ParamStore, relu, row_softmax, sgd_step
 
 PAIRWISE = "pairwise"
 VANILLA = "vanilla"
@@ -106,24 +104,6 @@ class QNet:
         for name in self.store.names():
             twin.store.get(name)[...] = self.store.get(name)
         return twin
-
-    def save(self, path) -> None:
-        mats = {name: self.store.get(name) for name in self.store.names()}
-        mats["meta"] = np.array(
-            [0.0 if self.mode == PAIRWISE else 1.0, self.dim_state, self.dim_action, self.hidden]
-        )
-        if self.action_ids:
-            mats["actions"] = np.array(self.action_ids, dtype=np.float64)
-        save_matrices(path, mats)
-
-    @classmethod
-    def load(cls, path) -> "QNet":
-        mats = load_matrices(path)
-        vanilla, dim_state, dim_action, hidden = pop_meta(mats, path, 4)
-        action_ids = tuple(int(a) for a in mats.pop("actions", []))
-        net = cls(dim_state, dim_action, hidden, VANILLA if vanilla else PAIRWISE, action_ids)
-        net.store.load_exact(mats, path)
-        return net
 
 
 @dataclass
@@ -227,9 +207,6 @@ class PriorityReplayBuffer:
         t.seq = self._seq
         self._seq += 1
         self._items.append(t)
-
-    def transitions(self) -> list[Transition]:
-        return list(self._items)
 
     def sample_batch(
         self, k: int, stochastic: bool = False, rng: np.random.Generator | None = None

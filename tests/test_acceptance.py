@@ -165,9 +165,9 @@ def test_04_exit_mechanism():
     for step in range(1000):
         kg.apply_visit(0, step % n_pois, float(step))
         visit_edges = sum(1 for t in kg.triples() if t.rel == RelType.VISIT)
-        if visit_edges > 5 or kg.n_triples() > bound:
+        if visit_edges > 5 or len(kg.triples()) > bound:
             ok = False
-            detail = f"step {step}: {visit_edges} visit edges, {kg.n_triples()} triples"
+            detail = f"step {step}: {visit_edges} visit edges, {len(kg.triples())} triples"
             break
     total = sum(kg.visit_counts.values())
     if total != 1000:

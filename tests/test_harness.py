@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from geostream import cli, harness
-from geostream.errors import CompatibilityError, ConfigError, FormatError, IngestionError
+from geostream.errors import (
+    CompatibilityError, ConfigError, FormatError, GeostreamError, IngestionError,
+)
 from geostream.numkit import load_matrices, save_matrices
 from geostream.harness import (
     Artifacts,
@@ -437,14 +439,19 @@ class TestArtifactFiles:
 
     @pytest.fixture(scope="class")
     def saved(self, tmp_path_factory):
+        runs = {
+            "drpr": ("drpr", make_cyclic_stream(40)),
+            "rirl": ("rirl", make_cyclic_stream(40)),
+            "drpr-9-pois": ("drpr", make_cyclic_stream(40, n_pois=9)),
+        }
         dirs = {}
-        for mode in ("drpr", "rirl"):
-            dirs[mode] = tmp_path_factory.mktemp(mode)
-            artifacts, _, _ = run_training(_tiny_config(agent_mode=mode), records=make_cyclic_stream(40))
-            artifacts.save(dirs[mode])
+        for name, (mode, records) in runs.items():
+            dirs[name] = tmp_path_factory.mktemp(name)
+            artifacts, _, _ = run_training(_tiny_config(agent_mode=mode), records=records)
+            artifacts.save(dirs[name])
         return dirs
 
-    @pytest.mark.parametrize("damage", ["missing", "unknown", "wrong-shape", "no-meta"])
+    @pytest.mark.parametrize("damage", ["missing", "unknown", "wrong-shape"])
     @pytest.mark.parametrize("name", ["encoder.bin", "qnet.bin", "legacy.bin"])
     def test_damaged_parameters_rejected(self, saved, tmp_path, name, damage):
         shutil.copytree(saved["rirl" if name == "legacy.bin" else "drpr"], tmp_path, dirs_exist_ok=True)
@@ -456,12 +463,9 @@ class TestArtifactFiles:
         elif damage == "unknown":
             entry = "param/bogus" if name == "legacy.bin" else "bogus"
             mats[entry] = np.zeros(1)
-        elif damage == "wrong-shape":
+        else:
             entry = cut
             mats[entry] = mats[entry][:1]
-        else:
-            entry = "meta"
-            del mats[entry]
         save_matrices(tmp_path / name, mats)
         with pytest.raises(IngestionError, match=f"{re.escape(name)}: .*'{re.escape(entry)}'"):
             Artifacts.load(tmp_path)
@@ -496,6 +500,56 @@ class TestArtifactFiles:
         with pytest.raises(IngestionError, match=f"legacy.bin: .*'{re.escape(entry)}'"):
             Artifacts.load(tmp_path)
 
+    # the saved catalog.tsv has a U line, six C lines, six Z lines, then six P
+    # lines; each damage replaces line `no` by `text`, and the error names that line
+    _CATALOG_DAMAGE = {
+        "cut-mid-line": (19, "P\tv2\t5\t5\t40.72"),
+        "unparsable-index": (8, "Z\tzero\t4073\t-7397"),
+        "unparsable-latitude": (14, "P\tv3\t0\t0\tnorth\t-73.97\tGym"),
+        "unknown-tag": (19, "X\tv2"),
+        "duplicate-user": (2, "U\tu0"),
+        "duplicate-venue": (15, "P\tv3\t1\t1\t40.74\t-73.96\tBeach"),
+        "duplicate-category": (3, "C\t1\tGym"),
+        "duplicate-zone": (9, "Z\t1\t4073\t-7397"),
+        "category-index-gap": (2, "C\t7\tGym"),
+        "zone-index-gap": (13, "Z\t6\t4072\t-7398"),
+        "undeclared-category": (14, "P\tv3\t9\t0\t40.73\t-73.97\tGym"),
+        "undeclared-zone": (14, "P\tv3\t0\t6\t40.73\t-73.97\tGym"),
+    }
+
+    @pytest.mark.parametrize("damage", list(_CATALOG_DAMAGE))
+    def test_damaged_catalog_rejected(self, saved, tmp_path, damage):
+        no, text = self._CATALOG_DAMAGE[damage]
+        shutil.copytree(saved["drpr"], tmp_path, dirs_exist_ok=True)
+        lines = (tmp_path / "catalog.tsv").read_text().splitlines()
+        assert "".join(line[0] for line in lines) == "U" + "C" * 6 + "Z" * 6 + "P" * 6
+        lines[no - 1] = text
+        (tmp_path / "catalog.tsv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(IngestionError, match=f"catalog.tsv: line {no}: "):
+            Artifacts.load(tmp_path)
+
+    # files of runs that disagree: (mode of the saved run, run to copy `name`
+    # from, eval config changes); the error names `name`
+    _MISMATCHES = {
+        "rirl-qnet-in-drpr": ("drpr", "rirl", {}, "qnet.bin"),
+        "drpr-qnet-in-rirl": ("rirl", "drpr", {}, "qnet.bin"),
+        "drpr-qnet_hidden": ("drpr", None, {"qnet_hidden": 12}, "qnet.bin"),
+        "rirl-qnet_hidden": ("rirl", None, {"qnet_hidden": 12}, "qnet.bin"),
+        "fewer-gcn_layers": ("drpr", None, {"gcn_layers": 1}, "encoder.bin"),
+        "more-gcn_layers": ("drpr", None, {"gcn_layers": 3}, "encoder.bin"),
+        "legacy_n": ("rirl", None, {"legacy_n": 5}, "legacy.bin"),
+        "snapshot-of-other-pois": ("drpr", "drpr-9-pois", {}, "kg_snapshot.txt"),
+    }
+
+    @pytest.mark.parametrize("case", list(_MISMATCHES))
+    def test_mismatched_bundle_rejected(self, saved, tmp_path, case):
+        mode, source, overrides, name = self._MISMATCHES[case]
+        shutil.copytree(saved[mode], tmp_path, dirs_exist_ok=True)
+        if source is not None:
+            shutil.copy(saved[source] / name, tmp_path / name)
+        with pytest.raises(GeostreamError, match=re.escape(name)):
+            Artifacts.load(tmp_path, _tiny_config(agent_mode=mode, **overrides))
+
     def test_drpr_without_embeddings_names_the_file(self, saved, tmp_path):
         shutil.copytree(saved["drpr"], tmp_path, dirs_exist_ok=True)
         (tmp_path / "embeddings.bin").unlink()
@@ -512,14 +566,18 @@ class TestSweepAndInspect:
             assert abs(row["lambda_d"] + row["lambda_c"] + row["lambda_p"] - 1) < 1e-9
             assert "prec_cat" in row and "wall_s" in row
 
-    def test_inspect_kg(self, tmp_path):
-        cfg = _tiny_config()
+    @pytest.mark.parametrize("mode", ["drpr", "rirl"])
+    def test_inspect_kg(self, mode, tmp_path):
+        cfg = _tiny_config(agent_mode=mode)
         artifacts, _, _ = run_training(cfg, records=make_cyclic_stream(40))
         artifacts.save(tmp_path)
         summary = harness.inspect_kg(tmp_path)
         assert summary["pois"] == 6
         assert summary["window_capacity"] == cfg.w
-        assert summary["triples"] == artifacts.env.kg.n_triples()
+        if mode == "rirl":  # no graph: the skeleton of the catalog alone
+            assert summary["triples"] == 2 * 6 and summary["users"] == 0
+        else:
+            assert summary["triples"] == len(artifacts.env.kg.triples())
 
 
 class TestWordvecEnvOverride:

@@ -23,16 +23,16 @@ from kg_oracle import induced_adjacency
 class TestBuildStatic:
     def test_single_poi_two_triples(self):
         kg = build_static([(0, 0, 0)])
-        assert kg.n_triples() == 2
+        assert len(kg.triples()) == 2
 
     def test_shared_category(self):
         kg = build_static([(0, 0, 0), (1, 0, 1)])
-        assert kg.n_triples() == 4
+        assert len(kg.triples()) == 4
         assert len(kg.categories) == 1
 
     def test_empty_input(self):
         kg = build_static([])
-        assert kg.n_triples() == 0
+        assert len(kg.triples()) == 0
         assert not kg.pois
 
     def test_duplicate_poi_rejected(self):
@@ -41,7 +41,7 @@ class TestBuildStatic:
 
     def test_rpoi_created_but_unconnected(self):
         kg = build_static([(0, 0, 0)])
-        assert kg.has_entity(rpoi(0))
+        assert kgstore.ent_key(rpoi(0)) in kg.object_keys()
         ctx = kg.context_of(rpoi(0))
         assert len(ctx) == 1
 
@@ -252,38 +252,42 @@ class TestInvariants:
 class TestSnapshot:
     def test_roundtrip_identical_text(self):
         rng = np.random.default_rng(23)
-        kg = build_static([(i, i % 2, i % 3) for i in range(5)], window=3)
+        skeleton = [(i, i % 2, i % 3) for i in range(5)]
+        kg = build_static(skeleton, window=3)
         for u, p, t in _random_stream(rng, 3, 5, 150):
             kg.apply_visit(u, p, t)
         text = kg.export_snapshot()
-        kg2 = import_snapshot(text)
+        kg2 = import_snapshot(text, skeleton)
         assert kg2.export_snapshot() == text
 
     def test_roundtrip_preserves_counts_and_windows(self):
-        kg = build_static([(0, 0, 0), (1, 0, 1)], window=4)
+        skeleton = [(0, 0, 0), (1, 0, 1)]
+        kg = build_static(skeleton, window=4)
         for t in range(6):
             kg.apply_visit(1, t % 2, float(t))
-        kg2 = import_snapshot(kg.export_snapshot())
+        kg2 = import_snapshot(kg.export_snapshot(), skeleton)
         assert kg2.visit_counts == kg.visit_counts
         assert kg2.window_events(1) == kg.window_events(1)
 
     def test_import_continues_evolving(self):
-        kg = build_static([(0, 0, 0), (1, 0, 1)], window=2)
+        skeleton = [(0, 0, 0), (1, 0, 1)]
+        kg = build_static(skeleton, window=2)
         kg.apply_visit(1, 0, 1.0)
         kg.apply_visit(1, 1, 2.0)
-        kg2 = import_snapshot(kg.export_snapshot())
+        kg2 = import_snapshot(kg.export_snapshot(), skeleton)
         delta = kg2.apply_visit(1, 0, 3.0)
         assert delta.removed  # capacity eviction still works after import
 
     def test_bad_line_rejected(self):
         with pytest.raises(IngestionError):
-            import_snapshot("Poi:0\tBelongTo\n")
+            import_snapshot("Poi:0\tBelongTo\n", [])
 
     def test_format_one_rejected(self):
         with pytest.raises(IngestionError):
             import_snapshot(
                 "# geostream-kg 1\nwindow 2\n"
-                "Poi:0\tBelongTo\tCategory:0\nPoi:0\tLocateAt\tZone:0\n"
+                "Poi:0\tBelongTo\tCategory:0\nPoi:0\tLocateAt\tZone:0\n",
+                [(0, 0, 0)],
             )
 
     @pytest.mark.parametrize("events", [
@@ -294,18 +298,26 @@ class TestSnapshot:
         "event 1 0 1.0 -\nevent 1 1 2.0 0\nevent 1 0 3.0 1\n",  # over capacity
     ])
     def test_inconsistent_events_rejected(self, events):
-        head = "# geostream-kg 2\nwindow 2\nversion 3\npoi 0 0 0 2\npoi 1 0 1 1\n"
-        import_snapshot(head + "event 1 0 1.0 -\nevent 1 1 2.0 0\n")
+        head = "# geostream-kg 3\nwindow 2\nversion 3\npoi 0 2\npoi 1 1\n"
+        skeleton = [(0, 0, 0), (1, 0, 1)]
+        import_snapshot(head + "event 1 0 1.0 -\nevent 1 1 2.0 0\n", skeleton)
         with pytest.raises(IngestionError):
-            import_snapshot(head + events)
+            import_snapshot(head + events, skeleton)
+
+    @pytest.mark.parametrize("skeleton", [[(0, 0, 0)], [(0, 0, 0), (2, 0, 1)], [(0, 0, 0), (1, 0, 1), (2, 0, 0)]])
+    def test_other_skeleton_rejected(self, skeleton):
+        text = build_static([(0, 0, 0), (1, 0, 1)]).export_snapshot()
+        with pytest.raises(IngestionError, match="POI lines"):
+            import_snapshot(text, skeleton)
 
     def test_cascade_owner_survives_roundtrip(self):
         # u1's second visit to p0 owns the p0 -> rpoi(p0) cascade; after u1's
         # head event is evicted nothing in the visit edges says so
-        kg = build_static([(0, 0, 0), (1, 0, 0)], window=2)
+        skeleton = [(0, 0, 0), (1, 0, 0)]
+        kg = build_static(skeleton, window=2)
         for u, p, t in ((0, 0, 0.0), (1, 0, 1.0), (1, 0, 2.0), (1, 1, 3.0)):
             kg.apply_visit(u, p, t)
-        kg2 = import_snapshot(kg.export_snapshot())
+        kg2 = import_snapshot(kg.export_snapshot(), skeleton)
         expected = kg.apply_visit(1, 0, 4.0)
         assert Triple(poi(0), RelType.ALSO_VISIT, rpoi(0)) in expected.removed
         assert kg2.apply_visit(1, 0, 4.0) == expected
@@ -339,7 +351,7 @@ def test_snapshot_then_continue_matches_memory(stream):
     kg = build_static(pois, window=window)
     for u, p, t in events[:cut]:
         kg.apply_visit(u, p, t)
-    kg2 = import_snapshot(kg.export_snapshot())
+    kg2 = import_snapshot(kg.export_snapshot(), pois)
     for u, p, t in events[cut:]:
         d1, d2 = kg.apply_visit(u, p, t), kg2.apply_visit(u, p, t)
         assert (d2.added, d2.removed, d2.affected) == (d1.added, d1.removed, d1.affected)

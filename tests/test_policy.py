@@ -3,7 +3,7 @@ import pytest
 
 from geostream import policy
 from geostream.candidates import CandidateSet
-from geostream.errors import ActionSpaceError
+from geostream.errors import ActionSpaceError, IngestionError
 from geostream.policy import (
     PriorityReplayBuffer,
     QNet,
@@ -207,7 +207,7 @@ class TestBuffer:
         ts = [_transition(rng, net, 0, table, reward=float(i)) for i in range(3)]
         for t in ts:
             buf.push(t, net, 0.9)
-        assert buf.transitions() == ts[1:]
+        assert list(buf._items) == ts[1:]
 
     def test_priorities_clamped_nonnegative(self):
         rng = np.random.default_rng(17)
@@ -359,18 +359,19 @@ class TestVanillaMode:
 
 def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(27)
-    net = QNet(5, 3, hidden=7, rng=rng)
     path = tmp_path / "qnet.bin"
-    net.save(path)
-    loaded = QNet.load(path)
-    assert loaded.mode == net.mode
-    assert loaded.dim_state == 5 and loaded.dim_action == 3
-    for name in net.store.names():
-        np.testing.assert_array_equal(loaded.store.get(name), net.store.get(name))
-    van = QNet(4, mode=policy.VANILLA, action_ids=(2, 4), hidden=6, rng=rng)
-    van.save(path)
-    loaded = QNet.load(path)
-    assert loaded.action_ids == (2, 4)
+    for net in (
+        QNet(5, 3, hidden=7, rng=rng),
+        QNet(4, mode=policy.VANILLA, action_ids=(2, 4), hidden=6, rng=rng),
+    ):
+        net.store.save(path)
+        loaded = QNet(net.dim_state, net.dim_action, net.hidden, net.mode, net.action_ids)
+        loaded.store.load(path)
+        for name in net.store.names():
+            np.testing.assert_array_equal(loaded.store.get(name), net.store.get(name))
+    # a net of another shape rejects the file
+    with pytest.raises(IngestionError, match="qnet.bin: entry 'out/w'"):
+        QNet(4, mode=policy.VANILLA, action_ids=(2, 4, 6), hidden=6).store.load(path)
 
 
 def test_frozen_target_network():
