@@ -68,18 +68,11 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def keys(self) -> list[ObjKey]:
-        return sorted(self.rows)
-
     def row_of(self, key: ObjKey) -> int:
         try:
             return self.rows[key]
         except KeyError:
             raise UnknownObjectError(f"no embedding for object {key}") from None
-
-    def get(self, key: ObjKey) -> np.ndarray:
-        """The object's row, a view into ``vecs``."""
-        return self.vecs[self.row_of(key)]
 
     def _append(self, keys, vecs: np.ndarray) -> None:
         for key in keys:
@@ -93,16 +86,6 @@ class EmbeddingTable:
         if keys:
             bound = 6.0 / np.sqrt(self.d)
             self._append(keys, rng.uniform(-bound, bound, size=(len(keys), self.d)))
-
-    def set(self, key: ObjKey, value) -> None:
-        value = np.asarray(value, dtype=np.float64)
-        if value.shape != (self.d,):
-            raise ConfigError(f"vector for {key} has shape {value.shape}, want ({self.d},)")
-        if key not in self.rows:
-            self._append([key], value[None, :])
-        elif not np.array_equal(self.vecs[self.rows[key]], value):
-            self.vecs[self.rows[key]] = value
-            self.version += 1
 
     def step(self, grads: np.ndarray, rows, lr: float) -> None:
         """SGD on the given rows of ``vecs`` with a gradient matrix of the same shape."""
@@ -334,12 +317,6 @@ class Embedder:
         f = np.abs(e).sum(axis=1)
         n = len(batch.pairs)
         return f[:n] + batch.margin - f[n:], e, hrt, cache
-
-    def margin_loss(self, batch: TrainBatch) -> float:
-        if not batch.pairs:
-            return 0.0
-        hinge = self._hinge(batch)[0]
-        return float(hinge[hinge > 0.0].sum())
 
     def margin_loss_and_grads(self, batch: TrainBatch) -> tuple[float, np.ndarray]:
         """Hinge loss plus raw-vector gradients, one row per table row;

@@ -354,6 +354,8 @@ class Catalog:
             c, z = int(parts[2]), int(parts[3])
             if not (0 <= c < len(self.categories) and 0 <= z < len(self.zones)):
                 raise ValueError(f"category {c} or zone {z} not declared")
+            if self.categories.get(parts[6]) != c:
+                raise ValueError(f"category name {parts[6]!r} is not that of category {c}")
             idx = _claim_next(self.venues, parts[1], "venue")
             self.raw_venues.append(parts[1])
             self.poi_category.append(c)
@@ -540,6 +542,12 @@ class _DrprDriver:
         table = embed_mod.EmbeddingTable.load(path)
         if table.d != config.d:
             raise CompatibilityError(f"{path}: dimension {table.d} != configured d {config.d}")
+        objects = set(kg.object_keys())
+        for key in sorted(objects ^ table.rows.keys()):
+            if key in objects:
+                raise CompatibilityError(f"{path}: no row for graph object {key}")
+            if not kgstore.key_is_relation(key):  # an evicted relation kind keeps its row
+                raise CompatibilityError(f"{path}: row for {key}, which the graph lacks")
         enc = embed_mod.ContextEncoder(config.d, config.gcn_layers)
         enc.store.load(os.path.join(out_dir, "encoder.bin"))
         embedder = embed_mod.Embedder(
@@ -624,57 +632,46 @@ class _RirlDriver:
         users, rep = copy.deepcopy((self.users, self.rep))
         return _RirlDriver(config, self.catalog, rng, self.params, users, rep)
 
-    def save(self, out_dir) -> None:
+    def _skeleton_snapshot(self) -> str:
         # this mode keeps no graph; a snapshot of the bare skeleton keeps `inspect-kg` working
-        skeleton = kgstore.build_static(self.catalog.skeleton(), window=self.config.w)
+        return kgstore.build_static(self.catalog.skeleton(), window=self.config.w).export_snapshot()
+
+    def save(self, out_dir) -> None:
         with open(os.path.join(out_dir, "kg_snapshot.txt"), "w") as fh:
-            fh.write(skeleton.export_snapshot())
-        store = self.params.store
-        mats = {f"param/{name}": store.get(name) for name in store.names()}
-        for uid, vec in self.users.items():
-            mats[f"user/{uid}"] = vec
-        for pid, vec in self.rep.heads.items():
-            mats[f"head/{pid}"] = vec
-        for name, vec in self.rep.rels.items():
-            mats[f"rel/{name}"] = vec
-        for (kind, idx), vec in self.rep.tails.items():
-            mats[f"tail/{kind}:{idx}"] = vec
+            fh.write(self._skeleton_snapshot())
+        mats = {f"param/{name}": self.params.store.get(name) for name in self.params.store.names()}
+        mats.update({f"rep/{name}": self.rep.store.get(name) for name in self.rep.store.names()})
+        mats.update({f"user/{uid}": vec for uid, vec in self.users.items()})
         save_matrices(os.path.join(out_dir, "legacy.bin"), mats)
 
     @classmethod
     def load(cls, out_dir, config: RunConfig, catalog: Catalog) -> "_RirlDriver":
         """The saved state; it draws no new user until ``replica`` gives it a generator."""
-        path = os.path.join(out_dir, "legacy.bin")
-        mats = load_matrices(path)
         n = config.legacy_n
         params = legacy_mod.LegacyParams(n, max(len(catalog.zones), 1))
         rep = legacy_mod.SpatialKgRep.from_catalog(
             catalog.skeleton(), n, np.random.default_rng(0)
         )
-        # the catalog fixes which head, relation and tail vectors exist
-        slots = {f"head/{p}": (rep.heads, p) for p in rep.heads}
-        slots.update({f"rel/{r}": (rep.rels, r) for r in rep.rels})
-        slots.update({f"tail/{k}:{i}": (rep.tails, (k, i)) for k, i in rep.tails})
-        weights: dict[str, np.ndarray] = {}
-        users: dict[int, np.ndarray] = {}
-        for name, arr in mats.items():
+        env = cls(config, catalog, None, params, {}, rep)
+        path = os.path.join(out_dir, "kg_snapshot.txt")
+        with open(path) as fh:
+            if fh.read() != env._skeleton_snapshot():
+                raise IngestionError(f"{path}: not the bare skeleton snapshot of w={config.w}")
+        path = os.path.join(out_dir, "legacy.bin")
+        stores = {"param": {}, "rep": {}}
+        for name, arr in load_matrices(path).items():
             kind, _, rest = name.partition("/")
-            if kind == "param":
-                weights[rest] = arr
-                continue
-            if arr.shape != (n,):
-                raise IngestionError(f"{path}: entry {name!r} has shape {arr.shape}, want ({n},)")
-            if kind == "user" and rest.isdecimal():
-                users[int(rest)] = arr
-            elif name in slots:
-                vecs, key = slots.pop(name)
-                vecs[key] = arr
+            if kind in stores:
+                stores[kind][rest] = arr
+            elif kind == "user" and rest.isdecimal():
+                if arr.shape != (n,):
+                    raise IngestionError(f"{path}: entry {name!r} has shape {arr.shape}, want ({n},)")
+                env.users[int(rest)] = arr
             else:
                 raise IngestionError(f"{path}: unknown entry {name!r}")
-        if slots:
-            raise IngestionError(f"{path}: missing entry {min(slots)!r}")
-        params.store.load_exact(weights, path, prefix="param/")
-        return cls(config, catalog, None, params, users, rep)
+        params.store.load_exact(stores["param"], path, prefix="param/")
+        rep.store.load_exact(stores["rep"], path, prefix="rep/")
+        return env
 
     def _user_vec(self, user_idx: int) -> np.ndarray:
         if user_idx not in self.users:

@@ -258,10 +258,6 @@ class DynamicKg:
         """POIs by descending lifetime visits; ties by ascending index."""
         return sorted(pois, key=lambda p: (-self.visit_counts.get(p, 0), p))
 
-    def window_events(self, user_id: int) -> list[tuple[int, float]]:
-        """(poi, time) pairs currently in a user's window, oldest first."""
-        return [(e.poi, e.time) for e in self._windows.get(user_id, ())]
-
     def visited_pois(self, user_id: int) -> list[int]:
         """Distinct in-window POIs of a user, in first-visit order."""
         seen: dict[int, None] = {}

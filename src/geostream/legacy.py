@@ -13,7 +13,7 @@ pushing reward feedback into the rule weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,32 +140,44 @@ def blend_sibling(h: np.ndarray, t_new: np.ndarray, rel: np.ndarray, params: Leg
     return _blend("sibling", h, t_new - rel, params)
 
 
-@dataclass
 class SpatialKgRep:
-    """Head vectors per POI, fixed relation vectors, tail vectors per
-    category/zone, plus the static linkage needed by the update rules."""
+    """The spatial triple store as three matrices in one ``ParamStore``:
+    ``heads`` (one row per POI index), ``rels`` (``REL_NAMES`` order) and
+    ``tails`` (the categories, then the zones), plus the static linkage as
+    row indices: ``poi_links[p]`` holds ``(tail_row, rel_row)`` per link of
+    POI ``p`` and ``members[tail_row]`` the POIs linked to that tail."""
 
-    n: int
-    heads: dict[int, np.ndarray] = field(default_factory=dict)
-    rels: dict[str, np.ndarray] = field(default_factory=dict)
-    tails: dict[tuple[str, int], np.ndarray] = field(default_factory=dict)
-    poi_links: dict[int, list[tuple[tuple[str, int], str]]] = field(default_factory=dict)
-    members: dict[tuple[str, int], list[int]] = field(default_factory=dict)
+    def __init__(self, n: int, n_pois: int, n_tails: int):
+        self.store = ParamStore()
+        self.heads = self.store.add("heads", np.zeros((n_pois, n)))
+        self.rels = self.store.add("rels", np.zeros((len(REL_NAMES), n)))
+        self.tails = self.store.add("tails", np.zeros((n_tails, n)))
+        self.poi_links: list[tuple[tuple[int, int], ...]] = [()] * n_pois
+        self.members: list[list[int]] = [[] for _ in range(n_tails)]
 
     @classmethod
     def from_catalog(cls, pois, n: int, rng: np.random.Generator) -> "SpatialKgRep":
-        """pois: iterable of (poi_id, category_id, zone_id)."""
-        rep = cls(n=n)
-        rep.rels = {name: rng.uniform(-1, 1, size=n) for name in REL_NAMES}
+        """pois: (poi_id, category_id, zone_id) for the POI indices 0..P-1.
+
+        Draws the relations, then per POI its head and each of its tails
+        the first time it is seen.
+        """
+        pois = list(pois)
+        # ("cat", c) sorts before ("zone", z): the categories, then the zones
+        tail_row = {key: row for row, key in enumerate(sorted(
+            {key for _, cat, zn in pois for key in (("cat", cat), ("zone", zn))}
+        ))}
+        rep = cls(n, len(pois), len(tail_row))
+        for row in range(len(REL_NAMES)):
+            rep.rels[row] = rng.uniform(-1, 1, size=n)
         for poi_id, cat, zn in pois:
             rep.heads[poi_id] = rng.uniform(0.0, 1.0, size=n)
-            links = []
-            for key, rel in (((("cat", cat)), "belong_to"), ((("zone", zn)), "locate_at")):
-                if key not in rep.tails:
-                    rep.tails[key] = rng.uniform(0.0, 1.0, size=n)
-                    rep.members[key] = []
-                rep.members[key].append(poi_id)
-                links.append((key, rel))
+            # belong_to links the category, locate_at the zone
+            links = ((tail_row[("cat", cat)], 0), (tail_row[("zone", zn)], 1))
+            for row, _ in links:
+                if not rep.members[row]:
+                    rep.tails[row] = rng.uniform(0.0, 1.0, size=n)
+                rep.members[row].append(poi_id)
             rep.poi_links[poi_id] = links
         return rep
 
@@ -174,10 +186,10 @@ class SpatialKgRep:
 class SpatialUpdate:
     poi: int
     head_cache: dict
-    tail_caches: list[tuple[tuple[str, int], dict]]
-    sibling_caches: list[tuple[int, tuple[str, int], dict]]
+    tail_caches: list[tuple[int, dict]]
+    sibling_caches: list[tuple[int, int, dict]]
     touched_heads: list[int]
-    touched_tails: list[tuple[str, int]]
+    touched_tails: list[int]
 
 
 def update_spatial(
@@ -189,10 +201,10 @@ def update_spatial(
 ) -> SpatialUpdate:
     """Visited head first, then its tails, then same-category/zone siblings.
 
-    Mutates ``rep`` in place; vectors outside the touched set keep their
-    identity. Relation vectors are never written.
+    Mutates ``rep`` in place; rows outside the touched set keep their
+    values. Relation rows are never written.
     """
-    if poi_id not in rep.heads:
+    if not 0 <= poi_id < len(rep.heads):
         raise UnknownObjectError(f"unknown POI {poi_id}")
     h_new, head_cache = _interact("poi", rep.heads[poi_id], u, t_tilde, params)
     rep.heads[poi_id] = h_new
@@ -200,18 +212,18 @@ def update_spatial(
     sibling_caches = []
     touched_heads = [poi_id]
     touched_tails = []
-    for key, rel_name in rep.poi_links[poi_id]:
-        rel = rep.rels[rel_name]
-        t_new, t_cache = blend_tail(rep.tails[key], h_new, rel, params)
-        rep.tails[key] = t_new
-        tail_caches.append((key, t_cache))
-        touched_tails.append(key)
-        for sib in rep.members[key]:
+    for row, rel_row in rep.poi_links[poi_id]:
+        rel = rep.rels[rel_row]
+        t_new, t_cache = blend_tail(rep.tails[row], h_new, rel, params)
+        rep.tails[row] = t_new
+        tail_caches.append((row, t_cache))
+        touched_tails.append(row)
+        for sib in rep.members[row]:
             if sib == poi_id:
                 continue
             s_new, s_cache = blend_sibling(rep.heads[sib], t_new, rel, params)
             rep.heads[sib] = s_new
-            sibling_caches.append((sib, key, s_cache))
+            sibling_caches.append((sib, row, s_cache))
             if sib not in touched_heads:
                 touched_heads.append(sib)
     return SpatialUpdate(poi_id, head_cache, tail_caches, sibling_caches,
@@ -222,31 +234,31 @@ def update_spatial_grads(
     params: LegacyParams,
     update: SpatialUpdate,
     d_heads: dict[int, np.ndarray],
-    d_tails: dict[tuple[str, int], np.ndarray],
+    d_tails: dict[int, np.ndarray],
 ):
     """Backward through one spatial update; returns (d_u, d_t_tilde).
 
-    ``d_heads`` / ``d_tails`` seed gradients w.r.t. the POST-update values
-    and are consumed in reverse update order.
+    ``d_heads`` / ``d_tails`` seed gradients w.r.t. the POST-update rows,
+    keyed by row index, and are consumed in reverse update order.
     """
     n = params.n
     d_heads = {k: np.asarray(v, dtype=np.float64).copy() for k, v in d_heads.items()}
     d_tails = {k: np.asarray(v, dtype=np.float64).copy() for k, v in d_tails.items()}
     d_h_visited = d_heads.get(update.poi, np.zeros(n))
     # siblings ran last: their grads add to the updated tails
-    for sib, key, cache in reversed(update.sibling_caches):
+    for sib, row, cache in reversed(update.sibling_caches):
         d_sib = d_heads.get(sib)
         if d_sib is None or not np.any(d_sib):
             continue
         d_h_old, d_t = _blend_grads(params, cache, d_sib)
         d_heads[sib] = d_h_old
-        d_tails[key] = d_tails.get(key, np.zeros(n)) + d_t
-    for key, cache in reversed(update.tail_caches):
-        d_t = d_tails.get(key)
+        d_tails[row] = d_tails.get(row, np.zeros(n)) + d_t
+    for row, cache in reversed(update.tail_caches):
+        d_t = d_tails.get(row)
         if d_t is None or not np.any(d_t):
             continue
         d_t_old, d_h = _blend_grads(params, cache, d_t)
-        d_tails[key] = d_t_old
+        d_tails[row] = d_t_old
         d_h_visited = d_h_visited + d_h
     d_u = np.zeros(n)
     d_tt = np.zeros(n)
@@ -257,10 +269,7 @@ def update_spatial_grads(
 
 def legacy_state(u: np.ndarray, rep: SpatialKgRep) -> np.ndarray:
     """concat(u, mean heads, mean rels, mean tails); fixed dimension 4n."""
-    heads = np.mean([rep.heads[k] for k in sorted(rep.heads)], axis=0)
-    rels = np.mean([rep.rels[k] for k in sorted(rep.rels)], axis=0)
-    tails = np.mean([rep.tails[k] for k in sorted(rep.tails)], axis=0)
-    return np.concatenate([u, heads, rels, tails])
+    return np.concatenate([u, rep.heads.mean(0), rep.rels.mean(0), rep.tails.mean(0)])
 
 
 class TrafficBins:

@@ -15,6 +15,8 @@ import numpy as np
 from geostream.embed import Embedder
 from geostream.numkit import ParamStore
 
+import probes
+
 
 @dataclass
 class GradCheckEntry:
@@ -98,7 +100,7 @@ def build_check_store(embedder: Embedder, keys) -> ParamStore:
     for name in embedder.enc.store.names():
         store.add(name, embedder.enc.store.get(name))
     for key in keys:
-        store.add(f"emb/{key[0]}:{key[1]}", embedder.table.get(key))
+        store.add(f"emb/{key[0]}:{key[1]}", probes.row(embedder.table, key))
     return store
 
 

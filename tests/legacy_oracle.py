@@ -1,16 +1,20 @@
-"""The legacy update rules as they stood before the single gated blend.
+"""The legacy update rules as they stood before the single gated blend,
+on the spatial store as it stood before its three matrices.
 
 Kept verbatim as the oracle that ``test_legacy.py`` compares the production
 rules with: four separate forward/backward pairs (user, visited head, tail,
-sibling), each with its own copy of the gated blend.
+sibling), each with its own copy of the gated blend, and the spatial store
+as string-keyed dicts of vectors with the state built from their sorted keys.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from geostream.errors import UnknownObjectError
-from geostream.legacy import LegacyParams, SpatialKgRep, SpatialUpdate
+from geostream.legacy import REL_NAMES, LegacyParams
 from geostream.numkit import sigmoid
 
 
@@ -128,6 +132,46 @@ def blend_sibling_grads(params: LegacyParams, cache, d_out: np.ndarray):
     return d_h, d_t
 
 
+@dataclass
+class SpatialKgRep:
+    """Head vectors per POI, fixed relation vectors, tail vectors per
+    category/zone, plus the static linkage needed by the update rules."""
+
+    n: int
+    heads: dict[int, np.ndarray] = field(default_factory=dict)
+    rels: dict[str, np.ndarray] = field(default_factory=dict)
+    tails: dict[tuple[str, int], np.ndarray] = field(default_factory=dict)
+    poi_links: dict[int, list[tuple[tuple[str, int], str]]] = field(default_factory=dict)
+    members: dict[tuple[str, int], list[int]] = field(default_factory=dict)
+
+    @classmethod
+    def from_catalog(cls, pois, n: int, rng: np.random.Generator) -> "SpatialKgRep":
+        """pois: iterable of (poi_id, category_id, zone_id)."""
+        rep = cls(n=n)
+        rep.rels = {name: rng.uniform(-1, 1, size=n) for name in REL_NAMES}
+        for poi_id, cat, zn in pois:
+            rep.heads[poi_id] = rng.uniform(0.0, 1.0, size=n)
+            links = []
+            for key, rel in (((("cat", cat)), "belong_to"), ((("zone", zn)), "locate_at")):
+                if key not in rep.tails:
+                    rep.tails[key] = rng.uniform(0.0, 1.0, size=n)
+                    rep.members[key] = []
+                rep.members[key].append(poi_id)
+                links.append((key, rel))
+            rep.poi_links[poi_id] = links
+        return rep
+
+
+@dataclass
+class SpatialUpdate:
+    poi: int
+    head_cache: dict
+    tail_caches: list[tuple[tuple[str, int], dict]]
+    sibling_caches: list[tuple[int, tuple[str, int], dict]]
+    touched_heads: list[int]
+    touched_tails: list[tuple[str, int]]
+
+
 def update_spatial(
     rep: SpatialKgRep,
     poi_id: int,
@@ -201,3 +245,11 @@ def update_spatial_grads(
     if np.any(d_h_visited):
         _, d_u, d_tt = _update_head_grads(params, update.head_cache, d_h_visited)
     return d_u, d_tt
+
+
+def legacy_state(u: np.ndarray, rep: SpatialKgRep) -> np.ndarray:
+    """concat(u, mean heads, mean rels, mean tails); fixed dimension 4n."""
+    heads = np.mean([rep.heads[k] for k in sorted(rep.heads)], axis=0)
+    rels = np.mean([rep.rels[k] for k in sorted(rep.rels)], axis=0)
+    tails = np.mean([rep.tails[k] for k in sorted(rep.tails)], axis=0)
+    return np.concatenate([u, heads, rels, tails])

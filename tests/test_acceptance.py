@@ -16,6 +16,7 @@ from geostream.policy import PriorityReplayBuffer, QNet, Transition, priority_of
 from geostream.reward import BaselineWindows, RewardWeights, compute_reward
 
 import gradcheck
+import probes
 from gradcheck import finite_diff_check
 from conftest import WORDVEC_PATH, make_cyclic_stream, make_drifting_stream
 from test_candidates import _enumerate_paths
@@ -38,10 +39,10 @@ def test_01_gradient_integrity(toy_kg):
     triples = sorted(toy_kg.triples(), key=kgstore._triple_sort_key)
     batch = emb.make_batch(triples, neg_per_pos=1)
     _, grads = emb.margin_loss_and_grads(batch)
-    store = gradcheck.build_check_store(emb, sorted(emb.table.keys()))
+    store = gradcheck.build_check_store(emb, probes.table_keys(emb.table))
     analytic = gradcheck.fill_check_grads(store, emb, grads)
     rep = finite_diff_check(
-        lambda s: emb.margin_loss(batch), store, eps=1e-6, tol=GRAD_TOL,
+        lambda s: probes.margin_loss(emb, batch), store, eps=1e-6, tol=GRAD_TOL,
         analytic=analytic,
     )
     if not rep.passed:
@@ -81,8 +82,8 @@ def test_01_gradient_integrity(toy_kg):
     t_mat = lrng.uniform(0, 4, size=(3, 3))
     u = lrng.uniform(0, 1, size=4)
     c_u = lrng.normal(size=4)
-    c_h = {k: lrng.normal(size=4) for k in rep_kg.heads}
-    c_t = {k: lrng.normal(size=4) for k in rep_kg.tails}
+    c_h = {row: lrng.normal(size=4) for row in range(len(rep_kg.heads))}
+    c_t = {row: lrng.normal(size=4) for row in range(len(rep_kg.tails))}
 
     def legacy_loss(store):
         r2 = copy.deepcopy(rep_kg)
@@ -145,11 +146,11 @@ def test_03_incremental_update_locality():
         p = int(rng.integers(50))
         t = clocks.get(u, 0.0) + 1.0
         clocks[u] = t
-        before = {k: emb.table.get(k).copy() for k in emb.table.keys()}
+        before = {k: probes.row(emb.table, k).copy() for k in probes.table_keys(emb.table)}
         delta = kg.apply_visit(u, p, t)
         emb.incremental_update(delta, steps=1, lr=0.05, max_triples=12)
         for k, v in before.items():
-            if k not in delta.affected and not np.array_equal(emb.table.get(k), v):
+            if k not in delta.affected and not np.array_equal(probes.row(emb.table, k), v):
                 violations += 1
     _report("03 incremental-update locality", violations == 0,
             f"{violations} vector changes outside affected+new over 200 deltas")

@@ -12,6 +12,7 @@ from geostream.kgstore import EntityKind, RelType, Triple, build_static, poi, us
 from geostream.numkit import load_matrices, save_matrices
 
 import gradcheck
+import probes
 from gradcheck import finite_diff_check
 from embed_oracle import OracleEmbedder, OracleTable
 from kg_oracle import induced_adjacency
@@ -45,7 +46,7 @@ class TestEncodeContext:
         kg = build_static([(0, 0, 0)])
         emb = Embedder(kg, d=4, layers=1, rng=np.random.default_rng(1))
         key = kgstore.ent_key(kgstore.rpoi(0))  # unconnected entity
-        z = emb.table.get(key)
+        z = probes.row(emb.table, key)
         cx = emb._forward([kgstore.rpoi(0)])[1]["cx"][0]
         expected = np.maximum(z @ emb.enc.gcn_weight(0), 0.0)
         np.testing.assert_allclose(cx, expected, atol=1e-12)
@@ -54,8 +55,8 @@ class TestEncodeContext:
         kg = build_static([(0, 0, 0)])
         emb = Embedder(kg, d=4, layers=1, rng=np.random.default_rng(2))
         # zone 0's only neighbor is poi 0; give both the same raw vector
-        emb.table.set(kgstore.ent_key(kgstore.zone(0)), np.array([0.3, -1.0, 0.5, 2.0]))
-        emb.table.set(kgstore.ent_key(poi(0)), np.array([0.3, -1.0, 0.5, 2.0]))
+        probes.set_row(emb.table, kgstore.ent_key(kgstore.zone(0)), np.array([0.3, -1.0, 0.5, 2.0]))
+        probes.set_row(emb.table, kgstore.ent_key(poi(0)), np.array([0.3, -1.0, 0.5, 2.0]))
         _, cache = emb._forward([kgstore.zone(0)])
         np.testing.assert_allclose(cache["alpha"], [0.5, 0.5], atol=1e-12)
 
@@ -66,10 +67,10 @@ class TestEncodeContext:
         obj = poi(0)
         nodes = kg.context_of(obj)
         assert len(nodes) == 3  # poi + category + zone star
-        z0 = np.stack([emb.table.get(k) for k in nodes])
+        z0 = np.stack([probes.row(emb.table, k) for k in nodes])
         expected = oracle_context_vector(
             z0, induced_adjacency(kg.triples(), nodes), [emb.enc.gcn_weight(0)],
-            emb.enc.att_scale, emb.table.get(nodes[0]),
+            emb.enc.att_scale, probes.row(emb.table, nodes[0]),
         )
         cx = emb._forward([obj])[1]["cx"][0]
         np.testing.assert_allclose(cx, expected, atol=1e-12)
@@ -81,11 +82,11 @@ class TestEncodeContext:
         emb = Embedder(kg, d=5, layers=2, rng=rng)
         for obj in (poi(0), user(4), kgstore.category(0)):
             nodes = kg.context_of(obj)
-            z0 = np.stack([emb.table.get(k) for k in nodes])
+            z0 = np.stack([probes.row(emb.table, k) for k in nodes])
             expected = oracle_context_vector(
                 z0, induced_adjacency(kg.triples(), nodes),
                 [emb.enc.gcn_weight(0), emb.enc.gcn_weight(1)],
-                emb.enc.att_scale, emb.table.get(nodes[0]),
+                emb.enc.att_scale, probes.row(emb.table, nodes[0]),
             )
             cx = emb._forward([obj])[1]["cx"][0]
             np.testing.assert_allclose(cx, expected, atol=1e-12)
@@ -112,7 +113,7 @@ class TestEncodeContext:
         for key in kg_b.object_keys():
             kind, idx = key
             src = (kind, inv[idx]) if kind in (EntityKind.POI, EntityKind.RPOI) else key
-            emb_b.table.set(key, emb_a.table.get(src))
+            probes.set_row(emb_b.table, key, probes.row(emb_a.table, src))
         for p in (0, 1, 2):
             cx_a = emb_a._forward([poi(p)])[1]["cx"][0]
             cx_b = emb_b._forward([poi(perm[p])])[1]["cx"][0]
@@ -128,11 +129,11 @@ class TestJointOf:
         emb.enc.gate[...] = np.random.default_rng(22).normal(size=5) * 3
         for obj in (poi(0), user(4), kgstore.category(0)):
             nodes = kg.context_of(obj)
-            z0 = np.stack([emb.table.get(k) for k in nodes])
+            z0 = np.stack([probes.row(emb.table, k) for k in nodes])
             expected = oracle_joint(
                 z0, induced_adjacency(kg.triples(), nodes),
                 [emb.enc.gcn_weight(0), emb.enc.gcn_weight(1)],
-                emb.enc.att_scale, emb.enc.gate, emb.table.get(nodes[0]),
+                emb.enc.att_scale, emb.enc.gate, probes.row(emb.table, nodes[0]),
             )
             np.testing.assert_allclose(emb._forward([obj])[0][0], expected, atol=1e-12)
 
@@ -151,7 +152,7 @@ def _flat_embedder(values, d=1):
     emb.enc.gcn_weight(0)[...] = 0.0
     emb.enc.gate[...] = 0.0
     for key, v in values.items():
-        emb.table.set(key, np.full(d, v))
+        probes.set_row(emb.table, key, np.full(d, v))
     return kg, emb
 
 
@@ -163,12 +164,12 @@ class TestMarginLoss:
             kgstore.ent_key(kgstore.category(0)): 0.0,
             kgstore.ent_key(kgstore.category(1)): -2.6,
         })
-        emb.table.set(kgstore.rel_key(RelType.BELONG_TO), np.zeros(1))
+        probes.set_row(emb.table, kgstore.rel_key(RelType.BELONG_TO), np.zeros(1))
         pos = Triple(poi(0), RelType.BELONG_TO, kgstore.category(0))
         neg = Triple(poi(0), RelType.BELONG_TO, kgstore.category(1))
         assert _residual(emb, pos) == pytest.approx(0.2)
         assert _residual(emb, neg) == pytest.approx(1.5)
-        assert emb.margin_loss(TrainBatch([(pos, neg)], margin=1.0)) == 0.0
+        assert probes.margin_loss(emb, TrainBatch([(pos, neg)], margin=1.0)) == 0.0
 
     def test_equal_residuals_cost_margin(self):
         kg, emb = _flat_embedder({
@@ -176,10 +177,10 @@ class TestMarginLoss:
             kgstore.ent_key(kgstore.category(0)): 0.0,
             kgstore.ent_key(kgstore.category(1)): 0.8,
         })
-        emb.table.set(kgstore.rel_key(RelType.BELONG_TO), np.zeros(1))
+        probes.set_row(emb.table, kgstore.rel_key(RelType.BELONG_TO), np.zeros(1))
         pos = Triple(poi(0), RelType.BELONG_TO, kgstore.category(0))
         neg = Triple(poi(0), RelType.BELONG_TO, kgstore.category(1))
-        assert emb.margin_loss(TrainBatch([(pos, neg)], margin=1.0)) == pytest.approx(1.0)
+        assert probes.margin_loss(emb, TrainBatch([(pos, neg)], margin=1.0)) == pytest.approx(1.0)
 
     def test_two_pair_batch_matches_oracle(self):
         kg = build_static([(0, 0, 0), (1, 0, 1), (2, 1, 1)])
@@ -192,8 +193,8 @@ class TestMarginLoss:
             rel = kgstore.rel_key(triple.rel)
             for sgn, obj in ((1, triple.head), (1, rel), (-1, triple.tail)):
                 nodes = kg.context_of(obj)
-                z0 = np.stack([emb.table.get(k) for k in nodes])
-                o = emb.table.get(nodes[0])
+                z0 = np.stack([probes.row(emb.table, k) for k in nodes])
+                o = probes.row(emb.table, nodes[0])
                 j = oracle_joint(
                     z0, induced_adjacency(kg.triples(), nodes),
                     [emb.enc.gcn_weight(0), emb.enc.gcn_weight(1)],
@@ -212,7 +213,7 @@ class TestMarginLoss:
         expected = sum(
             max(0.0, oracle_residual(p) + 1.0 - oracle_residual(n)) for p, n in pairs
         )
-        assert emb.margin_loss(batch) == pytest.approx(expected, abs=1e-12)
+        assert probes.margin_loss(emb, batch) == pytest.approx(expected, abs=1e-12)
 
     def test_nonnegative_and_zero_iff_separated(self):
         rng = np.random.default_rng(37)
@@ -221,7 +222,7 @@ class TestMarginLoss:
         triples = sorted(kg.triples(), key=kgstore._triple_sort_key)
         for _ in range(20):
             batch = emb.make_batch(triples, neg_per_pos=1)
-            loss = emb.margin_loss(batch)
+            loss = probes.margin_loss(emb, batch)
             assert loss >= 0.0
             separated = all(
                 _residual(emb, n) >= _residual(emb, p) + batch.margin
@@ -237,10 +238,10 @@ class TestGradients:
         triples = sorted(toy_kg.triples(), key=kgstore._triple_sort_key)
         batch = emb.make_batch(triples, neg_per_pos=1)
         _, grads = emb.margin_loss_and_grads(batch)
-        store = gradcheck.build_check_store(emb, sorted(emb.table.keys()))
+        store = gradcheck.build_check_store(emb, probes.table_keys(emb.table))
         analytic = gradcheck.fill_check_grads(store, emb, grads)
         report = finite_diff_check(
-            lambda s: emb.margin_loss(batch), store,
+            lambda s: probes.margin_loss(emb, batch), store,
             eps=1e-6, tol=1e-4, analytic=analytic,
         )
         assert report.passed, report.failures()[:3]
@@ -260,16 +261,16 @@ class TestTrainInit:
         for epochs in (1, 10):
             emb = Embedder(self._toy_kg(), d=8, layers=2, rng=np.random.default_rng(55))
             emb.train_init(epochs=epochs, lr=0.01, neg_per_pos=1)
-            losses[epochs] = emb.margin_loss(fixed_batch)
+            losses[epochs] = probes.margin_loss(emb, fixed_batch)
         assert losses[10] <= losses[1]
 
     def test_zero_epochs_is_identity(self):
         kg = self._toy_kg(5)
         emb = Embedder(kg, d=4, layers=2, rng=np.random.default_rng(66))
-        before = {k: emb.table.get(k).copy() for k in emb.table.keys()}
+        before = {k: probes.row(emb.table, k).copy() for k in probes.table_keys(emb.table)}
         state = emb.train_init(epochs=0, lr=0.01)
         for k, v in before.items():
-            np.testing.assert_array_equal(emb.table.get(k), v)
+            np.testing.assert_array_equal(probes.row(emb.table, k), v)
         np.testing.assert_array_equal(state, emb.pool_state())
 
 
@@ -293,7 +294,7 @@ class TestIncrementalUpdate:
         kg = build_static([(i, i, i) for i in range(4)], window=5)
         emb = Embedder(kg, d=4, rng=np.random.default_rng(73))
         far_key = kgstore.ent_key(poi(3))
-        far_before = emb.table.get(far_key).copy()
+        far_before = probes.row(emb.table, far_key).copy()
         delta = kg.apply_visit(42, 0, 1.0)
         emb.incremental_update(delta, steps=3, lr=0.05)
         user_key = kgstore.ent_key(user(42))
@@ -302,8 +303,8 @@ class TestIncrementalUpdate:
         twin_kg = build_static([(i, i, i) for i in range(4)], window=5)
         twin = Embedder(twin_kg, d=4, rng=np.random.default_rng(73))
         twin.incremental_update(twin_kg.apply_visit(42, 0, 1.0), steps=0, lr=0.05)
-        assert not np.array_equal(emb.table.get(user_key), twin.table.get(user_key))
-        np.testing.assert_array_equal(emb.table.get(far_key), far_before)
+        assert not np.array_equal(probes.row(emb.table, user_key), probes.row(twin.table, user_key))
+        np.testing.assert_array_equal(probes.row(emb.table, far_key), far_before)
 
     def test_eviction_endpoints_are_retrained(self):
         kg = build_static([(0, 0, 0), (1, 1, 1)], window=1)
@@ -324,20 +325,20 @@ class TestIncrementalUpdate:
             p = int(rng.integers(12))
             t = clocks.get(u, 0.0) + 1.0
             clocks[u] = t
-            before = {k: emb.table.get(k).copy() for k in emb.table.keys()}
+            before = {k: probes.row(emb.table, k).copy() for k in probes.table_keys(emb.table)}
             delta = kg.apply_visit(u, p, t)
             emb.incremental_update(delta, steps=2, lr=0.05)
             for k, v in before.items():
                 if k not in delta.affected:
-                    np.testing.assert_array_equal(emb.table.get(k), v)
+                    np.testing.assert_array_equal(probes.row(emb.table, k), v)
 
 
 class TestPoolState:
     def test_matches_bruteforce_mean(self, toy_kg):
         emb = Embedder(toy_kg, d=4, rng=np.random.default_rng(81))
         state = emb.pool_state()
-        ents = [k for k in emb.table.keys() if not kgstore.key_is_relation(k)]
-        rels = [k for k in emb.table.keys() if kgstore.key_is_relation(k)]
+        ents = [k for k in probes.table_keys(emb.table) if not kgstore.key_is_relation(k)]
+        rels = [k for k in probes.table_keys(emb.table) if kgstore.key_is_relation(k)]
         ent_mean = np.mean([emb._forward([k])[0][0] for k in ents], axis=0)
         rel_mean = np.mean([emb._forward([k])[0][0] for k in rels], axis=0)
         np.testing.assert_allclose(state, np.concatenate([ent_mean, rel_mean]), atol=1e-12)
@@ -346,10 +347,10 @@ class TestPoolState:
         kg = build_static([(0, 0, 0)])
         emb = Embedder(kg, d=2, rng=np.random.default_rng(82))
         emb.enc.gate[...] = 80.0  # saturate: joints equal raw vectors
-        for k in emb.table.keys():
-            emb.table.set(k, np.zeros(2))
-        emb.table.set(kgstore.ent_key(poi(0)), np.array([1.0, 1.0]))
-        emb.table.set(kgstore.ent_key(kgstore.rpoi(0)), np.array([3.0, 3.0]))
+        for k in probes.table_keys(emb.table):
+            probes.set_row(emb.table, k, np.zeros(2))
+        probes.set_row(emb.table, kgstore.ent_key(poi(0)), np.array([1.0, 1.0]))
+        probes.set_row(emb.table, kgstore.ent_key(kgstore.rpoi(0)), np.array([3.0, 3.0]))
         state = emb.pool_state()
         n_ent = 4  # poi, rpoi, category, zone
         np.testing.assert_allclose(state[:2], [(1 + 3) / n_ent, (1 + 3) / n_ent])
@@ -419,7 +420,7 @@ class TestIncrementalJoint:
         kg, emb = self._warm()
         key = kgstore.ent_key(kgstore.category(2))
         if outside == "table_set":
-            emb.table.set(key, emb.table.get(key) + 1.0)
+            probes.set_row(emb.table, key, probes.row(emb.table, key) + 1.0)
         elif outside == "unseen_visit":
             kg.apply_visit(2, 8, 20.0)
         else:
@@ -468,12 +469,12 @@ def test_patched_joint_equals_full_forward(n_pois, window, layers, d, seed, step
                     kg.apply_visit(u, p % n_pois, clock)
             elif op == "feedback":
                 rng = np.random.default_rng(args[0])
-                keys = [k for k in emb.table.keys() if rng.random() < 0.3]
+                keys = [k for k in probes.table_keys(emb.table) if rng.random() < 0.3]
                 emb.state_feedback(rng.normal(size=2 * d), keys, lr=0.1)
             elif op == "set":
                 rng = np.random.default_rng(args[0])
-                keys = emb.table.keys()
-                emb.table.set(keys[int(rng.integers(len(keys)))], rng.normal(size=d))
+                keys = probes.table_keys(emb.table)
+                probes.set_row(emb.table, keys[int(rng.integers(len(keys)))], rng.normal(size=d))
             else:
                 emb = copy.deepcopy(emb)
                 kg = emb.kg
@@ -511,16 +512,16 @@ def test_matches_per_object_oracle(case):
     for t, (u, p) in enumerate(visits):
         emb.incremental_update(kg.apply_visit(u, p, float(t)), steps=1, lr=0.05)
     table = OracleTable(d)
-    for key in emb.table.keys():
-        table.set(key, emb.table.get(key))
+    for key in probes.table_keys(emb.table):
+        table.set(key, probes.row(emb.table, key))
     oracle = OracleEmbedder(kg, table, copy.deepcopy(emb.enc))
 
     batch = emb.make_batch(sorted(kg.triples(), key=kgstore._triple_sort_key))
     loss, grads = emb.margin_loss_and_grads(batch)
     oracle_loss, oracle_grads = oracle.margin_loss_and_grads(batch)
     _assert_close(loss, oracle_loss)
-    _assert_close(emb.margin_loss(batch), oracle.margin_loss(batch))
-    for key in emb.table.keys():
+    _assert_close(probes.margin_loss(emb, batch), oracle.margin_loss(batch))
+    for key in probes.table_keys(emb.table):
         _assert_close(grads[emb.table.row_of(key)], oracle_grads.get(key, np.zeros(d)))
     for name in emb.enc.store.names():
         _assert_close(emb.enc.store.grad(name), oracle.enc.store.grad(name))
@@ -529,11 +530,11 @@ def test_matches_per_object_oracle(case):
     _assert_close(emb.pool_state(), oracle.pool_state())
 
     d_state = rng.normal(size=2 * d)
-    affected = [k for k in emb.table.keys() if rng.random() < 0.5]
+    affected = [k for k in probes.table_keys(emb.table) if rng.random() < 0.5]
     emb.state_feedback(d_state, affected, lr=0.5)
     oracle.state_feedback(d_state, affected, lr=0.5)
-    for key in emb.table.keys():
-        _assert_close(emb.table.get(key), oracle.table.get(key))
+    for key in probes.table_keys(emb.table):
+        _assert_close(probes.row(emb.table, key), oracle.table.get(key))
     for name in emb.enc.store.names():
         _assert_close(emb.enc.store.get(name), oracle.enc.store.get(name))
     _assert_close(emb.pool_state(), oracle.pool_state())
@@ -546,9 +547,9 @@ def test_table_roundtrip(tmp_path, toy_kg):
     emb.table.save(path)
     loaded = EmbeddingTable.load(path)
     assert loaded.d == 5
-    assert loaded.keys() == emb.table.keys()
-    for k in emb.table.keys():
-        np.testing.assert_array_equal(loaded.get(k), emb.table.get(k))
+    assert probes.table_keys(loaded) == probes.table_keys(emb.table)
+    for k in probes.table_keys(emb.table):
+        np.testing.assert_array_equal(probes.row(loaded, k), probes.row(emb.table, k))
 
 
 class TestDamagedTable:

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from geostream import cli, harness
+from geostream import cli, harness, kgstore
 from geostream.errors import (
     CompatibilityError, ConfigError, FormatError, GeostreamError, IngestionError,
 )
@@ -26,6 +26,7 @@ from geostream.harness import (
     sweep_reward,
 )
 
+import probes
 from conftest import WORDVEC_PATH, make_cyclic_stream
 
 
@@ -245,7 +246,7 @@ class TestTrainingLoop:
     def test_noexit_mode_keeps_every_visit(self):
         cfg = _tiny_config(agent_mode="drpr-noexit", w=2)
         artifacts, _, _ = run_training(cfg, records=make_cyclic_stream(40))
-        assert len(artifacts.env.kg.window_events(0)) == 24  # far beyond w=2
+        assert len(probes.window_events(artifacts.env.kg, 0)) == 24  # far beyond w=2
 
     def test_nocand_mode_uses_full_action_set(self):
         cfg = _tiny_config(agent_mode="drpr-nocand")
@@ -342,9 +343,9 @@ class TestArtifactsRoundtrip:
         loaded = Artifacts.load(tmp_path)
         assert loaded.config == cfg
         assert loaded.env.kg.export_snapshot() == artifacts.env.kg.export_snapshot()
-        for key in artifacts.env.embedder.table.keys():
+        for key in probes.table_keys(artifacts.env.embedder.table):
             np.testing.assert_array_equal(
-                loaded.env.embedder.table.get(key), artifacts.env.embedder.table.get(key)
+                probes.row(loaded.env.embedder.table, key), probes.row(artifacts.env.embedder.table, key)
             )
         _, test_events = split_stream(records[: cfg.stream_length], cfg.split_fraction)
         report, _ = run_eval(cfg, loaded, test_events)
@@ -470,20 +471,24 @@ class TestArtifactFiles:
         with pytest.raises(IngestionError, match=f"{re.escape(name)}: .*'{re.escape(entry)}'"):
             Artifacts.load(tmp_path)
 
-    # a vector entry of legacy.bin: how to damage it, and the entry the error names
+    # an entry of legacy.bin: how to damage it, and the entry the error names;
+    # head/, rel/ and tail/ vectors are the per-vector entries of an older layout
     @pytest.mark.parametrize("damage, entry", [
-        ("missing", "head/0"),
-        ("missing", "rel/belong_to"),
-        ("missing", "tail/zone:3"),
+        ("missing", "rep/heads"),
+        ("missing", "rep/rels"),
+        ("missing", "rep/tails"),
+        ("unknown", "rep/bogus"),
         ("unknown", "head/6"),
         ("unknown", "rel/also_visit"),
         ("unknown", "tail/cat:9"),
         ("unknown", "user/u0"),
-        ("short", "head/1"),
-        ("short", "rel/locate_at"),
-        ("short", "tail/cat:2"),
+        ("short", "rep/heads"),
+        ("short", "rep/rels"),
+        ("short", "rep/tails"),
         ("short", "user/0"),
-        ("matrix", "head/2"),
+        ("row-fewer", "rep/heads"),
+        ("row-fewer", "rep/tails"),
+        ("matrix", "user/0"),
     ])
     def test_damaged_legacy_vectors_rejected(self, saved, tmp_path, damage, entry):
         shutil.copytree(saved["rirl"], tmp_path, dirs_exist_ok=True)
@@ -491,9 +496,11 @@ class TestArtifactFiles:
         if damage == "missing":
             del mats[entry]
         elif damage == "unknown":
-            mats[entry] = mats["head/0"]
+            mats[entry] = mats["user/0"]
         elif damage == "short":
-            mats[entry] = mats[entry][:2]
+            mats[entry] = mats[entry][..., :2]
+        elif damage == "row-fewer":
+            mats[entry] = mats[entry][:-1]
         else:
             mats[entry] = mats[entry][None, :]
         save_matrices(tmp_path / "legacy.bin", mats)
@@ -515,6 +522,7 @@ class TestArtifactFiles:
         "zone-index-gap": (13, "Z\t6\t4072\t-7398"),
         "undeclared-category": (14, "P\tv3\t9\t0\t40.73\t-73.97\tGym"),
         "undeclared-zone": (14, "P\tv3\t0\t6\t40.73\t-73.97\tGym"),
+        "other-category-name": (14, "P\tv3\t0\t0\t40.73\t-73.97\tBeach"),
     }
 
     @pytest.mark.parametrize("damage", list(_CATALOG_DAMAGE))
@@ -539,6 +547,8 @@ class TestArtifactFiles:
         "more-gcn_layers": ("drpr", None, {"gcn_layers": 3}, "encoder.bin"),
         "legacy_n": ("rirl", None, {"legacy_n": 5}, "legacy.bin"),
         "snapshot-of-other-pois": ("drpr", "drpr-9-pois", {}, "kg_snapshot.txt"),
+        "embeddings-of-other-pois": ("drpr", "drpr-9-pois", {}, "embeddings.bin"),
+        "snapshot-in-rirl": ("rirl", "drpr", {}, "kg_snapshot.txt"),
     }
 
     @pytest.mark.parametrize("case", list(_MISMATCHES))
@@ -549,6 +559,28 @@ class TestArtifactFiles:
             shutil.copy(saved[source] / name, tmp_path / name)
         with pytest.raises(GeostreamError, match=re.escape(name)):
             Artifacts.load(tmp_path, _tiny_config(agent_mode=mode, **overrides))
+
+    # a drpr-static graph never gains a visit triple or a user: a row of the
+    # visit relation kind stands for one whose last triple was evicted, and
+    # may stay; a user's row may not
+    @pytest.mark.parametrize("key, loads", [
+        (kgstore.rel_key(kgstore.RelType.VISIT), True),
+        (kgstore.ent_key(kgstore.user(0)), False),
+    ], ids=["visit-relation", "user"])
+    def test_embedding_rows_beyond_the_graph(self, tmp_path, key, loads):
+        artifacts, _, _ = run_training(
+            _tiny_config(agent_mode="drpr-static"), records=make_cyclic_stream(40))
+        artifacts.save(tmp_path)
+        mats = load_matrices(tmp_path / "embeddings.bin")
+        assert key not in {tuple(k) for k in mats["keys"].astype(int)}
+        mats["keys"] = np.vstack([mats["keys"], key])
+        mats["vecs"] = np.vstack([mats["vecs"], np.zeros(mats["vecs"].shape[1])])
+        save_matrices(tmp_path / "embeddings.bin", mats)
+        if loads:
+            Artifacts.load(tmp_path)
+        else:
+            with pytest.raises(CompatibilityError, match="embeddings.bin"):
+                Artifacts.load(tmp_path)
 
     def test_drpr_without_embeddings_names_the_file(self, saved, tmp_path):
         shutil.copytree(saved["drpr"], tmp_path, dirs_exist_ok=True)

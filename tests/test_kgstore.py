@@ -16,6 +16,7 @@ from geostream.kgstore import (
     user,
     zone,
 )
+import probes
 from kg_oracle import DynamicKg as OracleKg
 from kg_oracle import induced_adjacency
 
@@ -66,7 +67,7 @@ class TestApplyVisit:
         kg.apply_visit(5, 1, 2.0)
         delta = kg.apply_visit(5, 2, 3.0)
         assert Triple(user(5), RelType.VISIT, poi(0), 1.0) in delta.removed
-        assert [p for p, _ in kg.window_events(5)] == [1, 2]
+        assert [p for p, _ in probes.window_events(kg, 5)] == [1, 2]
 
     def test_unknown_poi(self):
         kg = build_static([(0, 0, 0)])
@@ -83,14 +84,14 @@ class TestApplyVisit:
         kg = build_static([(0, 0, 0), (1, 0, 0)])
         kg.apply_visit(1, 0, 10.0)
         kg.apply_visit(1, 1, 10.0)
-        assert len(kg.window_events(1)) == 2
+        assert len(probes.window_events(kg, 1)) == 2
 
     def test_visit_counts_survive_eviction(self):
         kg = build_static([(0, 0, 0)], window=1)
         for t in range(5):
             kg.apply_visit(1, 0, float(t))
         assert kg.visit_counts[0] == 5
-        assert len(kg.window_events(1)) == 1
+        assert len(probes.window_events(kg, 1)) == 1
 
     def test_cascade_refcounted_across_users(self):
         # both users produce the p0 -> rpoi(p1) cascade; evicting one
@@ -196,7 +197,7 @@ class TestInvariants:
         for u, p, t in _random_stream(rng, 3, 8, 400):
             kg.apply_visit(u, p, t)
             for uid in kg.users:
-                assert len(kg.window_events(uid)) <= 4
+                assert len(probes.window_events(kg, uid)) <= 4
 
     def test_replay_determinism(self):
         rng = np.random.default_rng(13)
@@ -267,7 +268,7 @@ class TestSnapshot:
             kg.apply_visit(1, t % 2, float(t))
         kg2 = import_snapshot(kg.export_snapshot(), skeleton)
         assert kg2.visit_counts == kg.visit_counts
-        assert kg2.window_events(1) == kg.window_events(1)
+        assert probes.window_events(kg2, 1) == probes.window_events(kg, 1)
 
     def test_import_continues_evolving(self):
         skeleton = [(0, 0, 0), (1, 0, 1)]
@@ -356,7 +357,7 @@ def test_snapshot_then_continue_matches_memory(stream):
         d1, d2 = kg.apply_visit(u, p, t), kg2.apply_visit(u, p, t)
         assert (d2.added, d2.removed, d2.affected) == (d1.added, d1.removed, d1.affected)
         assert kg2.triples() == kg.triples()
-        assert all(kg2.window_events(uid) == kg.window_events(uid) for uid in kg.users)
+        assert all(probes.window_events(kg2, uid) == probes.window_events(kg, uid) for uid in kg.users)
         assert kg2.version == kg.version
         # the reloaded store memoizes its stars from the replayed edges
         assert all(kg2.context_of(k) == kg.context_of(k) for k in kg.object_keys())

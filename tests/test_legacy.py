@@ -148,10 +148,12 @@ class TestUpdateUser:
         assert report.passed, report.failures()[:3]
 
 
+# p0 and p1 share category 0; p2 is unrelated
+_TOY_POIS = [(0, 0, 0), (1, 0, 1), (2, 1, 2)]
+
+
 def _toy_rep(n=4, seed=1):
-    rng = np.random.default_rng(seed)
-    # p0 and p1 share category 0; p2 is unrelated
-    return SpatialKgRep.from_catalog([(0, 0, 0), (1, 0, 1), (2, 1, 2)], n, rng)
+    return SpatialKgRep.from_catalog(_TOY_POIS, n, np.random.default_rng(seed))
 
 
 class TestUpdateSpatial:
@@ -176,12 +178,9 @@ class TestUpdateSpatial:
     def test_one_sibling_hand_case(self):
         p = _params(n=2, m=2, ones=True)
         rep = SpatialKgRep.from_catalog([(0, 0, 0), (1, 0, 0)], 2, np.random.default_rng(5))
-        for key in rep.heads:
-            rep.heads[key] = np.array([0.5, 0.5]) * (key + 1)
-        rep.tails[("cat", 0)] = np.array([0.2, 0.4])
-        rep.tails[("zone", 0)] = np.array([0.6, 0.1])
-        rep.rels["belong_to"] = np.array([0.1, -0.1])
-        rep.rels["locate_at"] = np.array([0.0, 0.3])
+        rep.heads[:] = [[0.5, 0.5], [1.0, 1.0]]
+        rep.tails[:] = [[0.2, 0.4], [0.6, 0.1]]  # category 0, zone 0
+        rep.rels[:] = [[0.1, -0.1], [0.0, 0.3]]  # belong_to, locate_at
         u = np.array([0.3, 0.9])
         tt = np.array([0.7, 0.2])
         expect = copy.deepcopy(rep)
@@ -196,43 +195,43 @@ class TestUpdateSpatial:
         h0 = sig(a_p * expect.heads[0] + (1 - a_p) * np.ones(2) * q)
         np.testing.assert_allclose(rep.heads[0], h0, atol=1e-12)
         sib = expect.heads[1]
-        for key, rel_name in expect.poi_links[0]:
-            t_old = expect.tails[key]
+        for row, rel in expect.poi_links[0]:
+            t_old = expect.tails[row]
             a_t = _sig(float(np.ones(2) @ t_old) + 1.0)
-            t_new = a_t * t_old + (1 - a_t) * (h0 + expect.rels[rel_name])
-            np.testing.assert_allclose(rep.tails[key], t_new, atol=1e-12)
+            t_new = a_t * t_old + (1 - a_t) * (h0 + expect.rels[rel])
+            np.testing.assert_allclose(rep.tails[row], t_new, atol=1e-12)
             a_h = _sig(float(np.ones(2) @ sib) + 1.0)
-            sib = sig(a_h * sib + (1 - a_h) * (t_new - expect.rels[rel_name]))
+            sib = sig(a_h * sib + (1 - a_h) * (t_new - expect.rels[rel]))
         np.testing.assert_allclose(rep.heads[1], sib, atol=1e-12)
 
     def test_relations_never_move(self):
         p = _params()
         rep = _toy_rep()
         rng = np.random.default_rng(6)
-        rel_ids = {k: id(v) for k, v in rep.rels.items()}
-        rel_vals = {k: v.copy() for k, v in rep.rels.items()}
+        rels = rep.rels
+        rel_vals = rels.copy()
         for step in range(20):
             update_spatial(rep, int(rng.integers(3)),
                            rng.uniform(0, 1, size=4), rng.uniform(0, 1, size=4), p)
-        for k in rep.rels:
-            assert id(rep.rels[k]) == rel_ids[k]
-            np.testing.assert_array_equal(rep.rels[k], rel_vals[k])
+        assert rep.rels is rels and rep.store.get("rels") is rels
+        np.testing.assert_array_equal(rep.rels, rel_vals)
 
     def test_untouched_vectors_bit_identical(self):
         p = _params()
         rep = _toy_rep()
         rng = np.random.default_rng(7)
-        before_heads = {k: v for k, v in rep.heads.items()}
-        before_tails = {k: v for k, v in rep.tails.items()}
+        before_heads = rep.heads.copy()
+        before_tails = rep.tails.copy()
         upd = update_spatial(rep, 0, rng.uniform(0, 1, size=4),
                              rng.uniform(0, 1, size=4), p)
         assert set(upd.touched_heads) == {0, 1}  # p1 shares category 0
-        for k, v in before_heads.items():
-            if k not in upd.touched_heads:
-                assert rep.heads[k] is v
-        for k, v in before_tails.items():
-            if k not in upd.touched_tails:
-                assert rep.tails[k] is v
+        assert upd.touched_tails == [0, 2]  # category 0, zone 0
+        for row, v in enumerate(before_heads):
+            if row not in upd.touched_heads:
+                assert np.array_equal(rep.heads[row], v)
+        for row, v in enumerate(before_tails):
+            if row not in upd.touched_tails:
+                assert np.array_equal(rep.tails[row], v)
 
     def test_unknown_poi(self):
         p = _params()
@@ -246,8 +245,8 @@ class TestUpdateSpatial:
         rep = _toy_rep(seed=9)
         t_mat = rng.uniform(0, 4, size=(3, 3))
         u = rng.uniform(0, 1, size=4)
-        c_h = {k: rng.normal(size=4) for k in rep.heads}
-        c_t = {k: rng.normal(size=4) for k in rep.tails}
+        c_h = {row: rng.normal(size=4) for row in range(len(rep.heads))}
+        c_t = {row: rng.normal(size=4) for row in range(len(rep.tails))}
 
         def loss(store):
             r2 = copy.deepcopy(rep)
@@ -279,9 +278,7 @@ class TestLegacyState:
         assert s.shape == (12,)
         np.testing.assert_array_equal(s[:3], u)
         np.testing.assert_array_equal(s[3:6], rep.heads[0])
-        np.testing.assert_allclose(
-            s[6:9], (rep.rels["belong_to"] + rep.rels["locate_at"]) / 2
-        )
+        np.testing.assert_allclose(s[6:9], (rep.rels[0] + rep.rels[1]) / 2)
 
     def test_two_heads_mean(self):
         rep = SpatialKgRep.from_catalog([(0, 0, 0), (1, 0, 0)], 2, np.random.default_rng(2))
@@ -291,17 +288,12 @@ class TestLegacyState:
         np.testing.assert_array_equal(s[2:4], [2.0, 2.0])
 
     def test_matches_bruteforce(self):
+        # the old sorted-dict formula, on the old layout drawn alike
         rng = np.random.default_rng(3)
         rep = _toy_rep(n=3, seed=3)
+        o_rep = legacy_oracle.SpatialKgRep.from_catalog(_TOY_POIS, 3, np.random.default_rng(3))
         u = rng.uniform(0, 1, size=3)
-        s = legacy_state(u, rep)
-        expected = np.concatenate([
-            u,
-            np.mean([rep.heads[k] for k in sorted(rep.heads)], axis=0),
-            np.mean([rep.rels[k] for k in sorted(rep.rels)], axis=0),
-            np.mean([rep.tails[k] for k in sorted(rep.tails)], axis=0),
-        ])
-        np.testing.assert_allclose(s, expected, atol=1e-15)
+        assert np.array_equal(legacy_state(u, rep), legacy_oracle.legacy_state(u, o_rep))
 
 
 class TestTrafficBins:
@@ -327,6 +319,17 @@ def _oracle_case(seed, n=5, m=3):
     for prefix in ("user", "poi", "tail", "sibling"):
         p.store.get(f"{prefix}/gate_b")[...] = rng.normal()
     return rng, p
+
+
+def _assert_same_rep(rep, o_rep, tail_keys):
+    """Every matrix row is bit-equal to the oracle's vector of the same key."""
+    assert rep.heads.shape[0] == len(o_rep.heads) and rep.tails.shape[0] == len(tail_keys)
+    for p, vec in o_rep.heads.items():
+        assert np.array_equal(rep.heads[p], vec)
+    for row, name in enumerate(legacy.REL_NAMES):
+        assert np.array_equal(rep.rels[row], o_rep.rels[name])
+    for row, key in enumerate(tail_keys):
+        assert np.array_equal(rep.tails[row], o_rep.tails[key])
 
 
 def _assert_same_param_grads(a, b):
@@ -368,24 +371,25 @@ class TestMatchesOracle:
         q = copy.deepcopy(p)
         # two categories over three zones: tails with several members each
         catalog = [(i, i % 2, i % 3) for i in range(7)]
+        o_rep = legacy_oracle.SpatialKgRep.from_catalog(catalog, 5, copy.deepcopy(rng))
         rep = SpatialKgRep.from_catalog(catalog, 5, rng)
-        o_rep = copy.deepcopy(rep)
+        tail_keys = sorted(o_rep.tails)  # the oracle's key of each tail row
+        _assert_same_rep(rep, o_rep, tail_keys)
         u, tt = rng.uniform(0, 1, size=5), rng.uniform(0, 1, size=5)
         poi = int(rng.integers(7))
         upd = update_spatial(rep, poi, u, tt, p)
         o_upd = legacy_oracle.update_spatial(o_rep, poi, u, tt, q)
-        for k in rep.heads:
-            assert np.array_equal(rep.heads[k], o_rep.heads[k])
-        for k in rep.tails:
-            assert np.array_equal(rep.tails[k], o_rep.tails[k])
+        _assert_same_rep(rep, o_rep, tail_keys)
+        assert np.array_equal(legacy_state(u, rep), legacy_oracle.legacy_state(u, o_rep))
         assert upd.touched_heads == o_upd.touched_heads
-        assert upd.touched_tails == o_upd.touched_tails
+        assert [tail_keys[row] for row in upd.touched_tails] == o_upd.touched_tails
         # a zero seed on one sibling exercises the skip branch
         d_heads = {k: rng.normal(size=5) for k in upd.touched_heads}
         d_heads[upd.touched_heads[-1]] = np.zeros(5)
-        d_tails = {k: rng.normal(size=5) for k in upd.touched_tails}
+        d_tails = {row: rng.normal(size=5) for row in upd.touched_tails}
         got = update_spatial_grads(p, upd, d_heads, d_tails)
-        want = legacy_oracle.update_spatial_grads(q, o_upd, d_heads, d_tails)
+        want = legacy_oracle.update_spatial_grads(
+            q, o_upd, d_heads, {tail_keys[row]: d for row, d in d_tails.items()})
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
         _assert_same_param_grads(p, q)
