@@ -28,7 +28,6 @@ PAD_TAG = "pop"
 class CandidateSet:
     pois: tuple[int, ...]
     provenance: tuple[str, ...]
-    per_scheme: int
 
     def __len__(self) -> int:
         return len(self.pois)
@@ -81,10 +80,10 @@ def generate_candidates(kg: DynamicKg, user_id: int, k: int) -> CandidateSet:
                 tags.append(PAD_TAG)
                 if len(ordered) == limit:
                     break
-    return CandidateSet(tuple(ordered), tuple(tags), k)
+    return CandidateSet(tuple(ordered), tuple(tags))
 
 
 def full_candidate_set(pois) -> CandidateSet:
     """Every given POI as a candidate, sorted (no candidate generation)."""
     pois = tuple(sorted(pois))
-    return CandidateSet(pois, tuple(PAD_TAG for _ in pois), len(pois) or 1)
+    return CandidateSet(pois, tuple(PAD_TAG for _ in pois))

@@ -576,13 +576,13 @@ class _DrprDriver:
             return cand_mod.full_candidate_set(self.kg.pois)
         return cand_mod.generate_candidates(self.kg, user_idx, self.config.k)
 
-    def action_vectors(self, cand: cand_mod.CandidateSet) -> np.ndarray:
-        """The candidates' joint embeddings, one row per POI in ``cand.pois``."""
+    def action_inputs(self, cand: cand_mod.CandidateSet) -> np.ndarray:
+        """The candidates' Q-net inputs: joint embeddings, one row per POI in ``cand.pois``."""
         return np.stack(
             [self.embedder.joint_cached((int(EntityKind.POI), p)) for p in cand.pois]
         )
 
-    def feedback(self, batch, d_states) -> None:
+    def feedback(self, d_states) -> None:
         if self.static or not self.last_affected:
             return
         mean_grad = np.mean(d_states, axis=0)
@@ -610,6 +610,9 @@ class _RirlDriver:
         self.last_zone: dict[int, int] = {}
         self.last_update: legacy_mod.SpatialUpdate | None = None
         self.last_user_cache = None
+        # every POI is a candidate, and its Q-net input is its head column
+        self.all_pois = cand_mod.full_candidate_set(range(len(catalog.poi_info)))
+        self.columns = np.arange(len(catalog.poi_info))
 
     @classmethod
     def fresh(cls, config: RunConfig, catalog: Catalog, rng: np.random.Generator):
@@ -621,7 +624,7 @@ class _RirlDriver:
     def new_net(self, rng: np.random.Generator | None) -> policy_mod.QNet:
         return policy_mod.QNet(
             dim_state=4 * self.config.legacy_n, hidden=self.config.qnet_hidden,
-            mode=policy_mod.VANILLA, action_ids=tuple(range(len(self.catalog.poi_info))), rng=rng,
+            mode=policy_mod.VANILLA, n_actions=len(self.catalog.poi_info), rng=rng,
         )
 
     def replica(self, config: RunConfig, rng: np.random.Generator) -> "_RirlDriver":
@@ -632,13 +635,13 @@ class _RirlDriver:
         users, rep = copy.deepcopy((self.users, self.rep))
         return _RirlDriver(config, self.catalog, rng, self.params, users, rep)
 
-    def _skeleton_snapshot(self) -> str:
+    def _bare_snapshot(self, window: int) -> str:
         # this mode keeps no graph; a snapshot of the bare skeleton keeps `inspect-kg` working
-        return kgstore.build_static(self.catalog.skeleton(), window=self.config.w).export_snapshot()
+        return kgstore.build_static(self.catalog.skeleton(), window=window).export_snapshot()
 
     def save(self, out_dir) -> None:
         with open(os.path.join(out_dir, "kg_snapshot.txt"), "w") as fh:
-            fh.write(self._skeleton_snapshot())
+            fh.write(self._bare_snapshot(self.config.w))
         mats = {f"param/{name}": self.params.store.get(name) for name in self.params.store.names()}
         mats.update({f"rep/{name}": self.rep.store.get(name) for name in self.rep.store.names()})
         mats.update({f"user/{uid}": vec for uid, vec in self.users.items()})
@@ -654,9 +657,10 @@ class _RirlDriver:
         )
         env = cls(config, catalog, None, params, {}, rep)
         path = os.path.join(out_dir, "kg_snapshot.txt")
-        with open(path) as fh:
-            if fh.read() != env._skeleton_snapshot():
-                raise IngestionError(f"{path}: not the bare skeleton snapshot of w={config.w}")
+        kg = _parse_file(path, kgstore.import_snapshot, catalog.skeleton())
+        # the mode never reads `w`, so the snapshot may hold any window, but nothing more
+        if kg.export_snapshot() != env._bare_snapshot(kg.window_capacity):
+            raise IngestionError(f"{path}: not a bare skeleton snapshot")
         path = os.path.join(out_dir, "legacy.bin")
         stores = {"param": {}, "rep": {}}
         for name, arr in load_matrices(path).items():
@@ -699,12 +703,12 @@ class _RirlDriver:
         return legacy_mod.legacy_state(self._user_vec(user_idx), self.rep)
 
     def candidates_for(self, user_idx: int) -> cand_mod.CandidateSet:
-        return cand_mod.full_candidate_set(range(len(self.catalog.poi_info)))
+        return self.all_pois
 
-    def action_vectors(self, cand) -> None:
-        return None
+    def action_inputs(self, cand: cand_mod.CandidateSet) -> np.ndarray:
+        return self.columns
 
-    def feedback(self, batch, d_states) -> None:
+    def feedback(self, d_states) -> None:
         if self.last_update is None:
             return
         n = self.config.legacy_n
@@ -766,28 +770,24 @@ def _replay_stream(
         real_idx = catalog.venues[rec.venue]
         state = env.state(user_idx)
         cand = env.candidates_for(user_idx)
-        vecs = env.action_vectors(cand)
+        inputs = env.action_inputs(cand)
         if buf is not None and user_idx in pending:
             t = pending.pop(user_idx)
             t.next_state = state
-            t.next_pois = cand.pois
-            t.next_vecs = vecs
+            t.next_actions = inputs
             buf.push(t, net, config.gamma)
         epsilon = config.epsilon_at(l, n) if train else 0.0
         if agent is not None:
             action = agent(rec, state, cand, rng)
         else:
-            action = policy_mod.select_action(net, state, cand, epsilon, rng, vecs)
+            action = policy_mod.select_action(net, state, cand, epsilon, rng, inputs)
         parts = component_rewards(
             catalog.poi_info[action], catalog.poi_info[real_idx], wv, config.d_floor_km
         )
         r = compute_reward(parts, weights, windows)
         if buf is not None:
             pending[user_idx] = policy_mod.Transition(
-                state=state,
-                action_poi=action,
-                action_vec=None if vecs is None else vecs[cand.pois.index(action)],
-                reward=r,
+                state=state, action=inputs[cand.pois.index(action)], reward=r,
             )
         log.events.append(EventRecord(
             l, rec.user, catalog.raw_venues[action], rec.venue, action, real_idx, r, *parts

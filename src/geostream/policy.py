@@ -1,9 +1,11 @@
 """Imitation agent: Q-network, epsilon-greedy selection, prioritized replay.
 
-The pairwise network scores one (state, action-embedding) concatenation
-at a time with shared weights, so the action set may change per step.
-The vanilla mode keeps the classical fixed-action head over all POIs for
-the legacy baseline. Replay priorities are either the raw reward or the
+Each action reaches the network in one form, its Q-net input. The
+pairwise network takes an action vector and scores one (state, action
+vector) concatenation at a time with shared weights, so the action set
+may change per step. The vanilla mode, the classical fixed-action head
+over all POIs of the legacy baseline, takes the column of the POI's
+Q-value. Replay priorities are either the raw reward or the
 temporal-difference error; batches are drawn deterministically as the
 top-K of the softmaxed priorities (a seeded stochastic mode exists
 behind a flag).
@@ -27,8 +29,8 @@ VANILLA = "vanilla"
 class QNet:
     """Two hidden relu layers and a linear head.
 
-    Pairwise mode maps concat(state, action embedding) to one scalar;
-    vanilla mode maps a state to one Q-value per fixed action.
+    Pairwise mode maps concat(state, action vector) to one scalar;
+    vanilla mode maps a state to one Q-value per fixed action column.
     """
 
     def __init__(
@@ -37,22 +39,21 @@ class QNet:
         dim_action: int = 0,
         hidden: int = 256,
         mode: str = PAIRWISE,
-        action_ids: tuple[int, ...] = (),
+        n_actions: int = 0,
         rng: np.random.Generator | None = None,
     ):
         if mode not in (PAIRWISE, VANILLA):
             raise ValueError(f"unknown QNet mode {mode!r}")
-        if mode == VANILLA and not action_ids:
+        if mode == VANILLA and n_actions < 1:
             raise ValueError("vanilla mode needs a fixed action set")
         rng = rng if rng is not None else np.random.default_rng(0)
         self.mode = mode
         self.dim_state = dim_state
         self.dim_action = dim_action if mode == PAIRWISE else 0
         self.hidden = hidden
-        self.action_ids = tuple(action_ids)
-        self._action_index = {a: i for i, a in enumerate(self.action_ids)}
+        self.n_actions = n_actions if mode == VANILLA else 0
         dim_in = dim_state + self.dim_action
-        dim_out = 1 if mode == PAIRWISE else len(action_ids)
+        dim_out = 1 if mode == PAIRWISE else n_actions
         self.store = ParamStore()
         for name, fan_in, fan_out in (
             ("fc1", dim_in, hidden),
@@ -90,16 +91,11 @@ class QNet:
         s.accumulate("fc1/b", d_a1.sum(axis=0))
         return d_a1 @ s.get("fc1/w").T
 
-    def action_index(self, poi: int) -> int:
-        if poi not in self._action_index:
-            raise ActionSpaceError(f"POI {poi} is not in the fixed action set")
-        return self._action_index[poi]
-
     def clone(self) -> "QNet":
         """Frozen copy, e.g. for use as a Bellman target network."""
         twin = QNet(
             self.dim_state, self.dim_action, self.hidden,
-            mode=self.mode, action_ids=self.action_ids or (),
+            mode=self.mode, n_actions=self.n_actions,
         )
         for name in self.store.names():
             twin.store.get(name)[...] = self.store.get(name)
@@ -108,42 +104,40 @@ class QNet:
 
 @dataclass
 class Transition:
+    """One step; ``action`` and ``next_actions`` are Q-net inputs (see ``_q``)."""
+
     state: np.ndarray
-    action_poi: int
-    action_vec: np.ndarray | None
+    action: np.ndarray | int
     reward: float
     next_state: np.ndarray | None = None
-    next_pois: tuple[int, ...] = ()
-    next_vecs: np.ndarray | None = None
+    next_actions: np.ndarray | tuple = ()
     terminal: bool = False
     priority: float = 0.0
     seq: int = -1
 
 
-def _q(net: QNet, state: np.ndarray, vecs, pois) -> np.ndarray:
+def _q(net: QNet, state: np.ndarray, actions) -> np.ndarray:
     """Q of each action in one forward.
 
-    A pairwise net scores the rows state‖vec of ``vecs``; a vanilla net
-    reads its head at the POIs' columns, or at every column when ``pois``
-    is empty.
+    A pairwise net scores the rows state‖action of the action vectors
+    ``actions``; a vanilla net reads its head at the columns ``actions``.
     """
     if net.mode == PAIRWISE:
-        vecs = np.atleast_2d(vecs)
-        x = np.concatenate([np.broadcast_to(state, (len(vecs), len(state))), vecs], axis=1)
+        actions = np.atleast_2d(actions)
+        x = np.concatenate([np.broadcast_to(state, (len(actions), len(state))), actions], axis=1)
         return net.forward(x)[0][:, 0]
-    out = net.forward(state)[0][0]
-    return out[[net.action_index(p) for p in pois]] if pois else out
+    return net.forward(state)[0][0, actions]
 
 
-def q_values(net: QNet, state: np.ndarray, cand: CandidateSet, vecs) -> np.ndarray:
+def q_values(net: QNet, state: np.ndarray, cand: CandidateSet, actions) -> np.ndarray:
     """One Q-value per candidate, shared weights across the pair batch.
 
-    ``vecs`` holds the candidates' action vectors as rows in the order of
-    ``cand.pois`` (unused by a vanilla net).
+    ``actions`` holds the candidates' Q-net inputs in the order of
+    ``cand.pois``: action-vector rows, or head columns for a vanilla net.
     """
     if len(cand) == 0:
         raise ActionSpaceError("empty candidate set")
-    return _q(net, state, vecs, cand.pois)
+    return _q(net, state, actions)
 
 
 def select_action(
@@ -152,7 +146,7 @@ def select_action(
     cand: CandidateSet,
     epsilon: float,
     rng: np.random.Generator,
-    vecs=None,
+    actions,
 ) -> int:
     """Uniform over candidates with prob epsilon, else first-best by Q."""
     if len(cand) == 0:
@@ -161,20 +155,18 @@ def select_action(
         raise ValueError(f"epsilon {epsilon} outside [0, 1]")
     if epsilon > 0.0 and rng.random() < epsilon:
         return cand.pois[int(rng.integers(len(cand)))]
-    scores = q_values(net, state, cand, vecs)
+    scores = q_values(net, state, cand, actions)
     return cand.pois[int(np.argmax(scores))]
 
 
 def _q_of(net: QNet, t: Transition) -> float:
-    return float(_q(net, t.state, t.action_vec, (t.action_poi,))[0])
+    return float(_q(net, t.state, [t.action])[0])
 
 
 def _max_next_q(net: QNet, t: Transition) -> float:
-    if t.terminal:
+    if t.terminal or len(t.next_actions) == 0:
         return 0.0
-    if net.mode == PAIRWISE and (t.next_vecs is None or len(t.next_vecs) == 0):
-        return 0.0
-    return float(_q(net, t.next_state, t.next_vecs, t.next_pois).max())
+    return float(_q(net, t.next_state, t.next_actions).max())
 
 
 def priority_of(t: Transition, mode: str, net: QNet, gamma: float) -> float:
@@ -243,19 +235,20 @@ def train_step(
 
     Targets use the online network (held fixed within the step) unless a
     frozen ``target_net`` is supplied. With ``encoder_feedback`` set (a
-    callable), the loss gradient with respect to each state vector is
-    handed back for the representation module's closed-loop update.
+    callable), the loss gradient with respect to each state vector (one
+    row per transition) is handed back for the representation module's
+    closed-loop update.
     """
     if not batch:
         raise ValueError("empty batch")
     bootstrap = target_net if target_net is not None else net
     targets = np.array([t.reward + gamma * _max_next_q(bootstrap, t) for t in batch])
     if net.mode == PAIRWISE:
-        x = np.stack([np.concatenate([t.state, t.action_vec]) for t in batch])
+        x = np.stack([np.concatenate([t.state, t.action]) for t in batch])
         cols = np.zeros(len(batch), dtype=np.intp)
     else:
         x = np.stack([t.state for t in batch])
-        cols = np.array([net.action_index(t.action_poi) for t in batch])
+        cols = np.array([t.action for t in batch])
     out, cache = net.forward(x)
     rows = np.arange(len(batch))
     q = out[rows, cols]
@@ -268,5 +261,5 @@ def train_step(
     d_x = net.backward(cache, d_out)
     sgd_step(net.store, lr)
     if encoder_feedback is not None:
-        encoder_feedback(batch, d_x[:, : net.dim_state])
+        encoder_feedback(d_x[:, : net.dim_state])
     return loss

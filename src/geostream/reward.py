@@ -66,9 +66,6 @@ class BaselineWindows:
         for w, v in zip(self._windows, parts):
             w.append(float(v))
 
-    def contents(self) -> tuple[list[float], list[float], list[float]]:
-        return tuple(list(w) for w in self._windows)
-
 
 class WordVectors:
     """Token -> vector map loaded from a `token v1 .. vn` text file."""

@@ -4,7 +4,10 @@ Kept verbatim as the oracle that ``test_policy.py`` compares the production
 functions with. ``q_values`` reads a POI -> vector dict. Every function
 branches on the Q-net mode with its own copy of the forward, and
 ``train_step`` holds two copies of the loss, backward, SGD and feedback
-code.
+code. Only the field reads follow the one-input ``Transition``
+(``action``, ``next_actions``), and a vanilla POI is its own head column.
+The vanilla ``_max_next_q`` keeps the old bootstrap of an empty next set,
+the max over every column; the production code bootstraps 0 there.
 """
 
 from __future__ import annotations
@@ -26,32 +29,32 @@ def q_values(net: QNet, state: np.ndarray, cand: CandidateSet, table) -> np.ndar
         out, _ = net.forward(x)
         return out[:, 0]
     out, _ = net.forward(state)
-    return np.array([out[0, net.action_index(p)] for p in cand.pois])
+    return np.array([out[0, p] for p in cand.pois])
 
 
 def _q_of(net: QNet, t: Transition) -> float:
     if net.mode == PAIRWISE:
-        x = np.concatenate([t.state, t.action_vec])
+        x = np.concatenate([t.state, t.action])
         return float(net.forward(x)[0][0, 0])
     out, _ = net.forward(t.state)
-    return float(out[0, net.action_index(t.action_poi)])
+    return float(out[0, t.action])
 
 
 def _max_next_q(net: QNet, t: Transition) -> float:
     if t.terminal:
         return 0.0
     if net.mode == PAIRWISE:
-        if t.next_vecs is None or len(t.next_vecs) == 0:
+        if t.next_actions is None or len(t.next_actions) == 0:
             return 0.0
         x = np.concatenate(
-            [np.broadcast_to(t.next_state, (len(t.next_vecs), len(t.next_state))), t.next_vecs],
+            [np.broadcast_to(t.next_state, (len(t.next_actions), len(t.next_state))), t.next_actions],
             axis=1,
         )
         out, _ = net.forward(x)
         return float(out[:, 0].max())
     out, _ = net.forward(t.next_state)
-    if t.next_pois:
-        return float(max(out[0, net.action_index(p)] for p in t.next_pois))
+    if t.next_actions:
+        return float(max(out[0, p] for p in t.next_actions))
     return float(out[0].max())
 
 
@@ -84,7 +87,7 @@ def train_step(
     bootstrap = target_net if target_net is not None else net
     targets = np.array([t.reward + gamma * _max_next_q(bootstrap, t) for t in batch])
     if net.mode == PAIRWISE:
-        x = np.stack([np.concatenate([t.state, t.action_vec]) for t in batch])
+        x = np.stack([np.concatenate([t.state, t.action]) for t in batch])
         out, cache = net.forward(x)
         q = out[:, 0]
         errors = q - targets
@@ -99,7 +102,7 @@ def train_step(
         return loss
     x = np.stack([t.state for t in batch])
     out, cache = net.forward(x)
-    cols = np.array([net.action_index(t.action_poi) for t in batch])
+    cols = np.array([t.action for t in batch])
     rows = np.arange(len(batch))
     q = out[rows, cols]
     errors = q - targets

@@ -1,8 +1,9 @@
 """Views of production objects that only the tests need.
 
 The package reads embedding rows by index and never lists a user's
-window or asks for the bare hinge loss; these helpers give the tests
-those views without widening the package's API.
+window, asks for the bare hinge loss or reads a reward baseline's
+window; these helpers give the tests those views without widening the
+package's API.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import numpy as np
 from geostream.embed import Embedder, EmbeddingTable, ObjKey, TrainBatch
 from geostream.errors import ConfigError
 from geostream.kgstore import DynamicKg
+from geostream.reward import BaselineWindows
 
 
 def table_keys(table: EmbeddingTable) -> list[ObjKey]:
@@ -46,3 +48,8 @@ def margin_loss(emb: Embedder, batch: TrainBatch) -> float:
 def window_events(kg: DynamicKg, user_id: int) -> list[tuple[int, float]]:
     """(poi, time) pairs currently in a user's window, oldest first."""
     return [(e.poi, e.time) for e in kg._windows.get(user_id, ())]
+
+
+def window_contents(windows: BaselineWindows) -> tuple[list[float], list[float], list[float]]:
+    """The values each reward-component baseline averages, oldest first."""
+    return tuple(list(w) for w in windows._windows)

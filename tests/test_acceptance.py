@@ -54,19 +54,19 @@ def test_01_gradient_integrity(toy_kg):
     qbatch = []
     for p in range(4):
         qbatch.append(Transition(
-            state=rng.normal(size=6), action_poi=p, action_vec=rng.normal(size=4),
+            state=rng.normal(size=6), action=rng.normal(size=4),
             reward=float(rng.random()), next_state=rng.normal(size=6),
-            next_pois=(0, 1), next_vecs=rng.normal(size=(2, 4)),
+            next_actions=rng.normal(size=(2, 4)),
             terminal=(p == 3),
         ))
     targets = np.array([t.reward + 0.9 * policy._max_next_q(net, t) for t in qbatch])
 
     def bellman(store):
-        x = np.stack([np.concatenate([t.state, t.action_vec]) for t in qbatch])
+        x = np.stack([np.concatenate([t.state, t.action]) for t in qbatch])
         out, _ = net.forward(x)
         return float(np.mean((out[:, 0] - targets) ** 2))
 
-    x = np.stack([np.concatenate([t.state, t.action_vec]) for t in qbatch])
+    x = np.stack([np.concatenate([t.state, t.action]) for t in qbatch])
     out, cache = net.forward(x)
     net.backward(cache, (2.0 / len(qbatch)) * (out[:, 0] - targets).reshape(-1, 1))
     rep = finite_diff_check(bellman, net.store, eps=1e-6, tol=GRAD_TOL)
@@ -369,9 +369,9 @@ def test_10_priority_sampling():
             r = float(rng.uniform(0, 1))
             terminal = i % 3 == 0
             t = Transition(
-                state=rng.normal(size=4), action_poi=i, action_vec=rng.normal(size=3),
-                reward=r, next_state=rng.normal(size=4), next_pois=(0, 1),
-                next_vecs=rng.normal(size=(2, 3)), terminal=terminal,
+                state=rng.normal(size=4), action=rng.normal(size=3),
+                reward=r, next_state=rng.normal(size=4),
+                next_actions=rng.normal(size=(2, 3)), terminal=terminal,
             )
             if priority_of(t, "reward", net, gamma) != r:
                 mismatches += 1
@@ -383,9 +383,9 @@ def test_10_priority_sampling():
     buf = PriorityReplayBuffer(8, mode="reward")
     net = QNet(4, 3, hidden=6, rng=rng)
     equal = [
-        Transition(state=rng.normal(size=4), action_poi=i,
-                   action_vec=rng.normal(size=3), reward=0.6, terminal=True)
-        for i in range(5)
+        Transition(state=rng.normal(size=4), action=rng.normal(size=3), reward=0.6,
+                   terminal=True)
+        for _ in range(5)
     ]
     for t in equal:
         buf.push(t, net, 0.9)

@@ -560,6 +560,17 @@ class TestArtifactFiles:
         with pytest.raises(GeostreamError, match=re.escape(name)):
             Artifacts.load(tmp_path, _tiny_config(agent_mode=mode, **overrides))
 
+    def test_rirl_bundle_evaluates_under_another_window(self, saved):
+        # the legacy mode keeps no graph, so its bundle (saved at w=5) ignores `w`
+        _, test_events = split_stream(make_cyclic_stream(40)[:30], 0.8)
+        runs = []
+        for w in (5, 7):
+            cfg = _tiny_config(agent_mode="rirl", w=w)
+            report, log = run_eval(cfg, Artifacts.load(saved["rirl"], cfg), test_events)
+            del report["wall_s"]
+            runs.append((report, log.to_trace_csv()))
+        assert runs[1] == runs[0]
+
     # a drpr-static graph never gains a visit triple or a user: a row of the
     # visit relation kind stands for one whose last triple was evicted, and
     # may stay; a user's row may not

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from gradcheck import finite_diff_check
 
 
 def _cand(pois):
-    return CandidateSet(tuple(pois), tuple("UV" for _ in pois), 1)
+    return CandidateSet(tuple(pois), tuple("UV" for _ in pois))
 
 
 def _table(rng, pois, d):
@@ -34,12 +36,10 @@ def _rows(table, pois):
 def _transition(rng, net, poi, table, reward, terminal=False, next_pois=(0, 1)):
     return Transition(
         state=rng.normal(size=net.dim_state),
-        action_poi=poi,
-        action_vec=table[poi],
+        action=table[poi],
         reward=reward,
         next_state=rng.normal(size=net.dim_state),
-        next_pois=tuple(next_pois),
-        next_vecs=np.stack([table[p] for p in next_pois]),
+        next_actions=_rows(table, next_pois),
         terminal=terminal,
     )
 
@@ -147,9 +147,9 @@ class TestPriorities:
         net = QNet(4, 3, hidden=8, rng=rng)
         table = _table(rng, [0, 1], 3)
         t = _transition(rng, net, 0, table, reward=1.0)
-        q = float(net.forward(np.concatenate([t.state, t.action_vec]))[0][0, 0])
+        q = float(net.forward(np.concatenate([t.state, t.action]))[0][0, 0])
         nxt = np.concatenate(
-            [np.broadcast_to(t.next_state, (2, 4)), t.next_vecs], axis=1
+            [np.broadcast_to(t.next_state, (2, 4)), t.next_actions], axis=1
         )
         max_q = float(net.forward(nxt)[0][:, 0].max())
         assert priority_of(t, "td", net, 0.9) == pytest.approx(1.0 + 0.9 * max_q - q)
@@ -256,8 +256,8 @@ class TestTrainStep:
         net = QNet(4, 3, hidden=8, rng=rng)
         table = _table(rng, [0, 1], 3)
         t = _transition(rng, net, 0, table, reward=0.3)
-        q = float(net.forward(np.concatenate([t.state, t.action_vec]))[0][0, 0])
-        nxt = np.concatenate([np.broadcast_to(t.next_state, (2, 4)), t.next_vecs], axis=1)
+        q = float(net.forward(np.concatenate([t.state, t.action]))[0][0, 0])
+        nxt = np.concatenate([np.broadcast_to(t.next_state, (2, 4)), t.next_actions], axis=1)
         y = 0.3 + 0.9 * float(net.forward(nxt)[0][:, 0].max())
         loss = train_step(net, [t], 0.9, lr=0.0)
         assert loss == pytest.approx((y - q) ** 2)
@@ -275,11 +275,11 @@ class TestTrainStep:
         )
 
         def loss_fn(store):
-            x = np.stack([np.concatenate([t.state, t.action_vec]) for t in batch])
+            x = np.stack([np.concatenate([t.state, t.action]) for t in batch])
             out, _ = net.forward(x)
             return float(np.mean((out[:, 0] - targets) ** 2))
 
-        x = np.stack([np.concatenate([t.state, t.action_vec]) for t in batch])
+        x = np.stack([np.concatenate([t.state, t.action]) for t in batch])
         out, cache = net.forward(x)
         d_out = (2.0 / len(batch)) * (out[:, 0] - targets).reshape(-1, 1)
         net.backward(cache, d_out)
@@ -293,25 +293,23 @@ class TestTrainStep:
         batch = [_transition(rng, net, 0, table, reward=0.2) for _ in range(2)]
         seen = {}
 
-        def hook(b, d_states):
+        def hook(d_states):
             seen["shape"] = d_states.shape
-            seen["batch"] = b
 
         train_step(net, batch, 0.9, lr=0.01, encoder_feedback=hook)
         assert seen["shape"] == (2, 4)
-        assert seen["batch"] is batch
 
 
 class TestVanillaMode:
     def test_scores_and_training(self):
         rng = np.random.default_rng(23)
-        net = QNet(6, mode=policy.VANILLA, action_ids=(3, 5, 8), hidden=8, rng=rng)
+        net = QNet(6, mode=policy.VANILLA, n_actions=3, hidden=8, rng=rng)
         s = rng.normal(size=6)
-        scores = q_values(net, s, _cand([3, 5, 8]), None)
+        scores = q_values(net, s, _cand([0, 1, 2]), np.arange(3))
         assert scores.shape == (3,)
         t = Transition(
-            state=s, action_poi=5, action_vec=None, reward=0.4,
-            next_state=rng.normal(size=6), next_pois=(3, 8), terminal=False,
+            state=s, action=1, reward=0.4,
+            next_state=rng.normal(size=6), next_actions=np.array([0, 2]), terminal=False,
         )
         loss = train_step(net, [t], 0.9, lr=0.01)
         assert np.isfinite(loss)
@@ -333,19 +331,17 @@ class TestVanillaMode:
         nets = {
             "pairwise": QNet(d_s, d_a, hidden=16, rng=np.random.default_rng(25)),
             "vanilla": QNet(
-                d_s, mode=policy.VANILLA, action_ids=tuple(range(n_act)),
+                d_s, mode=policy.VANILLA, n_actions=n_act,
                 hidden=16, rng=np.random.default_rng(26),
             ),
         }
         for name, net in nets.items():
             def mk(e):
+                pairwise = name == "pairwise"
                 return Transition(
-                    state=e["s"], action_poi=e["a"],
-                    action_vec=table[e["a"]] if name == "pairwise" else None,
+                    state=e["s"], action=table[e["a"]] if pairwise else e["a"],
                     reward=e["r"], next_state=e["s2"],
-                    next_pois=tuple(range(n_act)),
-                    next_vecs=np.stack([table[p] for p in range(n_act)])
-                    if name == "pairwise" else None,
+                    next_actions=_rows(table, range(n_act)) if pairwise else np.arange(n_act),
                 )
             first = last = None
             for step in range(500):
@@ -362,16 +358,16 @@ def test_checkpoint_roundtrip(tmp_path):
     path = tmp_path / "qnet.bin"
     for net in (
         QNet(5, 3, hidden=7, rng=rng),
-        QNet(4, mode=policy.VANILLA, action_ids=(2, 4), hidden=6, rng=rng),
+        QNet(4, mode=policy.VANILLA, n_actions=2, hidden=6, rng=rng),
     ):
         net.store.save(path)
-        loaded = QNet(net.dim_state, net.dim_action, net.hidden, net.mode, net.action_ids)
+        loaded = QNet(net.dim_state, net.dim_action, net.hidden, net.mode, net.n_actions)
         loaded.store.load(path)
         for name in net.store.names():
             np.testing.assert_array_equal(loaded.store.get(name), net.store.get(name))
     # a net of another shape rejects the file
     with pytest.raises(IngestionError, match="qnet.bin: entry 'out/w'"):
-        QNet(4, mode=policy.VANILLA, action_ids=(2, 4, 6), hidden=6).store.load(path)
+        QNet(4, mode=policy.VANILLA, n_actions=3, hidden=6).store.load(path)
 
 
 def test_frozen_target_network():
@@ -392,33 +388,37 @@ def test_frozen_target_network():
     frozen.store.get("out/w")[...] = 0.0
     frozen.store.get("out/b")[...] = 2.0
     y = t.reward + 0.9 * 2.0
-    q = float(net.forward(np.concatenate([t.state, t.action_vec]))[0][0, 0])
+    q = float(net.forward(np.concatenate([t.state, t.action]))[0][0, 0])
     loss = train_step(net, [t], 0.9, lr=0.0, target_net=frozen)
     assert loss == pytest.approx((y - q) ** 2)
 
 
-def _oracle_nets(seed, d_s=5, d_a=3, pois=tuple(range(6))):
+def _oracle_nets(seed, d_s=5, d_a=3, n_actions=6):
     """A pairwise and a vanilla net over the same POIs."""
     return {
         policy.PAIRWISE: QNet(d_s, d_a, hidden=7, rng=np.random.default_rng(seed)),
         policy.VANILLA: QNet(
-            d_s, mode=policy.VANILLA, action_ids=pois, hidden=7,
+            d_s, mode=policy.VANILLA, n_actions=n_actions, hidden=7,
             rng=np.random.default_rng(seed + 100),
         ),
     }
 
 
+def _actions(mode, table, pois):
+    """The POIs' Q-net inputs: action-vector rows, or the POIs as vanilla head columns."""
+    if mode == policy.VANILLA:
+        return tuple(pois)
+    return _rows(table, pois) if pois else ()
+
+
 def _oracle_transition(rng, mode, table, terminal=False, next_pois=(4, 0, 2)):
-    pairwise = mode == policy.PAIRWISE
     poi = int(rng.integers(len(table)))
     return Transition(
         state=rng.normal(size=5),
-        action_poi=poi,
-        action_vec=table[poi] if pairwise else None,
+        action=poi if mode == policy.VANILLA else table[poi],
         reward=float(rng.normal()),
         next_state=rng.normal(size=5),
-        next_pois=tuple(next_pois),
-        next_vecs=_rows(table, next_pois) if pairwise and next_pois else None,
+        next_actions=_actions(mode, table, next_pois),
         terminal=terminal,
     )
 
@@ -434,7 +434,7 @@ class TestMatchesOracle:
         table = _table(rng, range(6), 3)
         for pois in ([3], [5, 1, 4], [2, 0, 1, 3, 5, 4]):
             s = rng.normal(size=5)
-            got = q_values(net, s, _cand(pois), _rows(table, pois))
+            got = q_values(net, s, _cand(pois), _actions(mode, table, pois))
             assert np.array_equal(got, policy_oracle.q_values(net, s, _cand(pois), table))
 
     @pytest.mark.parametrize("mode", [policy.PAIRWISE, policy.VANILLA])
@@ -450,7 +450,10 @@ class TestMatchesOracle:
             _oracle_transition(rng, mode, table, terminal=True),
         ]
         for t in cases:
-            assert priority_of(t, "td", net, 0.9) == policy_oracle.priority_of(t, "td", net, 0.9)
+            # an empty next set bootstraps 0 in both modes, as a terminal step
+            # does; the old vanilla head took the max over every column there
+            old = replace(t, terminal=True) if len(t.next_actions) == 0 else t
+            assert priority_of(t, "td", net, 0.9) == policy_oracle.priority_of(old, "td", net, 0.9)
 
     @pytest.mark.parametrize("mode", [policy.PAIRWISE, policy.VANILLA])
     @pytest.mark.parametrize("frozen", [False, True])
@@ -466,7 +469,7 @@ class TestMatchesOracle:
         ]
         seen = {}
         loss = train_step(net, batch, 0.9, lr=0.05, target_net=target,
-                          encoder_feedback=lambda b, d: seen.setdefault("new", d))
+                          encoder_feedback=lambda d: seen.setdefault("new", d))
         o_loss = policy_oracle.train_step(twin, batch, 0.9, lr=0.05, target_net=target,
                                           encoder_feedback=lambda b, d: seen.setdefault("old", d))
         assert loss == o_loss

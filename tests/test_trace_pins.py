@@ -10,6 +10,7 @@ any code change. Each run takes about a second.
 """
 
 import hashlib
+from dataclasses import replace
 
 from geostream.harness import RunConfig, run_eval, run_training, split_stream
 
@@ -27,8 +28,9 @@ def _digests(**overrides) -> tuple[str, str]:
         lr_embed=0.01, lr_q=0.05, lr_feedback=0.005,
         train_every=2, batch_size=8, buffer_capacity=60,
         qnet_hidden=16, legacy_n=8, seed=3, wordvecs=WORDVEC_PATH,
-        priority_mode="td", stochastic_replay=True, **overrides,
+        priority_mode="td", stochastic_replay=True,
     )
+    cfg = replace(cfg, **overrides)
     artifacts, train_log, _ = run_training(cfg, records=list(records))
     _, test_events = split_stream(records, cfg.split_fraction)
     _, eval_log = run_eval(cfg, artifacts, test_events)
@@ -51,4 +53,20 @@ def test_rirl_trace_digests():
     assert _digests(agent_mode="rirl") == (
         "702d44c87866a7d5b3c09c92ddfe884059bc331d64d8b2eeace68c3c24d9dc83",
         "b1f6a09c8f5a790a5d350111d4900d0b63a615fb3cae688f4f19ca55d48a39b9",
+    )
+
+
+def test_drpr_nocand_trace_digests():
+    # pairwise scoring over every POI, as full_candidate_set gives them
+    assert _digests(agent_mode="drpr-nocand") == (
+        "26eb0128024b0068dcb3665f83d7753321cd69a9eb89b1248daf930bda32c1cf",
+        "bbdf6ca3898909d02c8f3ea13628f78dc47dc1db74af1626283d9184f1f11d1d",
+    )
+
+
+def test_rirl_top_k_replay_trace_digests():
+    # deterministic top-k replay, as the benchmark workloads run it
+    assert _digests(agent_mode="rirl", stochastic_replay=False) == (
+        "d93b691a1ee6789446eefcd81a43180eafba8a115d3b7279a43c44917b2a4660",
+        "aec75fdd3fff809969692eaf817a55b26fab7f81e810b99ddb4277d8ffa9b26d",
     )
