@@ -1,12 +1,14 @@
 """Meta-path POI candidate generation.
 
-Four path templates expand from a user over the live (in-window) edges:
+A meta-path is a sequence of entity kinds; it is walked from a user over
+the live (in-window) edges, one ``DynamicKg.neighbors`` step per kind:
 
-  UV    user -> visit -> POI
-  UVA   user -> visit -> POI -> also-visit -> RPOI
-  UVCB  user -> visit -> POI -> belong-to -> category -> belong-to -> POI
-  UVZL  user -> visit -> POI -> locate-at -> zone -> locate-at -> POI
+  UV    user -> POI                      (visits)
+  UVA   user -> POI -> RPOI              (visits, then also-visits)
+  UVCB  user -> POI -> category -> POI   (visits, then belong-to both ways)
+  UVZL  user -> POI -> zone -> POI       (visits, then locate-at both ways)
 
+Each kind pair carries a single relation, so the kinds fix the edges.
 Each scheme's hits are ranked by lifetime popularity and the per-scheme
 top K are concatenated in the order above, deduplicated keeping the
 first occurrence, then padded from the global popularity ranking so the
@@ -17,10 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnknownObjectError
-from .kgstore import DynamicKg
+from .kgstore import DynamicKg, EntityKind
 
-SCHEMES = ("UV", "UVA", "UVCB", "UVZL")
+_U, _V = EntityKind.USER, EntityKind.POI
+SCHEMES = {
+    "UV": (_U, _V),
+    "UVA": (_U, _V, EntityKind.RPOI),
+    "UVCB": (_U, _V, EntityKind.CATEGORY, _V),
+    "UVZL": (_U, _V, EntityKind.ZONE, _V),
+}
 PAD_TAG = "pop"
 
 
@@ -35,52 +42,31 @@ class CandidateSet:
 
 def expand_meta_path(kg: DynamicKg, user_id: int, scheme: str) -> set[int]:
     """All POIs reachable from the user by one instantiation of the scheme."""
-    if user_id not in kg.users:
-        raise UnknownObjectError(f"unknown user {user_id}")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown meta-path scheme {scheme!r}")
-    visited = kg.visited_pois(user_id)
-    if scheme == "UV":
-        return set(visited)
-    result: set[int] = set()
-    if scheme == "UVA":
-        for p in visited:
-            result.update(kg.cascade_successors(p))
-        return result
-    for p in visited:
-        cat, zn = kg.poi_static(p)
-        if scheme == "UVCB":
-            result.update(kg.category_members(cat))
-        else:
-            result.update(kg.zone_members(zn))
-    return result
+    path = SCHEMES[scheme]
+    frontier = {user_id}
+    for src, dst in zip(path, path[1:]):
+        frontier = set().union(*(kg.neighbors((src, i), dst) for i in frontier))
+    return frontier
 
 
 def generate_candidates(kg: DynamicKg, user_id: int, k: int) -> CandidateSet:
     """Top-k per scheme, deduplicated in scheme order, popularity-padded."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    ordered: list[int] = []
-    tags: list[str] = []
-    chosen: set[int] = set()
-    known_user = user_id in kg.users
-    for scheme in SCHEMES:
-        hits = expand_meta_path(kg, user_id, scheme) if known_user else set()
-        for p in kg.popularity(hits)[:k]:
-            if p not in chosen:
-                chosen.add(p)
-                ordered.append(p)
-                tags.append(scheme)
+    found: dict[int, str] = {}  # POI -> the first scheme that found it
+    if user_id in kg.users:
+        for scheme in SCHEMES:
+            for p in kg.popularity(expand_meta_path(kg, user_id, scheme))[:k]:
+                found.setdefault(p, scheme)
     limit = min(4 * k, len(kg.pois))
-    if len(ordered) < limit:
+    if len(found) < limit:
         for p in kg.popularity(kg.pois):
-            if p not in chosen:
-                chosen.add(p)
-                ordered.append(p)
-                tags.append(PAD_TAG)
-                if len(ordered) == limit:
-                    break
-    return CandidateSet(tuple(ordered), tuple(tags))
+            found.setdefault(p, PAD_TAG)
+            if len(found) == limit:
+                break
+    return CandidateSet(tuple(found), tuple(found.values()))
 
 
 def full_candidate_set(pois) -> CandidateSet:

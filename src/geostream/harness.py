@@ -278,7 +278,6 @@ class Catalog:
     poi_info: list[PoiInfo] = field(default_factory=list)
     poi_category: list[int] = field(default_factory=list)
     poi_zone: list[int] = field(default_factory=list)
-    raw_users: list[str] = field(default_factory=list)
     raw_venues: list[str] = field(default_factory=list)
 
     @classmethod
@@ -288,7 +287,6 @@ class Catalog:
         for r in records:
             if r.user not in cat.users:
                 cat.users[r.user] = len(cat.users)
-                cat.raw_users.append(r.user)
             if r.venue not in cat.venues:
                 idx = len(cat.venues)
                 cat.venues[r.venue] = idx
@@ -311,7 +309,7 @@ class Catalog:
 
     def to_tsv(self) -> str:
         out = io.StringIO()
-        for u in self.raw_users:
+        for u in self.users:
             out.write(f"U\t{u}\n")
         for name, idx in sorted(self.categories.items(), key=lambda kv: kv[1]):
             out.write(f"C\t{idx}\t{name}\n")
@@ -345,7 +343,6 @@ class Catalog:
             raise ValueError(f"{tag} line has {len(parts)} fields, want {_TSV_FIELDS[tag]}")
         if tag == "U":
             _claim_next(self.users, parts[1], "user")
-            self.raw_users.append(parts[1])
         elif tag == "C":
             _claim_next(self.categories, parts[2], "category", int(parts[1]))
         elif tag == "Z":
@@ -503,6 +500,8 @@ class _DrprDriver:
         self.embedder = embedder
         self.last_affected: frozenset = frozenset()
         self.static = config.agent_mode == "drpr-static"
+        # every POI of the skeleton, for drpr-nocand
+        self.all_pois = cand_mod.full_candidate_set(range(len(catalog.poi_info)))
 
     @classmethod
     def fresh(cls, config: RunConfig, catalog: Catalog, rng: np.random.Generator):
@@ -573,7 +572,7 @@ class _DrprDriver:
 
     def candidates_for(self, user_idx: int) -> cand_mod.CandidateSet:
         if self.config.agent_mode == "drpr-nocand":
-            return cand_mod.full_candidate_set(self.kg.pois)
+            return self.all_pois
         return cand_mod.generate_candidates(self.kg, user_idx, self.config.k)
 
     def action_inputs(self, cand: cand_mod.CandidateSet) -> np.ndarray:
@@ -609,6 +608,7 @@ class _RirlDriver:
         )
         self.last_zone: dict[int, int] = {}
         self.last_update: legacy_mod.SpatialUpdate | None = None
+        self.static = False  # set on a frozen_eval replica: `advance` changes nothing
         self.last_user_cache = None
         # every POI is a candidate, and its Q-net input is its head column
         self.all_pois = cand_mod.full_candidate_set(range(len(catalog.poi_info)))
@@ -633,7 +633,9 @@ class _RirlDriver:
         The traffic starts empty; the weights are shared, as evaluation never trains them.
         """
         users, rep = copy.deepcopy((self.users, self.rep))
-        return _RirlDriver(config, self.catalog, rng, self.params, users, rep)
+        env = _RirlDriver(config, self.catalog, rng, self.params, users, rep)
+        env.static = config.frozen_eval
+        return env
 
     def _bare_snapshot(self, window: int) -> str:
         # this mode keeps no graph; a snapshot of the bare skeleton keeps `inspect-kg` working
@@ -683,6 +685,8 @@ class _RirlDriver:
         return self.users[user_idx]
 
     def advance(self, user_idx: int, poi_idx: int, ts: float) -> None:
+        if self.static:
+            return
         zone = self.catalog.poi_zone[poi_idx]
         self.traffic.record(self.last_zone.get(user_idx), zone, ts)
         self.last_zone[user_idx] = zone

@@ -258,38 +258,13 @@ class DynamicKg:
         """POIs by descending lifetime visits; ties by ascending index."""
         return sorted(pois, key=lambda p: (-self.visit_counts.get(p, 0), p))
 
-    def visited_pois(self, user_id: int) -> list[int]:
-        """Distinct in-window POIs of a user, in first-visit order."""
-        seen: dict[int, None] = {}
-        for e in self._windows.get(user_id, ()):
-            seen.setdefault(e.poi, None)
-        return list(seen)
-
-    def _members(self, e: EntityId, kind: int) -> list[int]:
-        return sorted(n.index for n in self._nbrs.get(e, ()) if n.kind == kind)
-
-    def cascade_successors(self, poi_id: int) -> list[int]:
-        """POIs visited next after ``poi_id`` per live also-visit edges."""
-        # a POI meets an RPOI only through an also-visit edge
-        return self._members(poi(poi_id), EntityKind.RPOI)
-
-    def category_members(self, category_id: int) -> list[int]:
-        return self._members(category(category_id), EntityKind.POI)
-
-    def zone_members(self, zone_id: int) -> list[int]:
-        return self._members(zone(zone_id), EntityKind.POI)
-
-    def poi_static(self, poi_id: int) -> tuple[int, int]:
-        """(category, zone) of a POI from the static skeleton."""
-        cat = zn = None
-        for nbr in self._nbrs.get(poi(poi_id), ()):
-            if nbr.kind == EntityKind.CATEGORY:
-                cat = nbr.index
-            elif nbr.kind == EntityKind.ZONE:
-                zn = nbr.index
-        if cat is None or zn is None:
-            raise UnknownObjectError(f"POI {poi_id} has no static skeleton")
-        return cat, zn
+    def neighbors(self, key: EntityId | tuple[int, int], kind: int) -> set[int]:
+        """Indices of the live neighbors of kind ``kind`` of the entity
+        ``key`` (an :class:`EntityId` or ``ent_key``)."""
+        nbrs = self._nbrs.get(key)
+        if nbrs is None:
+            raise UnknownObjectError(f"unknown entity {key}")
+        return {e.index for e in nbrs if e.kind == kind}
 
     def triples(self) -> set[Triple]:
         return set(self._refs)

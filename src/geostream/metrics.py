@@ -69,10 +69,7 @@ def avg_sim(log: EvalLog, wv: WordVectors) -> float:
     _require_nonempty(log)
     total = 0.0
     for pred, real in log:
-        if pred.category == real.category:
-            total += 1.0
-        else:
-            total += wv.category_similarity(real.category, pred.category)
+        total += wv.category_similarity(real.category, pred.category)
     return total / len(log)
 
 

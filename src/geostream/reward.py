@@ -112,6 +112,10 @@ class WordVectors:
         return np.mean(hits, axis=0)
 
     def category_similarity(self, a: str, b: str) -> float:
+        """1.0 for equal names, else the cosine of their category vectors
+        (0.0 when either has no known token or a zero vector)."""
+        if a == b:
+            return 1.0
         va = self.category_vector(a)
         vb = self.category_vector(b)
         if va is None or vb is None:
@@ -134,10 +138,7 @@ def component_rewards(
         raise DataError("POI is missing coordinates")
     dist = haversine_km(pred.lat, pred.lon, real.lat, real.lon)
     r_d = 1.0 / max(dist, d_floor)
-    if pred.category == real.category:
-        r_c = 1.0
-    else:
-        r_c = wv.category_similarity(pred.category, real.category)
+    r_c = wv.category_similarity(pred.category, real.category)
     r_p = 1.0 if pred.poi == real.poi else 0.0
     return (r_d, r_c, r_p)
 

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geostream import candidates, kgstore
 from geostream.candidates import expand_meta_path, generate_candidates
 from geostream.errors import UnknownObjectError
 from geostream.kgstore import RelType, build_static
+
+import candidates_oracle
+from kg_oracle import DynamicKg as OracleKg
+from test_kgstore import _streams
 
 
 def _kg_with_visits():
@@ -19,7 +25,9 @@ class TestExpandMetaPath:
     def test_no_visits_empty_everywhere(self):
         kg = build_static([(0, 0, 0)])
         kg.apply_visit(1, 0, 1.0)
-        kg._windows[1].clear()  # user exists, window empty
+        for e in kg._windows[1]:  # user exists, window empty
+            kg._unref(e.visit_triple)
+        kg._windows[1].clear()
         for scheme in candidates.SCHEMES:
             assert expand_meta_path(kg, 1, scheme) == set()
 
@@ -128,6 +136,29 @@ class TestGenerateCandidates:
                 if tag == candidates.PAD_TAG:
                     continue
                 assert poi_id in _enumerate_paths(kg, u, tag)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_streams(), st.integers(1, 3))
+def test_walk_matches_per_scheme_oracle(stream, k):
+    """The kind-path walk finds what the per-scheme queries found, after every event."""
+    pois, window, events, _ = stream
+    kg = build_static(pois, window=window)
+    oracle = OracleKg(window_capacity=window)
+    for poi_id, category_id, zone_id in pois:
+        oracle.add_poi(poi_id, category_id, zone_id)
+    for u, p, t in events:
+        kg.apply_visit(u, p, t)
+        oracle.apply_visit(u, p, t)
+        for uid in sorted(kg.users):
+            for scheme in candidates.SCHEMES:
+                assert expand_meta_path(kg, uid, scheme) == candidates_oracle.expand_meta_path(
+                    oracle, uid, scheme
+                )
+        for uid in sorted(kg.users) + [99]:  # 99: a user the stream never names
+            mine = generate_candidates(kg, uid, k)
+            theirs = candidates_oracle.generate_candidates(oracle, uid, k)
+            assert (mine.pois, mine.provenance) == (theirs.pois, theirs.provenance)
 
 
 def _enumerate_paths(kg, user_id, scheme):

@@ -4,6 +4,7 @@ import os
 import re
 import shutil
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -319,6 +320,23 @@ class TestEval:
         assert report2 == report1
         assert log2.to_trace_csv() == log1.to_trace_csv()
         assert saved("after") == before  # the replay ran on copies
+
+    @pytest.mark.parametrize("mode", ["drpr", "rirl"])
+    def test_frozen_eval_freezes_replica(self, mode):
+        cfg, artifacts, test_events = self._trained(agent_mode=mode)
+        users, venues = artifacts.catalog.users, artifacts.catalog.venues
+        rng = np.random.default_rng(0)
+        live = artifacts.env.replica(cfg, rng)
+        frozen = artifacts.env.replica(replace(cfg, frozen_eval=True), rng)
+        moved = False
+        for rec in test_events:
+            u, p = users[rec.user], venues[rec.venue]
+            before, live_before = frozen.state(u).copy(), live.state(u).copy()
+            frozen.advance(u, p, rec.timestamp)
+            live.advance(u, p, rec.timestamp)
+            np.testing.assert_array_equal(frozen.state(u), before)
+            moved = moved or not np.array_equal(live.state(u), live_before)
+        assert moved  # the same replay does move a live replica
 
     def test_unknown_test_user_rejected(self):
         cfg, artifacts, _ = self._trained()

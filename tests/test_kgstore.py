@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from geostream import kgstore
 from geostream.errors import IngestionError, StreamOrderError, UnknownObjectError
 from geostream.kgstore import (
+    EntityKind,
     RelType,
     Triple,
     build_static,
@@ -114,7 +115,7 @@ class TestApplyVisit:
         kg = build_static([(0, 0, 0), (1, 0, 0)], window=1)
         kg.apply_visit(1, 0, 1.0)
         kg.apply_visit(1, 1, 2.0)
-        assert kg.cascade_successors(0) == []
+        assert kg.neighbors(poi(0), EntityKind.RPOI) == set()
 
 
 class TestContextOf:
@@ -385,7 +386,7 @@ def _assert_same_queries(kg, oracle):
         assert oracle.context_of(t).nodes == kg.context_of(kgstore.rel_key(t.rel))
         assert oracle.context_of(t).nodes == (kgstore.rel_key(t.rel),)
     for p in kg.pois:
-        assert kg.cascade_successors(p) == oracle.cascade_successors(p)
+        assert kg.neighbors(poi(p), EntityKind.RPOI) == set(oracle.cascade_successors(p))
 
 
 @settings(max_examples=60, deadline=None)

@@ -70,6 +70,9 @@ class TestWordVectors:
     def test_similarity_identical(self, wv):
         assert wv.category_similarity("Museum", "Gallery") == pytest.approx(1.0)
 
+    def test_similarity_same_name_without_known_token(self, wv):
+        assert wv.category_similarity("Zzz", "Zzz") == 1.0
+
 
 class TestComponentRewards:
     def test_identical_poi(self, wv):

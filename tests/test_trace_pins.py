@@ -70,3 +70,19 @@ def test_rirl_top_k_replay_trace_digests():
         "d93b691a1ee6789446eefcd81a43180eafba8a115d3b7279a43c44917b2a4660",
         "aec75fdd3fff809969692eaf817a55b26fab7f81e810b99ddb4277d8ffa9b26d",
     )
+
+
+def test_drpr_noexit_trace_digests():
+    # unbounded windows: candidates walk every visit the user ever made
+    assert _digests(agent_mode="drpr-noexit") == (
+        "5af7be546834e6a1da0aa6c9d188940a47ece099b85b9f49fe83953bbac25dba",
+        "6e11d42b6d35d7ed43229482477a6d58d8bbf1ea69e3dfefff0d1fb67c7cf022",
+    )
+
+
+def test_drpr_static_trace_digests():
+    # the graph never takes a visit, so every candidate set is popularity padding
+    assert _digests(agent_mode="drpr-static") == (
+        "31b4ea2569d2e1d8786261e896e48c989972e14acfab5fc60bb2539e76dfebd0",
+        "affde4a0be313e56b6e09d8371fffb5ce4defb40d3b4e6c5f963e8e9ddc24125",
+    )
