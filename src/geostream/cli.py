@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from . import harness
@@ -27,12 +26,7 @@ def _cmd_eval(args) -> int:
     _, test_events = harness.stream_split(config)
     artifacts = harness.Artifacts.load(args.artifacts, config)
     report, log = harness.run_eval(config, artifacts, test_events)
-    out_path = os.path.join(args.artifacts, "eval_report.json")
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(args.artifacts, "eval_trace.csv"), "w") as fh:
-        fh.write(log.to_trace_csv())
+    harness.write_replay_outputs(args.artifacts, log, report, prefix="eval_")
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
@@ -80,7 +74,7 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--out", default="")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_inspect = sub.add_parser("inspect-kg", help="summarize a stored graph snapshot")
+    p_inspect = sub.add_parser("inspect-kg", help="summarize a saved run's graph")
     p_inspect.add_argument("--artifacts", required=True)
     p_inspect.set_defaults(func=_cmd_inspect)
 

@@ -111,9 +111,17 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.split_fraction < 1.0:
             raise ConfigError(f"split_fraction {self.split_fraction} outside (0, 1)")
-        for name in ("stream_length", "d", "k", "w", "b", "buffer_capacity", "batch_size"):
-            if getattr(self, name) < 1:
+        for name in ("stream_length", "d", "k", "w", "b", "buffer_capacity", "batch_size",
+                     "qnet_hidden", "legacy_n", "gcn_layers", "d_floor_km", "legacy_bin_hours"):
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
+        for name in ("stream_offset", "train_every", "target_refresh", "incr_steps",
+                     "max_incr_triples", "init_epochs", "neg_per_pos"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must not be negative")
+        for name in ("gamma", "epsilon_start", "epsilon_end"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} {getattr(self, name)} outside [0, 1]")
         if self.agent_mode not in AGENT_MODES:
             raise ConfigError(f"unknown agent_mode {self.agent_mode!r}")
         if self.priority_mode not in ("reward", "td"):
@@ -479,7 +487,8 @@ def _load_rng(path) -> np.random.Generator:
 #
 # One class per agent mode owns that mode's trained state: it builds it
 # (``fresh``), sizes the Q-network for it (``new_net``), persists it
-# (``save``/``load``) and copies it for evaluation (``replica``).
+# (``save``/``load``), copies it for evaluation (``replica``) and says
+# what graph a saved bundle has (``graph``).
 
 
 def _load_wordvecs(config: RunConfig) -> WordVectors:
@@ -524,6 +533,13 @@ class _DrprDriver:
         env.static = env.static or config.frozen_eval
         return env
 
+    @staticmethod
+    def graph(out_dir, config: RunConfig, catalog: Catalog) -> DynamicKg:
+        """The saved graph, replayed on the catalog's skeleton."""
+        return _parse_file(
+            os.path.join(out_dir, "kg_snapshot.txt"), kgstore.import_snapshot, catalog.skeleton()
+        )
+
     def save(self, out_dir) -> None:
         with open(os.path.join(out_dir, "kg_snapshot.txt"), "w") as fh:
             fh.write(self.kg.export_snapshot())
@@ -534,9 +550,7 @@ class _DrprDriver:
 
     @classmethod
     def load(cls, out_dir, config: RunConfig, catalog: Catalog) -> "_DrprDriver":
-        kg = _parse_file(
-            os.path.join(out_dir, "kg_snapshot.txt"), kgstore.import_snapshot, catalog.skeleton()
-        )
+        kg = cls.graph(out_dir, config, catalog)
         path = os.path.join(out_dir, "embeddings.bin")
         table = embed_mod.EmbeddingTable.load(path)
         if table.d != config.d:
@@ -604,12 +618,12 @@ class _RirlDriver:
         self.users = users
         self.rep = rep
         self.traffic = legacy_mod.TrafficBins(
-            range(len(catalog.zones)), bin_seconds=config.legacy_bin_hours * 3600.0
+            len(catalog.zones), bin_seconds=config.legacy_bin_hours * 3600.0
         )
         self.last_zone: dict[int, int] = {}
-        self.last_update: legacy_mod.SpatialUpdate | None = None
+        # the last `advance`'s (temporal cache, user cache, spatial update), None before it
+        self.tape = None
         self.static = False  # set on a frozen_eval replica: `advance` changes nothing
-        self.last_user_cache = None
         # every POI is a candidate, and its Q-net input is its head column
         self.all_pois = cand_mod.full_candidate_set(range(len(catalog.poi_info)))
         self.columns = np.arange(len(catalog.poi_info))
@@ -637,13 +651,12 @@ class _RirlDriver:
         env.static = config.frozen_eval
         return env
 
-    def _bare_snapshot(self, window: int) -> str:
-        # this mode keeps no graph; a snapshot of the bare skeleton keeps `inspect-kg` working
-        return kgstore.build_static(self.catalog.skeleton(), window=window).export_snapshot()
+    @staticmethod
+    def graph(out_dir, config: RunConfig, catalog: Catalog) -> DynamicKg:
+        """This mode keeps no graph: the catalog's skeleton at the configured window."""
+        return kgstore.build_static(catalog.skeleton(), window=config.w)
 
     def save(self, out_dir) -> None:
-        with open(os.path.join(out_dir, "kg_snapshot.txt"), "w") as fh:
-            fh.write(self._bare_snapshot(self.config.w))
         mats = {f"param/{name}": self.params.store.get(name) for name in self.params.store.names()}
         mats.update({f"rep/{name}": self.rep.store.get(name) for name in self.rep.store.names()})
         mats.update({f"user/{uid}": vec for uid, vec in self.users.items()})
@@ -653,16 +666,8 @@ class _RirlDriver:
     def load(cls, out_dir, config: RunConfig, catalog: Catalog) -> "_RirlDriver":
         """The saved state; it draws no new user until ``replica`` gives it a generator."""
         n = config.legacy_n
-        params = legacy_mod.LegacyParams(n, max(len(catalog.zones), 1))
-        rep = legacy_mod.SpatialKgRep.from_catalog(
-            catalog.skeleton(), n, np.random.default_rng(0)
-        )
-        env = cls(config, catalog, None, params, {}, rep)
-        path = os.path.join(out_dir, "kg_snapshot.txt")
-        kg = _parse_file(path, kgstore.import_snapshot, catalog.skeleton())
-        # the mode never reads `w`, so the snapshot may hold any window, but nothing more
-        if kg.export_snapshot() != env._bare_snapshot(kg.window_capacity):
-            raise IngestionError(f"{path}: not a bare skeleton snapshot")
+        env = cls.fresh(config, catalog, np.random.default_rng(0))  # values overwritten below
+        env.rng = None
         path = os.path.join(out_dir, "legacy.bin")
         stores = {"param": {}, "rep": {}}
         for name, arr in load_matrices(path).items():
@@ -675,8 +680,8 @@ class _RirlDriver:
                 env.users[int(rest)] = arr
             else:
                 raise IngestionError(f"{path}: unknown entry {name!r}")
-        params.store.load_exact(stores["param"], path, prefix="param/")
-        rep.store.load_exact(stores["rep"], path, prefix="rep/")
+        env.params.store.load_exact(stores["param"], path, prefix="param/")
+        env.rep.store.load_exact(stores["rep"], path, prefix="rep/")
         return env
 
     def _user_vec(self, user_idx: int) -> np.ndarray:
@@ -690,18 +695,13 @@ class _RirlDriver:
         zone = self.catalog.poi_zone[poi_idx]
         self.traffic.record(self.last_zone.get(user_idx), zone, ts)
         self.last_zone[user_idx] = zone
-        t_tilde, self._t_cache = legacy_mod.transform_temporal(
-            self.traffic.matrix(), self.params
-        )
+        t_tilde, t_cache = legacy_mod.transform_temporal(self.traffic.matrix(), self.params)
         u_old = self._user_vec(user_idx).copy()
-        h_old = self.rep.heads[poi_idx]
-        u_new, self.last_user_cache = legacy_mod.update_user(
-            u_old, h_old, t_tilde, self.params
+        self.users[user_idx], u_cache = legacy_mod.update_user(
+            u_old, self.rep.heads[poi_idx], t_tilde, self.params
         )
-        self.users[user_idx] = u_new
-        self.last_update = legacy_mod.update_spatial(
-            self.rep, poi_idx, u_old, t_tilde, self.params
-        )
+        update = legacy_mod.update_spatial(self.rep, poi_idx, u_old, t_tilde, self.params)
+        self.tape = (t_cache, u_cache, update)
 
     def state(self, user_idx: int) -> np.ndarray:
         return legacy_mod.legacy_state(self._user_vec(user_idx), self.rep)
@@ -713,26 +713,21 @@ class _RirlDriver:
         return self.columns
 
     def feedback(self, d_states) -> None:
-        if self.last_update is None:
+        if self.tape is None:
             return
+        t_cache, u_cache, update = self.tape
         n = self.config.legacy_n
         ds = np.mean(d_states, axis=0)
         d_u_state, d_h_mean, _d_rel, d_t_mean = (
             ds[:n], ds[n : 2 * n], ds[2 * n : 3 * n], ds[3 * n :]
         )
-        d_heads = {p: d_h_mean / len(self.rep.heads) for p in self.last_update.touched_heads}
-        d_tails = {k: d_t_mean / len(self.rep.tails) for k in self.last_update.touched_tails}
+        d_heads = {p: d_h_mean / len(self.rep.heads) for p in update.touched_heads}
+        d_tails = {k: d_t_mean / len(self.rep.tails) for k in update.touched_tails}
         # representations themselves move only via the update rules; the
         # feedback trains the rule weights through the last update's tape
-        _, d_tt = legacy_mod.update_spatial_grads(
-            self.params, self.last_update, d_heads, d_tails
-        )
-        if self.last_user_cache is not None:
-            _, _, dtt2 = legacy_mod.update_user_grads(
-                self.params, self.last_user_cache, d_u_state
-            )
-            d_tt = d_tt + dtt2
-        legacy_mod.transform_temporal_grads(self.params, self._t_cache, d_tt)
+        _, d_tt = legacy_mod.update_spatial_grads(self.params, update, d_heads, d_tails)
+        _, _, d_tt_user = legacy_mod.update_user_grads(self.params, u_cache, d_u_state)
+        legacy_mod.transform_temporal_grads(self.params, t_cache, d_tt + d_tt_user)
         sgd_step(self.params.store, self.config.lr_feedback)
 
 
@@ -909,11 +904,10 @@ def sweep_rows_to_csv(rows: list[dict]) -> str:
 
 
 def inspect_kg(artifacts_dir) -> dict:
-    """Entity/triple counts of a stored graph snapshot on its catalog's skeleton."""
+    """Entity/triple counts of a saved run's graph, as its agent mode has it."""
+    config = RunConfig.from_file(os.path.join(artifacts_dir, "config.txt"))
     catalog = _parse_file(os.path.join(artifacts_dir, "catalog.tsv"), Catalog.from_tsv)
-    kg = _parse_file(
-        os.path.join(artifacts_dir, "kg_snapshot.txt"), kgstore.import_snapshot, catalog.skeleton()
-    )
+    kg = _env_class(config).graph(artifacts_dir, config, catalog)
     triples = kg.triples()
     by_rel: dict[str, int] = {}
     for t in triples:
@@ -932,10 +926,15 @@ def inspect_kg(artifacts_dir) -> dict:
     }
 
 
-def write_run_outputs(out_dir, artifacts: Artifacts, log: EpisodeLog, report: dict) -> None:
-    artifacts.save(out_dir)  # creates out_dir
-    with open(os.path.join(out_dir, "trace.csv"), "w") as fh:
+def write_replay_outputs(out_dir, log: EpisodeLog, report: dict, prefix: str = "") -> None:
+    """A replay's ``{prefix}trace.csv`` and ``{prefix}report.json`` in ``out_dir``."""
+    with open(os.path.join(out_dir, f"{prefix}trace.csv"), "w") as fh:
         fh.write(log.to_trace_csv())
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
+    with open(os.path.join(out_dir, f"{prefix}report.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_run_outputs(out_dir, artifacts: Artifacts, log: EpisodeLog, report: dict) -> None:
+    artifacts.save(out_dir)  # creates out_dir
+    write_replay_outputs(out_dir, log, report)

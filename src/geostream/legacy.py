@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UnknownObjectError
-from .numkit import ParamStore, sigmoid
+from .numkit import ParamStore, sigmoid, sigmoid_scalar
 
 REL_NAMES = ("belong_to", "locate_at")
 
@@ -79,8 +79,7 @@ def _blend(prefix: str, x: np.ndarray, target: np.ndarray, params: LegacyParams,
     result through a sigmoid.
     """
     s = params.store
-    z = float(s.get(f"{prefix}/gate_w") @ x + s.get(f"{prefix}/gate_b")[0])
-    alpha = 1.0 / (1.0 + np.exp(-z)) if z >= 0 else np.exp(z) / (1.0 + np.exp(z))
+    alpha = sigmoid_scalar(s.get(f"{prefix}/gate_w") @ x + s.get(f"{prefix}/gate_b")[0])
     out = alpha * x + (1.0 - alpha) * target
     if squash:
         out = sigmoid(out)
@@ -273,17 +272,17 @@ def legacy_state(u: np.ndarray, rep: SpatialKgRep) -> np.ndarray:
 
 
 class TrafficBins:
-    """Zone-level traffic counts per time bin, derived from the stream.
+    """Zone-level traffic counts per time bin, one row per zone index, derived
+    from the stream.
 
     Within the current bin, a user's consecutive visits count as inner
     traffic when both fall in one zone, otherwise as out-flow from the
     first zone and in-flow into the second.
     """
 
-    def __init__(self, zone_ids, bin_seconds: float = 3600.0):
-        self.zone_index = {z: i for i, z in enumerate(sorted(zone_ids))}
+    def __init__(self, zones: int, bin_seconds: float = 3600.0):
         self.bin_seconds = bin_seconds
-        self.counts = np.zeros((len(self.zone_index), 3))
+        self.counts = np.zeros((zones, 3))
         self._bin = None
 
     def record(self, prev_zone, new_zone, time: float) -> None:
@@ -293,12 +292,11 @@ class TrafficBins:
             self._bin = bin_id
         if prev_zone is None:
             return
-        i, j = self.zone_index[prev_zone], self.zone_index[new_zone]
-        if i == j:
-            self.counts[i, 0] += 1
+        if prev_zone == new_zone:
+            self.counts[prev_zone, 0] += 1
         else:
-            self.counts[i, 2] += 1
-            self.counts[j, 1] += 1
+            self.counts[prev_zone, 2] += 1
+            self.counts[new_zone, 1] += 1
 
     def matrix(self) -> np.ndarray:
         return self.counts.copy()

@@ -20,6 +20,7 @@ def _require_nonempty(log: EvalLog) -> None:
 
 
 def _confusion(log: EvalLog):
+    _require_nonempty(log)
     real_count: dict[str, int] = {}
     tp: dict[str, int] = {}
     fp: dict[str, int] = {}
@@ -34,34 +35,30 @@ def _confusion(log: EvalLog):
     return real_count, tp, fp, fn
 
 
-def prec_cat(log: EvalLog) -> float:
-    """Weighted category precision; zero-denominator classes contribute 0."""
-    _require_nonempty(log)
-    real_count, tp, fp, _ = _confusion(log)
+def _weighted_ratio(real_count, tp, misses) -> float:
+    """Sum over real categories of weight * hits over weight * (hits + misses);
+    a category with no hits and no misses contributes 0."""
     num = den = 0.0
     for cat, weight in real_count.items():
         hits = tp.get(cat, 0)
-        predicted = hits + fp.get(cat, 0)
-        if predicted == 0:
+        total = hits + misses.get(cat, 0)
+        if total == 0:
             continue
         num += weight * hits
-        den += weight * predicted
+        den += weight * total
     return num / den if den else 0.0
+
+
+def prec_cat(log: EvalLog) -> float:
+    """Weighted category precision; zero-denominator classes contribute 0."""
+    real_count, tp, fp, _ = _confusion(log)
+    return _weighted_ratio(real_count, tp, fp)
 
 
 def rec_cat(log: EvalLog) -> float:
     """Weighted category recall."""
-    _require_nonempty(log)
     real_count, tp, _, fn = _confusion(log)
-    num = den = 0.0
-    for cat, weight in real_count.items():
-        hits = tp.get(cat, 0)
-        actual = hits + fn.get(cat, 0)
-        if actual == 0:
-            continue
-        num += weight * hits
-        den += weight * actual
-    return num / den if den else 0.0
+    return _weighted_ratio(real_count, tp, fn)
 
 
 def avg_sim(log: EvalLog, wv: WordVectors) -> float:

@@ -32,7 +32,11 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid_scalar(x: float) -> float:
-    return float(sigmoid(np.asarray([x]))[0])
+    """``sigmoid`` of one number: the same two branches, without an array per call."""
+    if x >= 0:
+        return float(1.0 / (1.0 + np.exp(-x)))
+    ex = np.exp(x)
+    return float(ex / (1.0 + ex))
 
 
 def row_softmax(x) -> np.ndarray:

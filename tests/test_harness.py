@@ -165,6 +165,25 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=re.escape(f"{key!r}: {val!r}")):
             RunConfig.from_mapping({key: val})
 
+    # each case sets one key just outside its range
+    @pytest.mark.parametrize("key, val", [
+        ("epsilon_start", 1.5), ("epsilon_start", -0.1), ("epsilon_end", 1.5),
+        ("epsilon_end", -0.1), ("gamma", 1.5), ("gamma", -0.1),
+        ("d_floor_km", 0.0), ("legacy_bin_hours", 0.0), ("legacy_bin_hours", -1.0),
+        ("stream_offset", -1), ("train_every", -1), ("target_refresh", -1),
+        ("incr_steps", -1), ("max_incr_triples", -1), ("init_epochs", -1),
+        ("neg_per_pos", -1), ("qnet_hidden", 0), ("legacy_n", 0), ("gcn_layers", 0),
+    ])
+    def test_out_of_range_value_rejected(self, key, val):
+        with pytest.raises(ConfigError, match=rf"^{key} "):
+            _tiny_config(**{key: val})
+
+    def test_range_edges_accepted(self):
+        _tiny_config(train_every=0, init_epochs=0, target_refresh=0, stream_offset=0,
+                     incr_steps=0, max_incr_triples=0, neg_per_pos=0, gamma=0.0,
+                     epsilon_start=1.0, epsilon_end=0.0, qnet_hidden=1, legacy_n=1,
+                     gcn_layers=1)
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ConfigError):
             RunConfig(lambda_d=0.9, lambda_c=0.9, lambda_p=0.9)
@@ -430,8 +449,9 @@ class TestArtifactsRoundtrip:
 
 
 class TestArtifactFiles:
-    _SHARED = {"config.txt", "catalog.tsv", "kg_snapshot.txt", "qnet.bin"}
-    _ENV = {"drpr": {"embeddings.bin", "encoder.bin", "embed_rng.json"}, "rirl": {"legacy.bin"}}
+    _SHARED = {"config.txt", "catalog.tsv", "qnet.bin"}
+    _ENV = {"drpr": {"kg_snapshot.txt", "embeddings.bin", "encoder.bin", "embed_rng.json"},
+            "rirl": {"legacy.bin"}}
 
     @pytest.mark.parametrize("mode", harness.AGENT_MODES)
     def test_save_load_save_is_byte_identical(self, mode, tmp_path):
@@ -566,7 +586,6 @@ class TestArtifactFiles:
         "legacy_n": ("rirl", None, {"legacy_n": 5}, "legacy.bin"),
         "snapshot-of-other-pois": ("drpr", "drpr-9-pois", {}, "kg_snapshot.txt"),
         "embeddings-of-other-pois": ("drpr", "drpr-9-pois", {}, "embeddings.bin"),
-        "snapshot-in-rirl": ("rirl", "drpr", {}, "kg_snapshot.txt"),
     }
 
     @pytest.mark.parametrize("case", list(_MISMATCHES))

@@ -298,7 +298,7 @@ class TestLegacyState:
 
 class TestTrafficBins:
     def test_inner_and_cross_flows(self):
-        bins = TrafficBins([0, 1], bin_seconds=3600.0)
+        bins = TrafficBins(2, bin_seconds=3600.0)
         bins.record(None, 0, 0.0)
         bins.record(0, 0, 100.0)   # inner in zone 0
         bins.record(0, 1, 200.0)   # out of 0, into 1
@@ -306,7 +306,7 @@ class TestTrafficBins:
         assert m[0, 0] == 1.0 and m[0, 2] == 1.0 and m[1, 1] == 1.0
 
     def test_bin_rollover_resets(self):
-        bins = TrafficBins([0], bin_seconds=10.0)
+        bins = TrafficBins(1, bin_seconds=10.0)
         bins.record(0, 0, 1.0)
         bins.record(0, 0, 11.0)  # new bin
         assert bins.matrix()[0, 0] == 1.0

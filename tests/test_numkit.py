@@ -13,6 +13,7 @@ from geostream.numkit import (
     save_matrices,
     sgd_step,
     sigmoid,
+    sigmoid_scalar,
 )
 
 from gradcheck import finite_diff_check
@@ -32,6 +33,15 @@ class TestActivations:
     def test_sigmoid_extreme_no_overflow(self):
         out = sigmoid([[-1000.0, 1000.0]])
         assert out[0, 0] == 0.0 and out[0, 1] == 1.0
+
+    def test_sigmoid_scalar_equals_the_array_form(self):
+        # the legacy gates and the composite reward take the scalar form; traces
+        # stay byte-identical only while it agrees with `sigmoid` bit for bit
+        rng = np.random.default_rng(0)
+        xs = np.concatenate([rng.normal(0, 3, 5000), rng.uniform(-800, 800, 5000),
+                             [0.0, -0.0, 1e-300, -1e-300, np.inf, -np.inf]])
+        assert [sigmoid_scalar(x) for x in xs] == sigmoid(xs).tolist()
+        assert [sigmoid_scalar(float(x)) for x in xs] == sigmoid(xs).tolist()
 
 
 class TestRowSoftmax:
