@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import ConfigError
 from .kgstore import DynamicKg, EntityKind
 
 _U, _V = EntityKind.USER, EntityKind.POI
@@ -43,7 +44,7 @@ class CandidateSet:
 def expand_meta_path(kg: DynamicKg, user_id: int, scheme: str) -> set[int]:
     """All POIs reachable from the user by one instantiation of the scheme."""
     if scheme not in SCHEMES:
-        raise ValueError(f"unknown meta-path scheme {scheme!r}")
+        raise ConfigError(f"unknown meta-path scheme {scheme!r}")
     path = SCHEMES[scheme]
     frontier = {user_id}
     for src, dst in zip(path, path[1:]):
@@ -54,7 +55,7 @@ def expand_meta_path(kg: DynamicKg, user_id: int, scheme: str) -> set[int]:
 def generate_candidates(kg: DynamicKg, user_id: int, k: int) -> CandidateSet:
     """Top-k per scheme, deduplicated in scheme order, popularity-padded."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ConfigError("k must be >= 1")
     found: dict[int, str] = {}  # POI -> the first scheme that found it
     if user_id in kg.users:
         for scheme in SCHEMES:

@@ -129,7 +129,6 @@ class ContextEncoder:
         rng = rng if rng is not None else np.random.default_rng(0)
         self.d = d
         self.layers = layers
-        self.version = 0
         self.store = ParamStore()
         limit = np.sqrt(6.0 / (d + d))
         for i in range(layers):
@@ -147,9 +146,6 @@ class ContextEncoder:
     @property
     def gate(self) -> np.ndarray:
         return self.store.get("gate")
-
-    def bump(self) -> None:
-        self.version += 1
 
 
 @dataclass
@@ -223,8 +219,8 @@ class Embedder:
                 f"table dimension {self.table.d} != encoder dimension {self.enc.d}"
             )
         self.margin = margin
-        # joint embeddings of every row at the (graph, encoder, table)
-        # versions; the rows of the stale keys' stars are still to redo
+        # joint embeddings of every row at the graph version, encoder SGD step
+        # count and table version; the rows of the stale keys' stars are still to redo
         self._joint_memo: tuple[tuple, np.ndarray] | None = None
         self._stale: set[ObjKey] = set()
         self._rel_mask = np.zeros(0, dtype=bool)
@@ -281,7 +277,7 @@ class Embedder:
         account for (the encoder, or a graph or table write outside
         ``incremental_update``) re-encodes every row.
         """
-        sig = (self.kg.version, self.enc.version, self.table.version)
+        sig = (self.kg.version, self.enc.store.step_count, self.table.version)
         memo = self._joint_memo
         if memo is None or memo[0] != sig:
             joint = self._forward(list(self.table.rows))[0]
@@ -388,7 +384,6 @@ class Embedder:
                 if not np.isfinite(epoch_loss):
                     raise TrainingError(f"non-finite loss in epoch {epoch}")
                 sgd_step(self.enc.store, lr)
-                self.enc.bump()
                 self.table.step(grads, slice(None), lr)  # every row
         return self.pool_state()
 
@@ -411,7 +406,7 @@ class Embedder:
         # the memo follows only a delta that starts where it stands; the
         # delta covers every object whose star or raw vector moves here
         memo = self._joint_memo
-        start = (delta.version - 1, self.enc.version, self.table.version)
+        start = (delta.version - 1, self.enc.store.step_count, self.table.version)
         follows = memo is not None and memo[0] == start
         affected = sorted(delta.affected)
         self.table.init_objects([k for k in affected if k not in self.table], self.rng)
@@ -433,7 +428,7 @@ class Embedder:
             self.table.step(grads, rows, lr)
         if follows:
             self._stale |= delta.affected
-            self._joint_memo = ((self.kg.version, self.enc.version, self.table.version), memo[1])
+            self._joint_memo = ((self.kg.version, self.enc.store.step_count, self.table.version), memo[1])
 
     # -- state ---------------------------------------------------------------
 
@@ -472,5 +467,4 @@ class Embedder:
         grads = np.zeros_like(self.table.vecs)
         self._backward(cache, seed, grads)
         sgd_step(self.enc.store, lr)
-        self.enc.bump()
         self.table.step(grads, rows, lr)

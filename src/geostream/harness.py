@@ -51,8 +51,6 @@ from .reward import (
     compute_reward,
 )
 
-WORDVEC_ENV = "GEOSTREAM_WORDVECS"
-
 AGENT_MODES = ("drpr", "drpr-static", "drpr-noexit", "drpr-nocand", "rirl")
 
 
@@ -111,8 +109,8 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.split_fraction < 1.0:
             raise ConfigError(f"split_fraction {self.split_fraction} outside (0, 1)")
-        for name in ("stream_length", "d", "k", "w", "b", "buffer_capacity", "batch_size",
-                     "qnet_hidden", "legacy_n", "gcn_layers", "d_floor_km", "legacy_bin_hours"):
+        for name in ("stream_length", "d", "k", "w", "b", "buffer_capacity", "batch_size", "qnet_hidden",
+                     "legacy_n", "gcn_layers", "cell_deg", "d_floor_km", "legacy_bin_hours"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
         for name in ("stream_offset", "train_every", "target_refresh", "incr_steps",
@@ -234,17 +232,6 @@ def parse_checkins(path) -> list[CheckInRecord]:
     return records
 
 
-def derive_zones(records, cell_deg: float) -> dict[str, tuple[int, int]]:
-    """Grid cell per venue from its first record's coordinates."""
-    if cell_deg <= 0:
-        raise ConfigError("cell_deg must be positive")
-    zones: dict[str, tuple[int, int]] = {}
-    for r in records:
-        if r.venue not in zones:
-            zones[r.venue] = (floor(r.lat / cell_deg), floor(r.lon / cell_deg))
-    return zones
-
-
 def split_stream(records, fraction: float):
     """Earliest floor(fraction * n) records for training, rest for testing."""
     cut = floor(fraction * len(records))
@@ -290,24 +277,24 @@ class Catalog:
 
     @classmethod
     def build(cls, records, cell_deg: float) -> "Catalog":
+        """Users and POIs by first appearance; a POI's zone is its first record's cell."""
         cat = cls()
-        zone_of = derive_zones(records, cell_deg)
         for r in records:
             if r.user not in cat.users:
                 cat.users[r.user] = len(cat.users)
             if r.venue not in cat.venues:
-                idx = len(cat.venues)
-                cat.venues[r.venue] = idx
-                cat.raw_venues.append(r.venue)
-                if r.category_name not in cat.categories:
-                    cat.categories[r.category_name] = len(cat.categories)
-                cell = zone_of[r.venue]
-                if cell not in cat.zones:
-                    cat.zones[cell] = len(cat.zones)
-                cat.poi_info.append(PoiInfo(idx, r.category_name, r.lat, r.lon))
-                cat.poi_category.append(cat.categories[r.category_name])
-                cat.poi_zone.append(cat.zones[cell])
+                cell = (floor(r.lat / cell_deg), floor(r.lon / cell_deg))
+                cat._add_poi(r.venue, r.category_name, r.lat, r.lon, cell)
         return cat
+
+    def _add_poi(self, venue: str, category: str, lat: float, lon: float, cell: tuple) -> None:
+        """The next POI index for a new venue; a new category or zone cell gets its next one."""
+        idx = len(self.venues)
+        self.venues[venue] = idx
+        self.raw_venues.append(venue)
+        self.poi_info.append(PoiInfo(idx, category, lat, lon))
+        self.poi_category.append(self.categories.setdefault(category, len(self.categories)))
+        self.poi_zone.append(self.zones.setdefault(cell, len(self.zones)))
 
     def skeleton(self):
         return [
@@ -319,16 +306,10 @@ class Catalog:
         out = io.StringIO()
         for u in self.users:
             out.write(f"U\t{u}\n")
-        for name, idx in sorted(self.categories.items(), key=lambda kv: kv[1]):
-            out.write(f"C\t{idx}\t{name}\n")
-        for cell, idx in sorted(self.zones.items(), key=lambda kv: kv[1]):
-            out.write(f"Z\t{idx}\t{cell[0]}\t{cell[1]}\n")
-        for v, idx in sorted(self.venues.items(), key=lambda kv: kv[1]):
-            info = self.poi_info[idx]
-            out.write(
-                f"P\t{v}\t{self.poi_category[idx]}\t{self.poi_zone[idx]}"
-                f"\t{info.lat!r}\t{info.lon!r}\t{info.category}\n"
-            )
+        cells = list(self.zones)  # in index order
+        for venue, info, z in zip(self.raw_venues, self.poi_info, self.poi_zone):
+            x, y = cells[z]
+            out.write(f"P\t{venue}\t{x}\t{y}\t{info.lat!r}\t{info.lon!r}\t{info.category}\n")
         return out.getvalue()
 
     @classmethod
@@ -350,36 +331,18 @@ class Catalog:
         if len(parts) != _TSV_FIELDS[tag]:
             raise ValueError(f"{tag} line has {len(parts)} fields, want {_TSV_FIELDS[tag]}")
         if tag == "U":
-            _claim_next(self.users, parts[1], "user")
-        elif tag == "C":
-            _claim_next(self.categories, parts[2], "category", int(parts[1]))
-        elif tag == "Z":
-            _claim_next(self.zones, (int(parts[2]), int(parts[3])), "zone", int(parts[1]))
+            if parts[1] in self.users:
+                raise ValueError(f"duplicate user {parts[1]!r}")
+            self.users[parts[1]] = len(self.users)
         else:
-            c, z = int(parts[2]), int(parts[3])
-            if not (0 <= c < len(self.categories) and 0 <= z < len(self.zones)):
-                raise ValueError(f"category {c} or zone {z} not declared")
-            if self.categories.get(parts[6]) != c:
-                raise ValueError(f"category name {parts[6]!r} is not that of category {c}")
-            idx = _claim_next(self.venues, parts[1], "venue")
-            self.raw_venues.append(parts[1])
-            self.poi_category.append(c)
-            self.poi_zone.append(z)
-            self.poi_info.append(PoiInfo(idx, parts[6], float(parts[4]), float(parts[5])))
+            _, venue, x, y, lat, lon, category = parts
+            if venue in self.venues:
+                raise ValueError(f"duplicate venue {venue!r}")
+            self._add_poi(venue, category, float(lat), float(lon), (int(x), int(y)))
 
 
 # fields per catalog line, by tag
-_TSV_FIELDS = {"U": 2, "C": 3, "Z": 4, "P": 7}
-
-
-def _claim_next(index: dict, key, what: str, idx: int | None = None) -> int:
-    """Give ``key`` the next index of ``index``; a stated ``idx`` must be that index."""
-    if key in index:
-        raise ValueError(f"duplicate {what} {key!r}")
-    if idx is not None and idx != len(index):
-        raise ValueError(f"{what} index {idx}, want {len(index)}")
-    index[key] = len(index)
-    return index[key]
+_TSV_FIELDS = {"U": 2, "P": 7}
 
 
 def _parse_file(path, parse, *args):
@@ -492,10 +455,7 @@ def _load_rng(path) -> np.random.Generator:
 
 
 def _load_wordvecs(config: RunConfig) -> WordVectors:
-    path = os.environ.get(WORDVEC_ENV, "") or config.wordvecs
-    if path:
-        return WordVectors.load(path)
-    return WordVectors()
+    return WordVectors.load(config.wordvecs) if config.wordvecs else WordVectors()
 
 
 class _DrprDriver:

@@ -23,6 +23,7 @@ from enum import IntEnum
 from typing import NamedTuple
 
 from .errors import (
+    ConfigError,
     IngestionError,
     StreamOrderError,
     UnknownObjectError,
@@ -128,7 +129,7 @@ class DynamicKg:
 
     def __post_init__(self):
         if self.window_capacity < 1:
-            raise ValueError("window capacity must be >= 1")
+            raise ConfigError("window capacity must be >= 1")
         # live triple -> references: 1 for a static triple; window events
         # hold one on their visit edge and one on the cascade they created
         self._refs: dict[Triple, int] = {}

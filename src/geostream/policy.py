@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .candidates import CandidateSet
-from .errors import ActionSpaceError, TrainingError
+from .errors import ActionSpaceError, ConfigError, TrainingError
 from .numkit import ParamStore, relu, row_softmax, sgd_step
 
 PAIRWISE = "pairwise"
@@ -43,9 +43,9 @@ class QNet:
         rng: np.random.Generator | None = None,
     ):
         if mode not in (PAIRWISE, VANILLA):
-            raise ValueError(f"unknown QNet mode {mode!r}")
+            raise ConfigError(f"unknown QNet mode {mode!r}")
         if mode == VANILLA and n_actions < 1:
-            raise ValueError("vanilla mode needs a fixed action set")
+            raise ConfigError("vanilla mode needs a fixed action set")
         rng = rng if rng is not None else np.random.default_rng(0)
         self.mode = mode
         self.dim_state = dim_state
@@ -152,7 +152,7 @@ def select_action(
     if len(cand) == 0:
         raise ActionSpaceError("empty candidate set")
     if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon {epsilon} outside [0, 1]")
+        raise ConfigError(f"epsilon {epsilon} outside [0, 1]")
     if epsilon > 0.0 and rng.random() < epsilon:
         return cand.pois[int(rng.integers(len(cand)))]
     scores = q_values(net, state, cand, actions)
@@ -169,13 +169,18 @@ def _max_next_q(net: QNet, t: Transition) -> float:
     return float(_q(net, t.next_state, t.next_actions).max())
 
 
+def _target(net: QNet, t: Transition, gamma: float) -> float:
+    """The Bellman target r + gamma*maxQ', bootstrapped by ``net``."""
+    return t.reward + gamma * _max_next_q(net, t)
+
+
 def priority_of(t: Transition, mode: str, net: QNet, gamma: float) -> float:
     """Reward mode returns r; TD mode returns r + gamma*maxQ' - Q."""
     if mode == "reward":
         return float(t.reward)
     if mode == "td":
-        return float(t.reward + gamma * _max_next_q(net, t) - _q_of(net, t))
-    raise ValueError(f"unknown priority mode {mode!r}")
+        return float(_target(net, t, gamma) - _q_of(net, t))
+    raise ConfigError(f"unknown priority mode {mode!r}")
 
 
 class PriorityReplayBuffer:
@@ -183,9 +188,9 @@ class PriorityReplayBuffer:
 
     def __init__(self, capacity: int, mode: str = "reward"):
         if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+            raise ConfigError("capacity must be >= 1")
         if mode not in ("reward", "td"):
-            raise ValueError(f"unknown priority mode {mode!r}")
+            raise ConfigError(f"unknown priority mode {mode!r}")
         self.capacity = capacity
         self.mode = mode
         self._items: deque[Transition] = deque(maxlen=capacity)
@@ -242,7 +247,7 @@ def train_step(
     if not batch:
         raise ValueError("empty batch")
     bootstrap = target_net if target_net is not None else net
-    targets = np.array([t.reward + gamma * _max_next_q(bootstrap, t) for t in batch])
+    targets = np.array([_target(bootstrap, t, gamma) for t in batch])
     if net.mode == PAIRWISE:
         x = np.stack([np.concatenate([t.state, t.action]) for t in batch])
         cols = np.zeros(len(batch), dtype=np.intp)

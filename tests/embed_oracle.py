@@ -154,7 +154,7 @@ class OracleEmbedder:
     def _signature(self, nodes) -> tuple:
         # a context is the star over its nodes, so they determine it exactly
         return (
-            self.enc.version,
+            self.enc.store.step_count,
             nodes,
             tuple(self.table.version(k) for k in nodes),
         )
@@ -255,5 +255,4 @@ class OracleEmbedder:
             _, cache = self._joint_forward(self.kg.context_of(key))
             self._joint_backward(cache, seed, grads)
         sgd_step(self.enc.store, lr)
-        self.enc.bump()
         self._apply_grads(grads, lr, allowed=set(keys))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from geostream import candidates, kgstore
 from geostream.candidates import expand_meta_path, generate_candidates
-from geostream.errors import UnknownObjectError
+from geostream.errors import ConfigError, UnknownObjectError
 from geostream.kgstore import RelType, build_static
 
 import candidates_oracle
@@ -58,7 +58,7 @@ class TestExpandMetaPath:
     def test_unknown_scheme(self):
         kg = build_static([(0, 0, 0)])
         kg.apply_visit(1, 0, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             expand_meta_path(kg, 1, "UVX")
 
 

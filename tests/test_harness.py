@@ -19,7 +19,6 @@ from geostream.harness import (
     Catalog,
     CheckInRecord,
     RunConfig,
-    derive_zones,
     parse_checkins,
     run_eval,
     run_training,
@@ -27,8 +26,9 @@ from geostream.harness import (
     sweep_reward,
 )
 
+import catalog_oracle
 import probes
-from conftest import WORDVEC_PATH, make_cyclic_stream
+from conftest import WORDVEC_PATH, make_cyclic_stream, make_drifting_stream
 
 
 def _tiny_config(**overrides):
@@ -111,19 +111,19 @@ class TestParseCheckins:
 class TestDeriveZones:
     def test_floor_arithmetic(self):
         rec = CheckInRecord("u", "v", "c", "Museum", 40.0049, -73.989, 1.0)
-        zones = derive_zones([rec], 0.01)
-        assert zones["v"] == (4000, -7399)
+        cat = Catalog.build([rec], 0.01)
+        assert cat.zones == {(4000, -7399): 0} and cat.poi_zone == [0]
 
     def test_nearby_pois_share_zone(self):
         a = CheckInRecord("u", "va", "c", "Museum", 40.00500, -73.98500, 1.0)
         b = CheckInRecord("u", "vb", "c", "Museum", 40.00501, -73.98501, 2.0)
-        zones = derive_zones([a, b], 0.01)
-        assert zones["va"] == zones["vb"]
+        cat = Catalog.build([a, b], 0.01)
+        assert len(cat.zones) == 1 and cat.poi_zone == [0, 0]
 
     def test_boundary_uses_floor(self):
         rec = CheckInRecord("u", "v", "c", "Museum", 40.0, -74.0, 1.0)
-        zones = derive_zones([rec], 0.5)
-        assert zones["v"] == (80, -148)
+        cat = Catalog.build([rec], 0.5)
+        assert cat.zones == {(80, -148): 0} and cat.poi_zone == [0]
 
 
 class TestSplitStream:
@@ -173,6 +173,7 @@ class TestRunConfig:
         ("stream_offset", -1), ("train_every", -1), ("target_refresh", -1),
         ("incr_steps", -1), ("max_incr_triples", -1), ("init_epochs", -1),
         ("neg_per_pos", -1), ("qnet_hidden", 0), ("legacy_n", 0), ("gcn_layers", 0),
+        ("cell_deg", 0.0), ("cell_deg", -0.01),
     ])
     def test_out_of_range_value_rejected(self, key, val):
         with pytest.raises(ConfigError, match=rf"^{key} "):
@@ -195,15 +196,40 @@ class TestRunConfig:
         assert cfg.epsilon_at(2, 5) == pytest.approx(0.3)
 
 
+def _mirrored(records):
+    """The records at negated coordinates, so cells fall below zero on both axes."""
+    return [r._replace(lat=-r.lat, lon=-r.lon) for r in records]
+
+
+def _jittered(records):
+    """The records with coordinates that move per record; a venue keeps its first."""
+    return [r._replace(lat=r.lat + 0.003 * (i % 5), lon=r.lon - 0.004 * (i % 3))
+            for i, r in enumerate(records)]
+
+
 class TestCatalog:
     def test_tsv_roundtrip(self):
         recs = make_cyclic_stream(20)
         cat = Catalog.build(recs, 0.01)
         clone = Catalog.from_tsv(cat.to_tsv())
-        assert clone.users == cat.users
-        assert clone.venues == cat.venues
-        assert clone.poi_zone == cat.poi_zone
-        assert clone.poi_info == cat.poi_info
+        assert vars(clone) == vars(cat)
+
+    # 0.5 puts every drifting POI of a cluster, and several clusters, in one cell
+    @pytest.mark.parametrize("cell_deg", [0.001, 0.01, 0.05, 0.5])
+    @pytest.mark.parametrize("stream", [
+        lambda seed: make_drifting_stream(n_events=300, seed=seed),
+        lambda seed: _mirrored(make_drifting_stream(n_events=300, seed=seed)),
+        lambda seed: _jittered(make_drifting_stream(n_events=300, seed=seed)),
+        lambda seed: make_cyclic_stream(40, n_pois=9, cycle=(seed % 9, 4, 8)),
+    ], ids=["drifting", "drifting-mirrored", "drifting-jittered", "cyclic"])
+    def test_matches_oracle(self, stream, cell_deg):
+        for seed in range(3):
+            recs = stream(seed)
+            cat = Catalog.build(recs, cell_deg)
+            old = catalog_oracle.Catalog.build(recs, cell_deg)
+            assert vars(cat) == vars(old)
+            assert vars(Catalog.from_tsv(cat.to_tsv())) == vars(old)
+            assert vars(catalog_oracle.Catalog.from_tsv(old.to_tsv())) == vars(old)
 
 
 class TestTrainingLoop:
@@ -545,22 +571,16 @@ class TestArtifactFiles:
         with pytest.raises(IngestionError, match=f"legacy.bin: .*'{re.escape(entry)}'"):
             Artifacts.load(tmp_path)
 
-    # the saved catalog.tsv has a U line, six C lines, six Z lines, then six P
-    # lines; each damage replaces line `no` by `text`, and the error names that line
+    # the saved catalog.tsv has a U line, then six P lines; each damage replaces
+    # line `no` by `text`, and the error names that line
     _CATALOG_DAMAGE = {
-        "cut-mid-line": (19, "P\tv2\t5\t5\t40.72"),
-        "unparsable-index": (8, "Z\tzero\t4073\t-7397"),
-        "unparsable-latitude": (14, "P\tv3\t0\t0\tnorth\t-73.97\tGym"),
-        "unknown-tag": (19, "X\tv2"),
+        "cut-mid-line": (7, "P\tv2\t4072\t-7398\t40.72"),
+        "unparsable-index": (2, "P\tv3\tzero\t-7397\t40.73\t-73.97\tGym"),
+        "unparsable-latitude": (2, "P\tv3\t4073\t-7397\tnorth\t-73.97\tGym"),
+        "unknown-tag": (7, "X\tv2"),
         "duplicate-user": (2, "U\tu0"),
-        "duplicate-venue": (15, "P\tv3\t1\t1\t40.74\t-73.96\tBeach"),
-        "duplicate-category": (3, "C\t1\tGym"),
-        "duplicate-zone": (9, "Z\t1\t4073\t-7397"),
-        "category-index-gap": (2, "C\t7\tGym"),
-        "zone-index-gap": (13, "Z\t6\t4072\t-7398"),
-        "undeclared-category": (14, "P\tv3\t9\t0\t40.73\t-73.97\tGym"),
-        "undeclared-zone": (14, "P\tv3\t0\t6\t40.73\t-73.97\tGym"),
-        "other-category-name": (14, "P\tv3\t0\t0\t40.73\t-73.97\tBeach"),
+        "duplicate-venue": (3, "P\tv3\t4074\t-7396\t40.74\t-73.96\tBeach"),
+        "old-format-category-line": (2, "C\t0\tGym"),
     }
 
     @pytest.mark.parametrize("damage", list(_CATALOG_DAMAGE))
@@ -568,7 +588,7 @@ class TestArtifactFiles:
         no, text = self._CATALOG_DAMAGE[damage]
         shutil.copytree(saved["drpr"], tmp_path, dirs_exist_ok=True)
         lines = (tmp_path / "catalog.tsv").read_text().splitlines()
-        assert "".join(line[0] for line in lines) == "U" + "C" * 6 + "Z" * 6 + "P" * 6
+        assert "".join(line[0] for line in lines) == "U" + "P" * 6
         lines[no - 1] = text
         (tmp_path / "catalog.tsv").write_text("\n".join(lines) + "\n")
         with pytest.raises(IngestionError, match=f"catalog.tsv: line {no}: "):
@@ -660,14 +680,24 @@ class TestSweepAndInspect:
             assert summary["triples"] == len(artifacts.env.kg.triples())
 
 
-class TestWordvecEnvOverride:
-    def test_env_var_wins(self, tmp_path, monkeypatch):
+class TestWordvecs:
+    def test_env_var_changes_nothing(self, tmp_path, monkeypatch):
+        # the vectors come from the config alone, so a bundle's `wordvecs=` line
+        # names the vectors that trained it
         alt = tmp_path / "alt.txt"
         alt.write_text("museum 1 2\n")
-        monkeypatch.setenv(harness.WORDVEC_ENV, str(alt))
-        cfg = _tiny_config(wordvecs="does-not-exist.txt")
-        wv = harness._load_wordvecs(cfg)
-        assert len(wv) == 1
+        cfg = _tiny_config()
+        records = make_cyclic_stream(40)
+        _, test_events = split_stream(records[:30], 0.8)
+        runs = []
+        for setting in (None, str(alt)):
+            if setting is not None:
+                monkeypatch.setenv("GEOSTREAM_WORDVECS", setting)
+            artifacts, log, _ = run_training(cfg, records=records)
+            report, eval_log = run_eval(cfg, artifacts, test_events)
+            del report["wall_s"]
+            runs.append((log.to_trace_csv(), report, eval_log.to_trace_csv()))
+        assert runs[1] == runs[0]
 
 
 class TestCli:

@@ -3,9 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from geostream import policy
-from geostream.candidates import CandidateSet
-from geostream.errors import ActionSpaceError, IngestionError
+from geostream import kgstore, policy
+from geostream.candidates import CandidateSet, expand_meta_path, generate_candidates
+from geostream.errors import ActionSpaceError, ConfigError, IngestionError
 from geostream.policy import (
     PriorityReplayBuffer,
     QNet,
@@ -477,3 +477,36 @@ class TestMatchesOracle:
             assert np.array_equal(net.store.get(name), twin.store.get(name)), name
         assert seen["new"].shape == (4, 5)
         assert np.array_equal(seen["new"], seen["old"])
+
+
+def _select_with_epsilon(epsilon):
+    net = QNet(4, 3, hidden=8)
+    table = _table(np.random.default_rng(0), [0, 1], 3)
+    select_action(net, np.zeros(4), _cand([0, 1]), epsilon, np.random.default_rng(0),
+                  _rows(table, [0, 1]))
+
+
+def _priority_with_mode(mode):
+    net = QNet(4, 3, hidden=8)
+    rng = np.random.default_rng(0)
+    priority_of(_transition(rng, net, 0, _table(rng, [0, 1], 3), 1.0), mode, net, 0.9)
+
+
+# each case passes one bad argument to one public entry point
+@pytest.mark.parametrize("call", [
+    lambda: QNet(4, 3, mode="bogus"),
+    lambda: QNet(4, mode=policy.VANILLA),
+    lambda: _select_with_epsilon(1.5),
+    lambda: _select_with_epsilon(-0.1),
+    lambda: _priority_with_mode("bogus"),
+    lambda: PriorityReplayBuffer(0),
+    lambda: PriorityReplayBuffer(5, "bogus"),
+    lambda: expand_meta_path(kgstore.build_static([(0, 0, 0)]), 0, "UVX"),
+    lambda: generate_candidates(kgstore.build_static([(0, 0, 0)]), 0, 0),
+    lambda: kgstore.build_static([(0, 0, 0)], window=0),
+], ids=["qnet-mode", "vanilla-without-actions", "epsilon-above-one", "epsilon-below-zero",
+        "priority-mode", "buffer-capacity", "buffer-mode", "meta-path-scheme", "candidates-k",
+        "kg-window"])
+def test_bad_argument_is_a_config_error(call):
+    with pytest.raises(ConfigError):
+        call()
