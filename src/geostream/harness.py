@@ -1,12 +1,12 @@
 """End-to-end pipeline: ingestion, zones, splits, the closed training loop.
 
-The stream replay follows one strict per-event order: apply the previous
-real event to the environment, locally retrain the touched embeddings,
-pool the state, generate candidates for the incoming user, predict,
-score against the real event, buffer the transition, and periodically
-train the agent (optionally feeding the Bellman gradient back into the
-representation). Evaluation replays the held-out tail with exploration
-off while the environment keeps evolving.
+The stream replay makes one pass per event, in a strict order: pool the
+state and generate candidates for the incoming user, predict, score
+against the real event, buffer the transition, periodically train the
+agent (optionally feeding the Bellman gradient back into the
+representation), and then apply the real event to the environment,
+locally retraining the touched embeddings. Evaluation replays the
+held-out tail with exploration off while the environment keeps evolving.
 
 All randomness flows from one seeded generator, so identical configs
 reproduce byte-identical traces.
@@ -40,6 +40,7 @@ from .errors import (
     FormatError,
     IngestionError,
 )
+from .geo import check_coords
 from .kgstore import DynamicKg, EntityKind
 from .numkit import load_matrices, save_matrices, sgd_step
 from .reward import (
@@ -114,9 +115,10 @@ class RunConfig:
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
         for name in ("stream_offset", "train_every", "target_refresh", "incr_steps",
-                     "max_incr_triples", "init_epochs", "neg_per_pos"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must not be negative")
+                     "max_incr_triples", "init_epochs", "neg_per_pos", "seed", "lr_embed",
+                     "lr_q", "lr_feedback", "margin", "lambda_d", "lambda_c", "lambda_p"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} {getattr(self, name)} must be >= 0")
         for name in ("gamma", "epsilon_start", "epsilon_end"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} {getattr(self, name)} outside [0, 1]")
@@ -218,13 +220,12 @@ def parse_checkins(path) -> list[CheckInRecord]:
                     raise ValueError("too few fields")
                 lat = float(parts[4])
                 lon = float(parts[5])
-                if not (-90 <= lat <= 90 and -180 <= lon <= 180):
-                    raise ValueError("coordinates out of range")
+                check_coords(lat, lon)
                 ts = _parse_timestamp(parts[-1])
                 records.append(
                     CheckInRecord(parts[0], parts[1], parts[2], parts[3], lat, lon, ts)
                 )
-            except (ValueError, IndexError):
+            except (ValueError, IndexError, DataError):
                 malformed += 1
     if total and malformed > 0.1 * total:
         raise FormatError(f"{malformed}/{total} malformed lines in {path}")
@@ -283,6 +284,7 @@ class Catalog:
             if r.user not in cat.users:
                 cat.users[r.user] = len(cat.users)
             if r.venue not in cat.venues:
+                check_coords(r.lat, r.lon)
                 cell = (floor(r.lat / cell_deg), floor(r.lon / cell_deg))
                 cat._add_poi(r.venue, r.category_name, r.lat, r.lon, cell)
         return cat
@@ -320,7 +322,7 @@ class Catalog:
             if line:
                 try:
                     cat._read_line(line.split("\t"))
-                except ValueError as exc:
+                except (ValueError, DataError) as exc:
                     raise IngestionError(f"line {no}: {exc}") from None
         return cat
 
@@ -338,7 +340,9 @@ class Catalog:
             _, venue, x, y, lat, lon, category = parts
             if venue in self.venues:
                 raise ValueError(f"duplicate venue {venue!r}")
-            self._add_poi(venue, category, float(lat), float(lon), (int(x), int(y)))
+            lat, lon = float(lat), float(lon)
+            check_coords(lat, lon)
+            self._add_poi(venue, category, lat, lon, (int(x), int(y)))
 
 
 # fields per catalog line, by tag
@@ -451,7 +455,10 @@ def _load_rng(path) -> np.random.Generator:
 # One class per agent mode owns that mode's trained state: it builds it
 # (``fresh``), sizes the Q-network for it (``new_net``), persists it
 # (``save``/``load``), copies it for evaluation (``replica``) and says
-# what graph a saved bundle has (``graph``).
+# what graph a saved bundle has (``graph``). In the loop it answers
+# ``observe`` (the state, the user's candidates and their Q-net inputs),
+# takes each real visit in ``advance`` and trains on the Bellman
+# gradient in ``feedback``.
 
 
 def _load_wordvecs(config: RunConfig) -> WordVectors:
@@ -541,22 +548,21 @@ class _DrprDriver:
         )
         self.last_affected = delta.affected
 
-    def state(self, user_idx: int) -> np.ndarray:
-        return self.embedder.pool_state()
-
-    def candidates_for(self, user_idx: int) -> cand_mod.CandidateSet:
+    def observe(self, user_idx: int):
+        """The pooled state, the user's candidates and their Q-net inputs:
+        joint embeddings, one row per POI in ``cand.pois``."""
+        state = self.embedder.pool_state()
         if self.config.agent_mode == "drpr-nocand":
-            return self.all_pois
-        return cand_mod.generate_candidates(self.kg, user_idx, self.config.k)
-
-    def action_inputs(self, cand: cand_mod.CandidateSet) -> np.ndarray:
-        """The candidates' Q-net inputs: joint embeddings, one row per POI in ``cand.pois``."""
-        return np.stack(
+            cand = self.all_pois
+        else:
+            cand = cand_mod.generate_candidates(self.kg, user_idx, self.config.k)
+        inputs = np.stack(
             [self.embedder.joint_cached((int(EntityKind.POI), p)) for p in cand.pois]
         )
+        return state, cand, inputs
 
     def feedback(self, d_states) -> None:
-        if self.static or not self.last_affected:
+        if not self.last_affected:
             return
         mean_grad = np.mean(d_states, axis=0)
         self.embedder.state_feedback(mean_grad, self.last_affected, self.config.lr_feedback)
@@ -584,7 +590,6 @@ class _RirlDriver:
         # the last `advance`'s (temporal cache, user cache, spatial update), None before it
         self.tape = None
         self.static = False  # set on a frozen_eval replica: `advance` changes nothing
-        # every POI is a candidate, and its Q-net input is its head column
         self.all_pois = cand_mod.full_candidate_set(range(len(catalog.poi_info)))
         self.columns = np.arange(len(catalog.poi_info))
 
@@ -663,14 +668,9 @@ class _RirlDriver:
         update = legacy_mod.update_spatial(self.rep, poi_idx, u_old, t_tilde, self.params)
         self.tape = (t_cache, u_cache, update)
 
-    def state(self, user_idx: int) -> np.ndarray:
-        return legacy_mod.legacy_state(self._user_vec(user_idx), self.rep)
-
-    def candidates_for(self, user_idx: int) -> cand_mod.CandidateSet:
-        return self.all_pois
-
-    def action_inputs(self, cand: cand_mod.CandidateSet) -> np.ndarray:
-        return self.columns
+    def observe(self, user_idx: int):
+        """The user's legacy state; every POI is a candidate, and its Q-net input is its head column."""
+        return legacy_mod.legacy_state(self._user_vec(user_idx), self.rep), self.all_pois, self.columns
 
     def feedback(self, d_states) -> None:
         if self.tape is None:
@@ -705,41 +705,32 @@ def _replay_stream(
     rng: np.random.Generator,
     wv: WordVectors,
     buf: policy_mod.PriorityReplayBuffer | None,
-    train: bool,
-    agent=None,
     progress=None,
 ) -> EpisodeLog:
+    """Replay ``events`` in order; with a buffer ``buf`` the agent explores and trains."""
     config, catalog = env.config, env.catalog
     weights = config.reward_weights()
     windows = BaselineWindows(config.b)
     log = EpisodeLog()
     pending: dict[int, policy_mod.Transition] = {}
-    prev: tuple[int, int, float] | None = None
     n = len(events)
-    feedback = env.feedback if train and config.encoder_feedback else None
+    feedback = env.feedback if config.encoder_feedback else None
     target_net = None
     train_steps = 0
     for l in range(n):
         if progress is not None:
             progress(l)
         rec = events[l]
-        if prev is not None:
-            env.advance(*prev)
         user_idx = catalog.users[rec.user]
         real_idx = catalog.venues[rec.venue]
-        state = env.state(user_idx)
-        cand = env.candidates_for(user_idx)
-        inputs = env.action_inputs(cand)
+        state, cand, inputs = env.observe(user_idx)
         if buf is not None and user_idx in pending:
             t = pending.pop(user_idx)
             t.next_state = state
             t.next_actions = inputs
             buf.push(t, net, config.gamma)
-        epsilon = config.epsilon_at(l, n) if train else 0.0
-        if agent is not None:
-            action = agent(rec, state, cand, rng)
-        else:
-            action = policy_mod.select_action(net, state, cand, epsilon, rng, inputs)
+        epsilon = config.epsilon_at(l, n) if buf is not None else 0.0
+        action = policy_mod.select_action(net, state, cand, epsilon, rng, inputs)
         parts = component_rewards(
             catalog.poi_info[action], catalog.poi_info[real_idx], wv, config.d_floor_km
         )
@@ -751,7 +742,7 @@ def _replay_stream(
         log.events.append(EventRecord(
             l, rec.user, catalog.raw_venues[action], rec.venue, action, real_idx, r, *parts
         ))
-        if train and buf and config.train_every and (l + 1) % config.train_every == 0:
+        if buf and config.train_every and (l + 1) % config.train_every == 0:
             if config.target_refresh and train_steps % config.target_refresh == 0:
                 target_net = net.clone()
             batch = buf.sample_batch(
@@ -763,9 +754,7 @@ def _replay_stream(
                 net, batch, config.gamma, config.lr_q, feedback, target_net=target_net
             )
             train_steps += 1
-        prev = (user_idx, real_idx, rec.timestamp)
-    if prev is not None:
-        env.advance(*prev)
+        env.advance(user_idx, real_idx, rec.timestamp)
     if buf is not None:
         for user_idx in list(pending):
             t = pending.pop(user_idx)
@@ -786,7 +775,7 @@ def run_training(
     env = _env_class(config).fresh(config, catalog, rng)
     net = env.new_net(rng)
     buf = policy_mod.PriorityReplayBuffer(config.buffer_capacity, config.priority_mode)
-    log = _replay_stream(env, net, train_events, rng, wv, buf, train=True, progress=progress)
+    log = _replay_stream(env, net, train_events, rng, wv, buf, progress=progress)
     report = {
         "events": len(log),
         "mean_reward": float(np.mean([e.reward for e in log.events])) if len(log) else 0.0,
@@ -799,7 +788,6 @@ def run_eval(
     config: RunConfig,
     artifacts: Artifacts,
     test_records,
-    agent=None,
 ) -> tuple[dict, EpisodeLog]:
     """Replay the test stream greedily; the environment keeps evolving."""
     started = _time.perf_counter()
@@ -814,7 +802,7 @@ def run_eval(
     # the replay advances the environment, so it runs on a replica and a
     # second call on the same artifacts starts from the same state
     env = artifacts.env.replica(config, rng)
-    log = _replay_stream(env, artifacts.net, test_records, rng, wv, None, train=False, agent=agent)
+    log = _replay_stream(env, artifacts.net, test_records, rng, wv, None)
     eval_log = log.to_eval_log(catalog)
     report = {
         "prec_cat": metrics_mod.prec_cat(eval_log),

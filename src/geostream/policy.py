@@ -13,6 +13,7 @@ behind a flag).
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass
 
@@ -93,13 +94,7 @@ class QNet:
 
     def clone(self) -> "QNet":
         """Frozen copy, e.g. for use as a Bellman target network."""
-        twin = QNet(
-            self.dim_state, self.dim_action, self.hidden,
-            mode=self.mode, n_actions=self.n_actions,
-        )
-        for name in self.store.names():
-            twin.store.get(name)[...] = self.store.get(name)
-        return twin
+        return copy.deepcopy(self)
 
 
 @dataclass
@@ -129,17 +124,6 @@ def _q(net: QNet, state: np.ndarray, actions) -> np.ndarray:
     return net.forward(state)[0][0, actions]
 
 
-def q_values(net: QNet, state: np.ndarray, cand: CandidateSet, actions) -> np.ndarray:
-    """One Q-value per candidate, shared weights across the pair batch.
-
-    ``actions`` holds the candidates' Q-net inputs in the order of
-    ``cand.pois``: action-vector rows, or head columns for a vanilla net.
-    """
-    if len(cand) == 0:
-        raise ActionSpaceError("empty candidate set")
-    return _q(net, state, actions)
-
-
 def select_action(
     net: QNet,
     state: np.ndarray,
@@ -148,14 +132,18 @@ def select_action(
     rng: np.random.Generator,
     actions,
 ) -> int:
-    """Uniform over candidates with prob epsilon, else first-best by Q."""
+    """Uniform over candidates with prob epsilon, else first-best by Q.
+
+    ``actions`` holds the candidates' Q-net inputs in the order of
+    ``cand.pois``: action-vector rows, or head columns for a vanilla net.
+    """
     if len(cand) == 0:
         raise ActionSpaceError("empty candidate set")
     if not 0.0 <= epsilon <= 1.0:
         raise ConfigError(f"epsilon {epsilon} outside [0, 1]")
     if epsilon > 0.0 and rng.random() < epsilon:
         return cand.pois[int(rng.integers(len(cand)))]
-    scores = q_values(net, state, cand, actions)
+    scores = _q(net, state, actions)
     return cand.pois[int(np.argmax(scores))]
 
 

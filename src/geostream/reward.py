@@ -41,7 +41,7 @@ class RewardWeights:
 
     def __post_init__(self):
         for v in (self.distance, self.category, self.exact):
-            if v < 0:
+            if not v >= 0:
                 raise ConfigError("reward weights must be nonnegative")
         total = self.distance + self.category + self.exact
         if abs(total - 1.0) > 1e-9:
@@ -134,8 +134,6 @@ def component_rewards(
     d_floor: float = DISTANCE_FLOOR_KM,
 ) -> tuple[float, float, float]:
     """(distance reciprocal, category similarity, exact-match indicator)."""
-    if pred.lat is None or pred.lon is None or real.lat is None or real.lon is None:
-        raise DataError("POI is missing coordinates")
     dist = haversine_km(pred.lat, pred.lon, real.lat, real.lon)
     r_d = 1.0 / max(dist, d_floor)
     r_c = wv.category_similarity(pred.category, real.category)

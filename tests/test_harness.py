@@ -9,9 +9,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from geostream import cli, harness, kgstore
+from geostream import cli, harness, kgstore, policy
 from geostream.errors import (
-    CompatibilityError, ConfigError, FormatError, GeostreamError, IngestionError,
+    CompatibilityError, ConfigError, DataError, FormatError, GeostreamError, IngestionError,
 )
 from geostream.numkit import load_matrices, save_matrices
 from geostream.harness import (
@@ -173,7 +173,10 @@ class TestRunConfig:
         ("stream_offset", -1), ("train_every", -1), ("target_refresh", -1),
         ("incr_steps", -1), ("max_incr_triples", -1), ("init_epochs", -1),
         ("neg_per_pos", -1), ("qnet_hidden", 0), ("legacy_n", 0), ("gcn_layers", 0),
-        ("cell_deg", 0.0), ("cell_deg", -0.01),
+        ("cell_deg", 0.0), ("cell_deg", -0.01), ("lambda_d", float("nan")), ("seed", -1),
+        ("lr_embed", float("nan")), ("lr_embed", -0.01), ("lr_q", float("nan")),
+        ("lr_q", -0.01), ("lr_feedback", float("nan")), ("lr_feedback", -0.01),
+        ("margin", float("nan")), ("margin", -1.0),
     ])
     def test_out_of_range_value_rejected(self, key, val):
         with pytest.raises(ConfigError, match=rf"^{key} "):
@@ -230,6 +233,14 @@ class TestCatalog:
             assert vars(cat) == vars(old)
             assert vars(Catalog.from_tsv(cat.to_tsv())) == vars(old)
             assert vars(catalog_oracle.Catalog.from_tsv(old.to_tsv())) == vars(old)
+
+    @pytest.mark.parametrize("lat, lon", [(float("nan"), 0.0), (0.0, float("inf")), (999.0, 0.0)])
+    def test_bad_coordinates_rejected(self, lat, lon):
+        # the rule `parse_checkins` and `catalog.tsv` follow holds for given records too
+        recs = make_cyclic_stream(20)
+        recs[5] = recs[5]._replace(venue="v-far", lat=lat, lon=lon)
+        with pytest.raises(DataError):
+            Catalog.build(recs, 0.01)
 
 
 class TestTrainingLoop:
@@ -319,19 +330,21 @@ class TestEval:
         report, _ = run_eval(cfg, artifacts, test_events)
         assert set(report) == {"prec_cat", "rec_cat", "avg_sim", "avg_dist_km", "wall_s"}
 
-    def test_perfect_oracle_agent(self):
+    def test_perfect_oracle_agent(self, monkeypatch):
         cfg, artifacts, test_events = self._trained()
+        reals = iter(test_events)  # the replay selects once per event, in order
 
-        def oracle(rec, state, cand, rng):
-            return artifacts.catalog.venues[rec.venue]
+        def oracle(net, state, cand, epsilon, rng, actions):
+            return artifacts.catalog.venues[next(reals).venue]
 
-        report, _ = run_eval(cfg, artifacts, test_events, agent=oracle)
+        monkeypatch.setattr(policy, "select_action", oracle)
+        report, _ = run_eval(cfg, artifacts, test_events)
         assert report["prec_cat"] == 1.0
         assert report["rec_cat"] == 1.0
         assert report["avg_sim"] == 1.0
         assert report["avg_dist_km"] == 0.0
 
-    def test_random_agent_scores_near_candidate_floor(self):
+    def test_random_agent_scores_near_candidate_floor(self, monkeypatch):
         # a uniform-random agent cannot see the real POI, so its category
         # precision sits at the user-blind level (the largest real-category
         # share), here 1/6 because reals span all six categories uniformly
@@ -344,10 +357,11 @@ class TestEval:
         _, test_events = split_stream(records[:1300], cfg.split_fraction)
         assert len(test_events) >= 1000
 
-        def agent(rec, state, cand, rng):
+        def agent(net, state, cand, epsilon, rng, actions):
             return cand.pois[int(rng.integers(len(cand)))]
 
-        report, _ = run_eval(cfg, artifacts, test_events, agent=agent)
+        monkeypatch.setattr(policy, "select_action", agent)
+        report, _ = run_eval(cfg, artifacts, test_events)
         assert abs(report["prec_cat"] - 1.0 / 6.0) < 0.04
 
     @pytest.mark.parametrize("mode", ["drpr", "rirl"])
@@ -376,11 +390,11 @@ class TestEval:
         moved = False
         for rec in test_events:
             u, p = users[rec.user], venues[rec.venue]
-            before, live_before = frozen.state(u).copy(), live.state(u).copy()
+            before, live_before = frozen.observe(u)[0].copy(), live.observe(u)[0].copy()
             frozen.advance(u, p, rec.timestamp)
             live.advance(u, p, rec.timestamp)
-            np.testing.assert_array_equal(frozen.state(u), before)
-            moved = moved or not np.array_equal(live.state(u), live_before)
+            np.testing.assert_array_equal(frozen.observe(u)[0], before)
+            moved = moved or not np.array_equal(live.observe(u)[0], live_before)
         assert moved  # the same replay does move a live replica
 
     def test_unknown_test_user_rejected(self):
@@ -577,6 +591,9 @@ class TestArtifactFiles:
         "cut-mid-line": (7, "P\tv2\t4072\t-7398\t40.72"),
         "unparsable-index": (2, "P\tv3\tzero\t-7397\t40.73\t-73.97\tGym"),
         "unparsable-latitude": (2, "P\tv3\t4073\t-7397\tnorth\t-73.97\tGym"),
+        "nan-latitude": (2, "P\tv3\t4073\t-7397\tnan\t-73.97\tGym"),
+        "inf-longitude": (2, "P\tv3\t4073\t-7397\t40.73\tinf\tGym"),
+        "latitude-out-of-range": (2, "P\tv3\t4073\t-7397\t999.0\t-73.97\tGym"),
         "unknown-tag": (7, "X\tv2"),
         "duplicate-user": (2, "U\tu0"),
         "duplicate-venue": (3, "P\tv3\t4074\t-7396\t40.74\t-73.96\tBeach"),

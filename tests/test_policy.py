@@ -11,7 +11,6 @@ from geostream.policy import (
     QNet,
     Transition,
     priority_of,
-    q_values,
     select_action,
     train_step,
 )
@@ -49,7 +48,7 @@ class TestQValues:
         rng = np.random.default_rng(1)
         net = QNet(4, 3, hidden=8, rng=rng)
         table = _table(rng, [7], 3)
-        scores = q_values(net, rng.normal(size=4), _cand([7]), _rows(table, [7]))
+        scores = policy._q(net, rng.normal(size=4), _rows(table, [7]))
         assert scores.shape == (1,)
 
     def test_duplicate_embeddings_share_weights(self):
@@ -57,7 +56,7 @@ class TestQValues:
         net = QNet(4, 3, hidden=8, rng=rng)
         vec = rng.normal(size=3)
         table = {1: vec, 2: vec.copy()}
-        scores = q_values(net, rng.normal(size=4), _cand([1, 2]), _rows(table, [1, 2]))
+        scores = policy._q(net, rng.normal(size=4), _rows(table, [1, 2]))
         assert scores[0] == scores[1]
 
     def test_zero_head_gives_constant_bias(self):
@@ -66,33 +65,34 @@ class TestQValues:
         net.store.get("out/w")[...] = 0.0
         net.store.get("out/b")[...] = 1.25
         table = _table(rng, [1, 2, 3], 3)
-        scores = q_values(net, rng.normal(size=4), _cand([1, 2, 3]), _rows(table, [1, 2, 3]))
+        scores = policy._q(net, rng.normal(size=4), _rows(table, [1, 2, 3]))
         np.testing.assert_array_equal(scores, [1.25, 1.25, 1.25])
-
-    def test_empty_candidates(self):
-        rng = np.random.default_rng(4)
-        net = QNet(4, 3, hidden=8, rng=rng)
-        with pytest.raises(ActionSpaceError):
-            q_values(net, rng.normal(size=4), _cand([]), np.zeros((0, 3)))
 
     def test_argmax_invariant_to_bias_shift(self):
         rng = np.random.default_rng(5)
         net = QNet(4, 3, hidden=8, rng=rng)
         table = _table(rng, list(range(6)), 3)
         s = rng.normal(size=4)
-        base = np.argmax(q_values(net, s, _cand(range(6)), _rows(table, range(6))))
+        base = np.argmax(policy._q(net, s, _rows(table, range(6))))
         net.store.get("out/b")[...] += 17.0
-        shifted = np.argmax(q_values(net, s, _cand(range(6)), _rows(table, range(6))))
+        shifted = np.argmax(policy._q(net, s, _rows(table, range(6))))
         assert base == shifted
 
 
 class TestSelectAction:
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0])
+    def test_empty_candidates(self, epsilon):
+        rng = np.random.default_rng(4)
+        net = QNet(4, 3, hidden=8, rng=rng)
+        with pytest.raises(ActionSpaceError):
+            select_action(net, rng.normal(size=4), _cand([]), epsilon, rng, np.zeros((0, 3)))
+
     def test_greedy_is_argmax(self):
         rng = np.random.default_rng(6)
         net = QNet(4, 3, hidden=8, rng=rng)
         table = _table(rng, [0, 1, 2], 3)
         s = rng.normal(size=4)
-        scores = q_values(net, s, _cand([0, 1, 2]), _rows(table, [0, 1, 2]))
+        scores = policy._q(net, s, _rows(table, [0, 1, 2]))
         pick = select_action(net, s, _cand([0, 1, 2]), 0.0, rng, _rows(table, [0, 1, 2]))
         assert pick == [0, 1, 2][int(np.argmax(scores))]
 
@@ -305,7 +305,7 @@ class TestVanillaMode:
         rng = np.random.default_rng(23)
         net = QNet(6, mode=policy.VANILLA, n_actions=3, hidden=8, rng=rng)
         s = rng.normal(size=6)
-        scores = q_values(net, s, _cand([0, 1, 2]), np.arange(3))
+        scores = policy._q(net, s, np.arange(3))
         assert scores.shape == (3,)
         t = Transition(
             state=s, action=1, reward=0.4,
@@ -434,7 +434,7 @@ class TestMatchesOracle:
         table = _table(rng, range(6), 3)
         for pois in ([3], [5, 1, 4], [2, 0, 1, 3, 5, 4]):
             s = rng.normal(size=5)
-            got = q_values(net, s, _cand(pois), _actions(mode, table, pois))
+            got = policy._q(net, s, _actions(mode, table, pois))
             assert np.array_equal(got, policy_oracle.q_values(net, s, _cand(pois), table))
 
     @pytest.mark.parametrize("mode", [policy.PAIRWISE, policy.VANILLA])

@@ -43,6 +43,11 @@ class TestRewardWeights:
         with pytest.raises(ConfigError):
             RewardWeights(-0.1, 0.6, 0.5)
 
+    def test_nan_rejected(self):
+        # a NaN weight passes the sum check, and every reward would be NaN
+        with pytest.raises(ConfigError):
+            RewardWeights(float("nan"), 0.5, 0.5)
+
 
 class TestWordVectors:
     def test_load_and_lookup(self, wv):

@@ -86,3 +86,27 @@ def test_drpr_static_trace_digests():
         "31b4ea2569d2e1d8786261e896e48c989972e14acfab5fc60bb2539e76dfebd0",
         "affde4a0be313e56b6e09d8371fffb5ce4defb40d3b4e6c5f963e8e9ddc24125",
     )
+
+
+def test_drpr_reward_priority_target_refresh_frozen_eval_trace_digests():
+    # reward priorities, a target net refreshed every 3 steps, and an
+    # eval replica whose graph and embeddings take no visit
+    assert _digests(agent_mode="drpr", priority_mode="reward", target_refresh=3, frozen_eval=True) == (
+        "747f9f5152a544d7f624fb622513ebbac2c7fe44bd78e8cec30b0fc369a3baa8",
+        "8fd28b007518d5534c4252c84366b365abcc12782c67c3e22876e982d45815de",
+    )
+
+
+def test_rirl_reward_priority_target_refresh_frozen_eval_trace_digests():
+    assert _digests(agent_mode="rirl", priority_mode="reward", target_refresh=3, frozen_eval=True) == (
+        "887ddc89459811e33d709ad870ecdeb63a6fd265bc5bdd570546377b5e56e5c9",
+        "2c97a0ef0823f8922d014e22e71d4e3a1879b054a00c21a2be37491c295c18fa",
+    )
+
+
+def test_drpr_no_feedback_top_k_replay_trace_digests():
+    # Bellman steps leave the encoder as it is
+    assert _digests(agent_mode="drpr", encoder_feedback=False, stochastic_replay=False) == (
+        "972d32a51a363b07e20766c25c4d4049e18e741d3e238f6b1d22ac19628d4779",
+        "317ec60432d0ee3e2cc505f38de6a4861ddbf81ea9e6cf825dfcc68e3e02f6d1",
+    )
