@@ -22,7 +22,7 @@ import os
 import time as _time
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from datetime import datetime
-from math import floor
+from math import floor, isfinite
 from typing import NamedTuple
 
 import numpy as np
@@ -157,7 +157,10 @@ class RunConfig:
                 if "=" not in line:
                     raise ConfigError(f"bad config line {line!r}")
                 key, _, val = line.partition("=")
-                values[key.strip()] = val.strip()
+                key = key.strip()
+                if key in values:
+                    raise ConfigError(f"config key {key!r} given twice")
+                values[key] = val.strip()
         return cls.from_mapping(values)
 
     @classmethod
@@ -192,16 +195,19 @@ _FOURSQUARE_FMT = "%a %b %d %H:%M:%S %z %Y"
 
 def _parse_timestamp(text: str) -> float:
     try:
-        return float(text)
+        ts = float(text)
     except ValueError:
         return datetime.strptime(text, _FOURSQUARE_FMT).timestamp()
+    if not isfinite(ts):
+        raise ValueError(f"timestamp {text!r} is not finite")
+    return ts
 
 
 def parse_checkins(path) -> list[CheckInRecord]:
     """Read tab-separated check-ins, skipping (and counting) bad lines.
 
     Field order: user, venue, category id, category name, latitude,
-    longitude, timestamp (epoch seconds or a Foursquare-style string;
+    longitude, timestamp (finite epoch seconds or a Foursquare-style string;
     an optional timezone-offset column before the timestamp is ignored).
     More than 10% malformed lines fails the whole file.
     """
@@ -676,13 +682,10 @@ class _RirlDriver:
         if self.tape is None:
             return
         t_cache, u_cache, update = self.tape
-        n = self.config.legacy_n
-        ds = np.mean(d_states, axis=0)
-        d_u_state, d_h_mean, _d_rel, d_t_mean = (
-            ds[:n], ds[n : 2 * n], ds[2 * n : 3 * n], ds[3 * n :]
-        )
-        d_heads = {p: d_h_mean / len(self.rep.heads) for p in update.touched_heads}
-        d_tails = {k: d_t_mean / len(self.rep.tails) for k in update.touched_tails}
+        # the state is (user, mean head, mean relation, mean tail); each row gets its share
+        d_u_state, d_h_mean, _d_rel, d_t_mean = np.split(np.mean(d_states, axis=0), 4)
+        d_heads = np.broadcast_to(d_h_mean / len(self.rep.heads), self.rep.heads.shape)
+        d_tails = np.broadcast_to(d_t_mean / len(self.rep.tails), self.rep.tails.shape)
         # representations themselves move only via the update rules; the
         # feedback trains the rule weights through the last update's tape
         _, d_tt = legacy_mod.update_spatial_grads(self.params, update, d_heads, d_tails)

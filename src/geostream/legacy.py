@@ -129,22 +129,12 @@ def update_user_grads(params: LegacyParams, cache, d_out: np.ndarray):
     return _interact_grads(params, cache, d_out)
 
 
-def blend_tail(t: np.ndarray, h_new: np.ndarray, rel: np.ndarray, params: LegacyParams):
-    """t' = alpha_t * t + (1 - alpha_t) * (h' + rel); no outer squash."""
-    return _blend("tail", t, h_new + rel, params, squash=False)
-
-
-def blend_sibling(h: np.ndarray, t_new: np.ndarray, rel: np.ndarray, params: LegacyParams):
-    """Pull a sibling head toward the translation pre-image t' - rel."""
-    return _blend("sibling", h, t_new - rel, params)
-
-
 class SpatialKgRep:
     """The spatial triple store as three matrices in one ``ParamStore``:
     ``heads`` (one row per POI index), ``rels`` (``REL_NAMES`` order) and
     ``tails`` (the categories, then the zones), plus the static linkage as
-    row indices: ``poi_links[p]`` holds ``(tail_row, rel_row)`` per link of
-    POI ``p`` and ``members[tail_row]`` the POIs linked to that tail."""
+    row indices: ``poi_links[p]`` holds ``(tail row, rel row)`` per link of
+    POI ``p`` and ``members[row]`` the POIs linked to tail ``row``."""
 
     def __init__(self, n: int, n_pois: int, n_tails: int):
         self.store = ParamStore()
@@ -156,23 +146,21 @@ class SpatialKgRep:
 
     @classmethod
     def from_catalog(cls, pois, n: int, rng: np.random.Generator) -> "SpatialKgRep":
-        """pois: (poi_id, category_id, zone_id) for the POI indices 0..P-1.
-
-        Draws the relations, then per POI its head and each of its tails
-        the first time it is seen.
+        """pois: (poi_id, category_id, zone_id) for the POI indices 0..P-1 over
+        dense category and zone indices; category c is tail row c, zone z row
+        n_categories + z. Draws the relations, then per POI its head and each
+        of its tails the first time it is seen.
         """
         pois = list(pois)
-        # ("cat", c) sorts before ("zone", z): the categories, then the zones
-        tail_row = {key: row for row, key in enumerate(sorted(
-            {key for _, cat, zn in pois for key in (("cat", cat), ("zone", zn))}
-        ))}
-        rep = cls(n, len(pois), len(tail_row))
+        n_cats = 1 + max((cat for _, cat, _ in pois), default=-1)
+        n_zones = 1 + max((zn for _, _, zn in pois), default=-1)
+        rep = cls(n, len(pois), n_cats + n_zones)
         for row in range(len(REL_NAMES)):
             rep.rels[row] = rng.uniform(-1, 1, size=n)
         for poi_id, cat, zn in pois:
             rep.heads[poi_id] = rng.uniform(0.0, 1.0, size=n)
             # belong_to links the category, locate_at the zone
-            links = ((tail_row[("cat", cat)], 0), (tail_row[("zone", zn)], 1))
+            links = ((cat, 0), (n_cats + zn, 1))
             for row, _ in links:
                 if not rep.members[row]:
                     rep.tails[row] = rng.uniform(0.0, 1.0, size=n)
@@ -187,82 +175,64 @@ class SpatialUpdate:
     head_cache: dict
     tail_caches: list[tuple[int, dict]]
     sibling_caches: list[tuple[int, int, dict]]
-    touched_heads: list[int]
-    touched_tails: list[int]
 
 
-def update_spatial(
-    rep: SpatialKgRep,
-    poi_id: int,
-    u: np.ndarray,
-    t_tilde: np.ndarray,
-    params: LegacyParams,
-) -> SpatialUpdate:
+def update_spatial(rep: SpatialKgRep, poi_id: int, u: np.ndarray, t_tilde: np.ndarray,
+                   params: LegacyParams) -> SpatialUpdate:
     """Visited head first, then its tails, then same-category/zone siblings.
 
-    Mutates ``rep`` in place; rows outside the touched set keep their
-    values. Relation rows are never written.
+    Mutates ``rep`` in place: the visited head is blended toward the user
+    interaction, each linked tail t toward h' + rel (no outer squash), and
+    each sibling head toward the translation pre-image t' - rel. Other rows
+    keep their values; relation rows are never written.
     """
     if not 0 <= poi_id < len(rep.heads):
         raise UnknownObjectError(f"unknown POI {poi_id}")
     h_new, head_cache = _interact("poi", rep.heads[poi_id], u, t_tilde, params)
     rep.heads[poi_id] = h_new
-    tail_caches = []
-    sibling_caches = []
-    touched_heads = [poi_id]
-    touched_tails = []
+    tail_caches, sibling_caches = [], []
     for row, rel_row in rep.poi_links[poi_id]:
         rel = rep.rels[rel_row]
-        t_new, t_cache = blend_tail(rep.tails[row], h_new, rel, params)
+        t_new, t_cache = _blend("tail", rep.tails[row], h_new + rel, params, squash=False)
         rep.tails[row] = t_new
         tail_caches.append((row, t_cache))
-        touched_tails.append(row)
+        pull = t_new - rel
         for sib in rep.members[row]:
             if sib == poi_id:
                 continue
-            s_new, s_cache = blend_sibling(rep.heads[sib], t_new, rel, params)
+            s_new, s_cache = _blend("sibling", rep.heads[sib], pull, params)
             rep.heads[sib] = s_new
             sibling_caches.append((sib, row, s_cache))
-            if sib not in touched_heads:
-                touched_heads.append(sib)
-    return SpatialUpdate(poi_id, head_cache, tail_caches, sibling_caches,
-                         touched_heads, touched_tails)
+    return SpatialUpdate(poi_id, head_cache, tail_caches, sibling_caches)
 
 
-def update_spatial_grads(
-    params: LegacyParams,
-    update: SpatialUpdate,
-    d_heads: dict[int, np.ndarray],
-    d_tails: dict[int, np.ndarray],
-):
+def update_spatial_grads(params: LegacyParams, update: SpatialUpdate,
+                         d_heads: np.ndarray, d_tails: np.ndarray):
     """Backward through one spatial update; returns (d_u, d_t_tilde).
 
-    ``d_heads`` / ``d_tails`` seed gradients w.r.t. the POST-update rows,
-    keyed by row index, and are consumed in reverse update order.
+    ``d_heads`` / ``d_tails`` are the gradients w.r.t. the whole POST-update
+    ``heads`` / ``tails`` matrices; only the rows the update wrote are read,
+    in reverse update order.
     """
-    n = params.n
-    d_heads = {k: np.asarray(v, dtype=np.float64).copy() for k, v in d_heads.items()}
-    d_tails = {k: np.asarray(v, dtype=np.float64).copy() for k, v in d_tails.items()}
-    d_h_visited = d_heads.get(update.poi, np.zeros(n))
+    d_heads = np.array(d_heads, dtype=np.float64)
+    d_tails = np.array(d_tails, dtype=np.float64)
+    d_h_visited = d_heads[update.poi]
     # siblings ran last: their grads add to the updated tails
     for sib, row, cache in reversed(update.sibling_caches):
-        d_sib = d_heads.get(sib)
-        if d_sib is None or not np.any(d_sib):
+        d_sib = d_heads[sib]
+        if not np.any(d_sib):
             continue
-        d_h_old, d_t = _blend_grads(params, cache, d_sib)
-        d_heads[sib] = d_h_old
-        d_tails[row] = d_tails.get(row, np.zeros(n)) + d_t
+        d_heads[sib], d_t = _blend_grads(params, cache, d_sib)
+        d_tails[row] = d_tails[row] + d_t
     for row, cache in reversed(update.tail_caches):
-        d_t = d_tails.get(row)
-        if d_t is None or not np.any(d_t):
+        d_t = d_tails[row]
+        if not np.any(d_t):
             continue
-        d_t_old, d_h = _blend_grads(params, cache, d_t)
-        d_tails[row] = d_t_old
+        _, d_h = _blend_grads(params, cache, d_t)
         d_h_visited = d_h_visited + d_h
-    d_u = np.zeros(n)
-    d_tt = np.zeros(n)
-    if np.any(d_h_visited):
-        _, d_u, d_tt = _interact_grads(params, update.head_cache, d_h_visited)
+    if not np.any(d_h_visited):
+        return np.zeros(params.n), np.zeros(params.n)
+    _, d_u, d_tt = _interact_grads(params, update.head_cache, d_h_visited)
     return d_u, d_tt
 
 

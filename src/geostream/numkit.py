@@ -124,13 +124,14 @@ def sgd_step(store: ParamStore, lr: float = 1e-5) -> None:
 
 
 _MATRIX_MAGIC = b"GSMX"
+_MATRIX_VERSION = 1
 
 
 def save_matrices(path, matrices: dict[str, np.ndarray]) -> None:
     """Write named float64 arrays as a little-endian binary container."""
     with open(path, "wb") as fh:
         fh.write(_MATRIX_MAGIC)
-        fh.write(struct.pack("<IQ", 1, len(matrices)))
+        fh.write(struct.pack("<IQ", _MATRIX_VERSION, len(matrices)))
         for name, arr in matrices.items():
             arr = np.asarray(arr, dtype=np.float64)
             raw = name.encode("utf-8")
@@ -146,8 +147,8 @@ def load_matrices(path) -> dict[str, np.ndarray]:
     """Read a ``save_matrices`` container.
 
     A missing file raises ``OSError``. A damaged one raises
-    ``IngestionError`` naming the path: a wrong magic, a file cut short,
-    a name that is not UTF-8, or bytes after the last matrix.
+    ``IngestionError`` naming the path: a wrong magic or version, a file
+    cut short, a name that is not UTF-8, or bytes after the last matrix.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -162,7 +163,9 @@ def load_matrices(path) -> dict[str, np.ndarray]:
         pos += n
         return data[pos - n : pos]
 
-    _version, count = struct.unpack("<IQ", take(12))
+    version, count = struct.unpack("<IQ", take(12))
+    if version != _MATRIX_VERSION:
+        raise IngestionError(f"{path}: matrix container version {version}, want {_MATRIX_VERSION}")
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))

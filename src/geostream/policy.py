@@ -209,7 +209,7 @@ class PriorityReplayBuffer:
             return items
         if stochastic:
             if rng is None:
-                raise ValueError("stochastic sampling needs an rng")
+                raise ConfigError("stochastic sampling needs an rng")
             probs = row_softmax(np.array([[t.priority for t in items]]))[0]
             picks = rng.choice(len(items), size=k, replace=False, p=probs)
             return [items[int(i)] for i in picks]
@@ -233,7 +233,7 @@ def train_step(
     closed-loop update.
     """
     if not batch:
-        raise ValueError("empty batch")
+        raise ConfigError("empty batch")
     bootstrap = target_net if target_net is not None else net
     targets = np.array([_target(bootstrap, t, gamma) for t in batch])
     if net.mode == PAIRWISE:

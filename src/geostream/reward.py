@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, IngestionError
 from .geo import haversine_km
 from .numkit import sigmoid_scalar
 
@@ -77,9 +77,15 @@ class WordVectors:
                 self.add(token, vec)
 
     def add(self, token: str, vec) -> None:
+        """Every vector is finite, not all zeros, and as long as the first one."""
         vec = np.asarray(vec, dtype=np.float64)
+        if not np.all(np.isfinite(vec)):
+            raise DataError(f"word vector for {token!r} has a non-finite component")
         if not np.any(vec):
             raise DataError(f"word vector for {token!r} is all zeros")
+        first = next(iter(self._vectors.values()), vec)
+        if vec.shape != first.shape:
+            raise DataError(f"word vector for {token!r} has shape {vec.shape}, want {first.shape}")
         self._vectors[token.lower()] = vec
 
     def __len__(self) -> int:
@@ -90,14 +96,17 @@ class WordVectors:
 
     @classmethod
     def load(cls, path) -> "WordVectors":
+        """A bad line raises ``IngestionError`` naming the file and the line."""
         wv = cls()
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
+            for no, line in enumerate(fh, 1):
                 fields = line.split()
-                wv.add(fields[0], [float(v) for v in fields[1:]])
+                if not fields:
+                    continue
+                try:
+                    wv.add(fields[0], [float(v) for v in fields[1:]])
+                except (ValueError, DataError) as exc:
+                    raise IngestionError(f"{path}: line {no}: {exc}") from None
         return wv
 
     def category_vector(self, name: str) -> np.ndarray | None:

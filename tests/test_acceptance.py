@@ -82,18 +82,15 @@ def test_01_gradient_integrity(toy_kg):
     t_mat = lrng.uniform(0, 4, size=(3, 3))
     u = lrng.uniform(0, 1, size=4)
     c_u = lrng.normal(size=4)
-    c_h = {row: lrng.normal(size=4) for row in range(len(rep_kg.heads))}
-    c_t = {row: lrng.normal(size=4) for row in range(len(rep_kg.tails))}
+    c_h = lrng.normal(size=rep_kg.heads.shape)
+    c_t = lrng.normal(size=rep_kg.tails.shape)
 
     def legacy_loss(store):
         r2 = copy.deepcopy(rep_kg)
         tt, _ = legacy.transform_temporal(t_mat, params)
         u2, _ = legacy.update_user(u, r2.heads[0], tt, params)
-        upd = legacy.update_spatial(r2, 0, u, tt, params)
-        total = float(c_u @ u2)
-        total += sum(float(c_h[k] @ r2.heads[k]) for k in upd.touched_heads)
-        total += sum(float(c_t[k] @ r2.tails[k]) for k in upd.touched_tails)
-        return total
+        legacy.update_spatial(r2, 0, u, tt, params)
+        return float(c_u @ u2 + np.sum(c_h * r2.heads) + np.sum(c_t * r2.tails))
 
     params.store.zero_grads()
     r3 = copy.deepcopy(rep_kg)
@@ -103,8 +100,7 @@ def test_01_gradient_integrity(toy_kg):
     # its head gradient stays out of the spatial backward
     _, _, d_tt_user = legacy.update_user_grads(params, u_cache, c_u)
     upd = legacy.update_spatial(r3, 0, u, tt, params)
-    d_heads = {k: c_h[k] for k in upd.touched_heads}
-    _, d_tt = legacy.update_spatial_grads(params, upd, d_heads, {k: c_t[k] for k in upd.touched_tails})
+    _, d_tt = legacy.update_spatial_grads(params, upd, c_h, c_t)
     legacy.transform_temporal_grads(params, t_cache, d_tt + d_tt_user)
     rep = finite_diff_check(legacy_loss, params.store, eps=1e-6, tol=GRAD_TOL)
     if not rep.passed:

@@ -82,6 +82,16 @@ class TestParseCheckins:
         out = parse_checkins(path)
         assert len(out) == 12
 
+    def test_non_finite_timestamp_skipped_and_counted(self, tmp_path):
+        recs = make_cyclic_stream(20)
+        path = tmp_path / "c.tsv"
+        _write_tsv(path, recs)
+        with open(path, "a") as fh:
+            fh.write("u9\tv9\tc9\tCafe\t40.0\t-74.0\tnan\n")
+            fh.write("u9\tv9\tc9\tCafe\t40.0\t-74.0\tinf\n")
+        out = parse_checkins(path)
+        assert [r.timestamp for r in out] == sorted(r.timestamp for r in recs)
+
     def test_foursquare_timestamp(self, tmp_path):
         path = tmp_path / "c.tsv"
         with open(path, "w") as fh:
@@ -154,6 +164,12 @@ class TestRunConfig:
         path = tmp_path / "run.cfg"
         path.write_text("nonsense=1\n")
         with pytest.raises(ConfigError):
+            RunConfig.from_file(path)
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("d=200\nk=5\nd=16\n")
+        with pytest.raises(ConfigError, match="'d' given twice"):
             RunConfig.from_file(path)
 
     def test_bad_split_rejected(self):

@@ -10,8 +10,6 @@ from geostream.legacy import (
     LegacyParams,
     SpatialKgRep,
     TrafficBins,
-    blend_sibling,
-    blend_tail,
     legacy_state,
     transform_temporal,
     transform_temporal_grads,
@@ -159,11 +157,12 @@ def _toy_rep(n=4, seed=1):
 class TestUpdateSpatial:
     def test_zero_relation_gives_translation_identity(self):
         p = _params()
-        rng = np.random.default_rng(3)
-        t_new = rng.uniform(0, 1, size=4)
-        h = rng.uniform(0, 1, size=4)
-        _, cache = blend_sibling(h, t_new, np.zeros(4), p)
-        np.testing.assert_array_equal(cache["target"], t_new)
+        rep = _toy_rep()
+        rep.rels[...] = 0.0
+        upd = update_spatial(rep, 0, np.full(4, 0.5), np.full(4, 0.5), p)
+        assert upd.sibling_caches  # p1 shares category 0
+        for _, row, cache in upd.sibling_caches:
+            np.testing.assert_array_equal(cache["target"], rep.tails[row])
 
     def test_tail_blend_alpha_zero_endpoint(self):
         p = _params()
@@ -172,7 +171,7 @@ class TestUpdateSpatial:
         h_new = rng.uniform(0, 1, size=4)
         rel = rng.normal(size=4)
         p.store.get("tail/gate_b")[...] = -1000.0  # the gate is exactly 0.0
-        out, _ = blend_tail(t, h_new, rel, p)
+        out, _ = legacy._blend("tail", t, h_new + rel, p, squash=False)
         np.testing.assert_array_equal(out, h_new + rel)
 
     def test_one_sibling_hand_case(self):
@@ -222,16 +221,16 @@ class TestUpdateSpatial:
         rng = np.random.default_rng(7)
         before_heads = rep.heads.copy()
         before_tails = rep.tails.copy()
-        upd = update_spatial(rep, 0, rng.uniform(0, 1, size=4),
-                             rng.uniform(0, 1, size=4), p)
-        assert set(upd.touched_heads) == {0, 1}  # p1 shares category 0
-        assert upd.touched_tails == [0, 2]  # category 0, zone 0
+        update_spatial(rep, 0, rng.uniform(0, 1, size=4),
+                       rng.uniform(0, 1, size=4), p)
+        written_tails = {row for row, _ in rep.poi_links[0]}
+        written_heads = {0} | {sib for row in written_tails for sib in rep.members[row]}
+        assert written_tails == {0, 2}  # category 0, zone 0
+        assert written_heads == {0, 1}  # p1 shares category 0
         for row, v in enumerate(before_heads):
-            if row not in upd.touched_heads:
-                assert np.array_equal(rep.heads[row], v)
+            assert np.array_equal(rep.heads[row], v) == (row not in written_heads)
         for row, v in enumerate(before_tails):
-            if row not in upd.touched_tails:
-                assert np.array_equal(rep.tails[row], v)
+            assert np.array_equal(rep.tails[row], v) == (row not in written_tails)
 
     def test_unknown_poi(self):
         p = _params()
@@ -245,26 +244,20 @@ class TestUpdateSpatial:
         rep = _toy_rep(seed=9)
         t_mat = rng.uniform(0, 4, size=(3, 3))
         u = rng.uniform(0, 1, size=4)
-        c_h = {row: rng.normal(size=4) for row in range(len(rep.heads))}
-        c_t = {row: rng.normal(size=4) for row in range(len(rep.tails))}
+        c_h = rng.normal(size=rep.heads.shape)
+        c_t = rng.normal(size=rep.tails.shape)
 
         def loss(store):
             r2 = copy.deepcopy(rep)
             tt, _ = transform_temporal(t_mat, p)
-            upd = update_spatial(r2, 0, u, tt, p)
-            total = sum(float(c_h[k] @ r2.heads[k]) for k in upd.touched_heads)
-            total += sum(float(c_t[k] @ r2.tails[k]) for k in upd.touched_tails)
-            return total
+            update_spatial(r2, 0, u, tt, p)
+            return float(np.sum(c_h * r2.heads) + np.sum(c_t * r2.tails))
 
         p.store.zero_grads()
         r3 = copy.deepcopy(rep)
         tt, t_cache = transform_temporal(t_mat, p)
         upd = update_spatial(r3, 0, u, tt, p)
-        _, d_tt = update_spatial_grads(
-            p, upd,
-            {k: c_h[k] for k in upd.touched_heads},
-            {k: c_t[k] for k in upd.touched_tails},
-        )
+        _, d_tt = update_spatial_grads(p, upd, c_h, c_t)
         transform_temporal_grads(p, t_cache, d_tt)
         report = finite_diff_check(loss, p.store, eps=1e-6, tol=1e-4)
         assert report.passed, report.failures()[:3]
@@ -350,9 +343,9 @@ class TestMatchesOracle:
              lambda ps: legacy_oracle.update_user(x, y, tt, ps), legacy_oracle.update_user_grads),
             (lambda ps: legacy._interact("poi", x, y, tt, ps), legacy._interact_grads,
              lambda ps: legacy_oracle._update_head(x, y, tt, ps), legacy_oracle._update_head_grads),
-            (lambda ps: blend_tail(x, y, rel, ps), legacy._blend_grads,
+            (lambda ps: legacy._blend("tail", x, y + rel, ps, squash=False), legacy._blend_grads,
              lambda ps: legacy_oracle.blend_tail(x, y, rel, ps), legacy_oracle.blend_tail_grads),
-            (lambda ps: blend_sibling(x, y, rel, ps), legacy._blend_grads,
+            (lambda ps: legacy._blend("sibling", x, y - rel, ps), legacy._blend_grads,
              lambda ps: legacy_oracle.blend_sibling(x, y, rel, ps), legacy_oracle.blend_sibling_grads),
         ]
         for fwd, bwd, o_fwd, o_bwd in rules:
@@ -381,15 +374,19 @@ class TestMatchesOracle:
         o_upd = legacy_oracle.update_spatial(o_rep, poi, u, tt, q)
         _assert_same_rep(rep, o_rep, tail_keys)
         assert np.array_equal(legacy_state(u, rep), legacy_oracle.legacy_state(u, o_rep))
-        assert upd.touched_heads == o_upd.touched_heads
-        assert [tail_keys[row] for row in upd.touched_tails] == o_upd.touched_tails
-        # a zero seed on one sibling exercises the skip branch
-        d_heads = {k: rng.normal(size=5) for k in upd.touched_heads}
-        d_heads[upd.touched_heads[-1]] = np.zeros(5)
-        d_tails = {row: rng.normal(size=5) for row in upd.touched_tails}
+        assert [(sib, tail_keys[row]) for sib, row, _ in upd.sibling_caches] == \
+            [(sib, key) for sib, key, _ in o_upd.sibling_caches]
+        assert [tail_keys[row] for row, _ in upd.tail_caches] == o_upd.touched_tails
+        # every row seeded, rows the update left alone too; a zero seed on
+        # one sibling exercises the skip branch
+        d_heads = rng.normal(size=rep.heads.shape)
+        d_heads[o_upd.touched_heads[-1]] = 0.0
+        d_tails = rng.normal(size=rep.tails.shape)
+        assert set(o_upd.touched_heads) != set(range(len(d_heads)))
+        assert set(o_upd.touched_tails) != set(tail_keys)
         got = update_spatial_grads(p, upd, d_heads, d_tails)
         want = legacy_oracle.update_spatial_grads(
-            q, o_upd, d_heads, {tail_keys[row]: d for row, d in d_tails.items()})
+            q, o_upd, dict(enumerate(d_heads)), dict(zip(tail_keys, d_tails)))
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
         _assert_same_param_grads(p, q)

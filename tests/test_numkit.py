@@ -185,6 +185,12 @@ class TestDamagedContainer:
         with pytest.raises(IngestionError, match="8 bytes after the last matrix"):
             load_matrices(path)
 
+    def test_unknown_version(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(raw[:4] + (7).to_bytes(4, "little") + raw[8:])
+        with pytest.raises(IngestionError, match=re.escape(f"{path}: matrix container version 7")):
+            load_matrices(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_matrices(tmp_path / "absent.bin")

@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from geostream.errors import ConfigError, DataError
+from geostream.errors import ConfigError, DataError, IngestionError
 from geostream.geo import haversine_km
 from geostream.reward import (
     BaselineWindows,
@@ -57,6 +58,23 @@ class TestWordVectors:
     def test_zero_vector_rejected(self):
         with pytest.raises(DataError):
             WordVectors({"null": [0.0, 0.0]})
+
+    @pytest.mark.parametrize("vectors", [
+        {"museum": [1.0, float("nan")]},
+        {"museum": [1.0, float("inf")]},
+        {"museum": [1.0, 0.0], "park": [1.0]},
+    ], ids=["nan", "inf", "dimension"])
+    def test_bad_vector_rejected(self, vectors):
+        with pytest.raises(DataError):
+            WordVectors(vectors)
+
+    @pytest.mark.parametrize("bad", ["park 0 nan", "park 1", "park 0 x1"],
+                             ids=["non-finite", "dimension", "unparsed"])
+    def test_bad_file_line_names_file_and_line(self, tmp_path, bad):
+        path = tmp_path / "wv.txt"
+        path.write_text(f"museum 1 0\n\n{bad}\n")
+        with pytest.raises(IngestionError, match=re.escape(f"{path}: line 3: ")):
+            WordVectors.load(path)
 
     def test_category_vector_averages_tokens(self, wv):
         v = wv.category_vector("Museum Park")
