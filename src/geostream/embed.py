@@ -1,9 +1,10 @@
 """Context-aware translational embedding of the dynamic graph.
 
 Every object (entity or relation kind) carries a raw d-dim vector, one
-row of the table's ``(objects, d)`` matrix. Its joint embedding blends
-that vector with an encoding of its context, the star the graph store
-returns (the object, then its neighbors; a relation kind alone):
+row of the table's ``(objects, d)`` matrix; the graph's object index says
+which. Its joint embedding blends that vector with an encoding of its
+context, the star the graph store returns as rows (the object, then its
+neighbors; a relation kind alone):
 
   * the context star is passed through m graph-convolution layers
     with renormalized adjacency (A + I, symmetric degree scaling),
@@ -42,50 +43,31 @@ from .errors import (
     ConsistencyError,
     IngestionError,
     TrainingError,
-    UnknownObjectError,
 )
-from .kgstore import DynamicKg, EntityId, EntityKind, Triple, ent_key, rel_key
+from .kgstore import DynamicKg, EntityId, EntityKind, RelType, Triple, ent_key, rel_key
 from .numkit import ParamStore, load_matrices, relu, save_matrices, sgd_step, sigmoid
 
 ObjKey = tuple[int, int]
 
 
 class EmbeddingTable:
-    """Raw vectors of all objects: one ``(n, d)`` matrix ``vecs``, the
-    row of each key in ``rows``, and a ``version`` that every write bumps."""
+    """Raw vectors of all objects: one ``(n, d)`` matrix ``vecs``, a row per
+    row of the graph's object index, and a ``version`` that every write bumps."""
 
     def __init__(self, d: int):
         if d < 1:
             raise ConfigError("embedding dimension must be >= 1")
         self.d = d
         self.vecs = np.zeros((0, d))
-        self.rows: dict[ObjKey, int] = {}
         self.version = 0
 
-    def __contains__(self, key: ObjKey) -> bool:
-        return key in self.rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def row_of(self, key: ObjKey) -> int:
-        try:
-            return self.rows[key]
-        except KeyError:
-            raise UnknownObjectError(f"no embedding for object {key}") from None
-
-    def _append(self, keys, vecs: np.ndarray) -> None:
-        for key in keys:
-            self.rows[key] = len(self.rows)
-        self.vecs = np.concatenate([self.vecs, vecs])
-        self.version += 1
-
-    def init_objects(self, keys, rng: np.random.Generator) -> None:
-        """Append new objects with uniform random vectors, drawn in order."""
-        keys = list(keys)
-        if keys:
+    def draw(self, n: int, rng: np.random.Generator) -> None:
+        """Grow ``vecs`` to ``n`` rows of uniform random vectors, drawn in row order."""
+        if n > len(self.vecs):
             bound = 6.0 / np.sqrt(self.d)
-            self._append(keys, rng.uniform(-bound, bound, size=(len(keys), self.d)))
+            new = rng.uniform(-bound, bound, size=(n - len(self.vecs), self.d))
+            self.vecs = np.concatenate([self.vecs, new])
+            self.version += 1
 
     def step(self, grads: np.ndarray, rows, lr: float) -> None:
         """SGD on the given rows of ``vecs`` with a gradient matrix of the same shape."""
@@ -97,12 +79,14 @@ class EmbeddingTable:
         self.vecs[rows] -= step
         self.version += 1
 
-    def save(self, path) -> None:
-        keys = np.array(list(self.rows), dtype=np.float64).reshape(-1, 2)
+    def save(self, path, keys) -> None:
+        """Save ``vecs`` with ``keys``, the object of each row."""
+        keys = np.array(keys, dtype=np.float64).reshape(-1, 2)
         save_matrices(path, {"keys": keys, "vecs": self.vecs})
 
     @classmethod
-    def load(cls, path) -> "EmbeddingTable":
+    def load(cls, path) -> tuple["EmbeddingTable", list[ObjKey]]:
+        """The saved table and the object of each of its rows."""
         mats = load_matrices(path)
         if sorted(mats) != ["keys", "vecs"]:
             raise IngestionError(f"{path}: want entries keys and vecs, found {sorted(mats)}")
@@ -113,11 +97,12 @@ class EmbeddingTable:
             raise IngestionError(f"{path}: {len(keys)} keys but {len(vecs)} vectors")
         if not (np.isfinite(keys).all() and np.array_equal(keys, np.round(keys))):
             raise IngestionError(f"{path}: non-integral object key")
-        table = cls(vecs.shape[1])
-        table._append([(int(k), int(i)) for k, i in keys], vecs)
-        if len(table) != len(keys):
+        keys = [(int(k), int(i)) for k, i in keys]
+        if len(set(keys)) != len(keys):
             raise IngestionError(f"{path}: duplicate object key")
-        return table
+        table = cls(vecs.shape[1])
+        table.vecs = vecs
+        return table, keys
 
 
 class ContextEncoder:
@@ -170,12 +155,12 @@ class _Stars:
     belongs to, and ``starts`` where each star begins (at its centre).
     """
 
-    def __init__(self, kg: DynamicKg, table: EmbeddingTable, keys):
-        nodes = [kg.context_of(key) for key in keys]
-        self.rows = np.array([table.row_of(k) for star in nodes for k in star], dtype=np.intp)
-        sizes = np.array([len(star) for star in nodes])
+    def __init__(self, kg: DynamicKg, keys):
+        stars = [kg.context_of(key) for key in keys]
+        self.rows = np.concatenate(stars)
+        sizes = np.array([len(star) for star in stars])
         self.starts = np.concatenate([[0], np.cumsum(sizes[:-1])]).astype(np.intp)
-        self.seg = np.repeat(np.arange(len(nodes)), sizes)
+        self.seg = np.repeat(np.arange(len(stars)), sizes)
         self.centre = self.starts[self.seg]  # each node's centre
         is_centre = self.centre == np.arange(len(self.seg))
         n = sizes[self.seg].astype(np.float64)
@@ -197,7 +182,7 @@ class Embedder:
     """Bundles a graph, its embedding table, and the context encoder.
 
     A given ``table`` and ``enc`` are adopted as they are; otherwise fresh
-    d-dim ones are drawn from ``rng``, one random vector per graph object.
+    d-dim ones are drawn from ``rng``, a vector per object in sorted order.
     """
 
     def __init__(
@@ -223,16 +208,16 @@ class Embedder:
         # count and table version; the rows of the stale keys' stars are still to redo
         self._joint_memo: tuple[tuple, np.ndarray] | None = None
         self._stale: set[ObjKey] = set()
-        self._rel_mask = np.zeros(0, dtype=bool)
         if table is None:
-            self.table.init_objects(kg.object_keys(), self.rng)
+            kg.index(sorted(kg.object_keys()))
+            self.table.draw(len(kg.keys), self.rng)
 
     # -- forward / backward ------------------------------------------------
 
     def _forward(self, keys) -> tuple[np.ndarray, dict]:
         """Joint embeddings of ``keys``, one row each, and the tape."""
         enc = self.enc
-        st = _Stars(self.kg, self.table, keys)
+        st = _Stars(self.kg, keys)
         zs = [self.table.vecs[st.rows]]
         for i in range(enc.layers):
             zs.append(relu(st.mix(zs[-1]) @ enc.gcn_weight(i)))
@@ -280,21 +265,20 @@ class Embedder:
         sig = (self.kg.version, self.enc.store.step_count, self.table.version)
         memo = self._joint_memo
         if memo is None or memo[0] != sig:
-            joint = self._forward(list(self.table.rows))[0]
+            joint = self._forward(self.kg.keys)[0]
         elif self._stale:
             # stars are symmetric: the rows whose star holds k are k's star
-            keys = sorted({m for k in self._stale for m in self.kg.context_of(k)})
+            rows = np.unique(np.concatenate([self.kg.context_of(k) for k in self._stale]))
             joint = np.empty_like(self.table.vecs)
             joint[: len(memo[1])] = memo[1]
-            joint[[self.table.rows[k] for k in keys]] = self._forward(keys)[0]
+            joint[rows] = self._forward([self.kg.keys[r] for r in rows])[0]
         else:
             return memo[1]
         self._joint_memo, self._stale = (sig, joint), set()
         return joint
 
     def joint_cached(self, key: ObjKey) -> np.ndarray:
-        row = self.table.row_of(key)
-        return self.joint_all()[row]
+        return self.joint_all()[self.kg.rows[key]]
 
     # -- losses --------------------------------------------------------------
 
@@ -409,11 +393,11 @@ class Embedder:
         start = (delta.version - 1, self.enc.store.step_count, self.table.version)
         follows = memo is not None and memo[0] == start
         affected = sorted(delta.affected)
-        self.table.init_objects([k for k in affected if k not in self.table], self.rng)
+        rows = self.kg.index(affected)
+        self.table.draw(len(self.kg.keys), self.rng)  # the new objects' vectors
         # every added triple is live with both endpoints affected, so the
         # incident triples already include it
         pool = self.kg.triples_incident_to(affected)
-        rows = [self.table.rows[k] for k in affected]
         for _ in range(steps):
             if max_triples is not None and len(pool) > max_triples:
                 picks = self.rng.choice(len(pool), size=max_triples, replace=False)
@@ -433,14 +417,13 @@ class Embedder:
     # -- state ---------------------------------------------------------------
 
     def _relation_rows(self) -> np.ndarray:
-        # the table only appends, so the mask changes only with its length
-        if len(self._rel_mask) != len(self.table):
-            self._rel_mask = np.array([kgstore.key_is_relation(k) for k in self.table.rows], dtype=bool)
-        return self._rel_mask
+        rel = np.zeros(len(self.kg.keys), dtype=bool)
+        rel[[self.kg.rows[k] for k in map(rel_key, RelType) if k in self.kg.rows]] = True
+        return rel
 
     def pool_state(self) -> np.ndarray:
         """Mean entity joint embedding concatenated with mean relation joint."""
-        if len(self.table) == 0:
+        if not len(self.table.vecs):
             raise ConfigError("cannot pool an empty table")
         joint = self.joint_all()
         rel = self._relation_rows()
@@ -454,11 +437,11 @@ class Embedder:
         receives its pooled share of the gradient; the backward pass then
         updates encoder parameters and the affected objects' raw vectors.
         """
-        keys = [k for k in sorted(set(affected)) if k in self.table]
+        keys = [k for k in sorted(set(affected)) if k in self.kg.rows]
         if not keys:
             return
         d = self.table.d
-        rows = [self.table.rows[k] for k in keys]
+        rows = [self.kg.rows[k] for k in keys]
         rel = self._relation_rows()
         n_rel = int(rel.sum())
         n_ent = len(rel) - n_rel

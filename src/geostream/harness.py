@@ -516,7 +516,7 @@ class _DrprDriver:
     def save(self, out_dir) -> None:
         with open(os.path.join(out_dir, "kg_snapshot.txt"), "w") as fh:
             fh.write(self.kg.export_snapshot())
-        self.embedder.table.save(os.path.join(out_dir, "embeddings.bin"))
+        self.embedder.table.save(os.path.join(out_dir, "embeddings.bin"), self.kg.keys)
         self.embedder.enc.store.save(os.path.join(out_dir, "encoder.bin"))
         with open(os.path.join(out_dir, "embed_rng.json"), "w") as fh:
             json.dump(self.embedder.rng.bit_generator.state, fh)
@@ -525,15 +525,17 @@ class _DrprDriver:
     def load(cls, out_dir, config: RunConfig, catalog: Catalog) -> "_DrprDriver":
         kg = cls.graph(out_dir, config, catalog)
         path = os.path.join(out_dir, "embeddings.bin")
-        table = embed_mod.EmbeddingTable.load(path)
+        table, keys = embed_mod.EmbeddingTable.load(path)
         if table.d != config.d:
             raise CompatibilityError(f"{path}: dimension {table.d} != configured d {config.d}")
         objects = set(kg.object_keys())
-        for key in sorted(objects ^ table.rows.keys()):
+        relations = {kgstore.rel_key(r) for r in kgstore.RelType}
+        for key in sorted(objects ^ set(keys)):
             if key in objects:
                 raise CompatibilityError(f"{path}: no row for graph object {key}")
-            if not kgstore.key_is_relation(key):  # an evicted relation kind keeps its row
+            if key not in relations:  # an evicted relation kind keeps its row
                 raise CompatibilityError(f"{path}: row for {key}, which the graph lacks")
+        kg.index(keys)
         enc = embed_mod.ContextEncoder(config.d, config.gcn_layers)
         enc.store.load(os.path.join(out_dir, "encoder.bin"))
         embedder = embed_mod.Embedder(

@@ -8,7 +8,8 @@ visit counts per POI survive eviction. Every object also keeps its RPOI
 duplicate so visit-cascade edges never collide with the static relations.
 
 Every edge joins a POI to a non-POI, so each entity's context is the star
-of the entity and its neighbors, and ``context_of`` returns just its keys.
+of the entity and its neighbors. ``index`` gives each embeddable object
+its one row of the embedding table, and ``context_of`` returns a star as rows.
 
 All mutation goes through ``apply_visit``, which returns a ``DeltaReport``
 listing added/removed triples and the set of objects whose context changed
@@ -17,10 +18,12 @@ listing added/removed triples and the set of objects whose context changed
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
     ConfigError,
@@ -135,9 +138,12 @@ class DynamicKg:
         self._refs: dict[Triple, int] = {}
         # entity -> neighbor -> live triples joining the two, either direction
         self._nbrs: dict[EntityId, dict[EntityId, set[Triple]]] = {}
-        # entity -> its context_of keys; dropped when its neighbor set changes
-        self._stars: dict[EntityId, tuple[tuple[int, int], ...]] = {}
+        # object -> its context_of rows; an entity's drops when its neighbor set changes
+        self._stars: dict[tuple[int, int], np.ndarray] = {}
         self._windows: dict[int, deque[_VisitEvent]] = {}
+        # the object index: each indexed object's row, and each row's object
+        self.rows: dict[tuple[int, int], int] = {}
+        self.keys: list[tuple[int, int]] = []
 
     # -- edge store ------------------------------------------------------
 
@@ -238,21 +244,31 @@ class DynamicKg:
 
     # -- queries ---------------------------------------------------------
 
-    def context_of(self, key: EntityId | tuple[int, int]) -> tuple[tuple[int, int], ...]:
-        """Keys of the context of ``key`` (an :class:`EntityId`, ``ent_key``
+    def index(self, keys) -> list[int]:
+        """Rows of ``keys``; each key not yet indexed gets the next row, in order."""
+        for key in keys:
+            if key not in self.rows:
+                self.rows[key] = len(self.keys)
+                self.keys.append(key)
+        return [self.rows[key] for key in keys]
+
+    def context_of(self, key: EntityId | tuple[int, int]) -> np.ndarray:
+        """Rows of the context of ``key`` (an :class:`EntityId`, ``ent_key``
         or ``rel_key``): the object itself, then an entity's sorted
         neighbors. Every edge joins a POI to a non-POI, so no two neighbors
         are adjacent and an entity's context is the star centred on it.
-        An entity's keys are memoized until its neighbor set changes.
+        The rows are memoized, an entity's until its neighbor set changes.
         """
-        if key_is_relation(key):
-            return (key,)
         star = self._stars.get(key)
         if star is None:
-            nbrs = self._nbrs.get(key)
+            nbrs = {} if key_is_relation(key) else self._nbrs.get(key)
             if nbrs is None:
                 raise UnknownObjectError(f"unknown entity {key}")
-            star = self._stars[key] = (ent_key(key),) + tuple(ent_key(e) for e in sorted(nbrs))
+            try:
+                star = np.array([self.rows[k] for k in (key, *sorted(nbrs))], dtype=np.intp)
+            except KeyError as exc:
+                raise UnknownObjectError(f"object {exc.args[0]} has no row") from None
+            self._stars[key] = star
         return star
 
     def popularity(self, pois) -> list[int]:
@@ -331,6 +347,8 @@ def import_snapshot(text: str, skeleton) -> DynamicKg:
             raise IngestionError("snapshot must start with its window and version lines")
         kg = build_static(skeleton, window=int(lines[1][1]))
         kg.version = int(lines[2][1])
+        if kg.version < 0:
+            raise IngestionError(f"snapshot version {kg.version} is negative")
         pois = []
         for tag, *fields in lines[3:]:
             if tag == "poi" and len(fields) == 2:
@@ -348,6 +366,12 @@ def import_snapshot(text: str, skeleton) -> DynamicKg:
         raise IngestionError(
             f"snapshot POI lines ({len(pois)}) do not list the skeleton's {len(kg.pois)} POIs in order"
         )
+    held = Counter(e.poi for window in kg._windows.values() for e in window)
+    for p in pois:  # a negative count falls short of any window too
+        if kg.visit_counts[p] < held[p]:
+            raise IngestionError(
+                f"snapshot POI {p} has {kg.visit_counts[p]} lifetime visits but {held[p]} window events"
+            )
     return kg
 
 

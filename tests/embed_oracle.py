@@ -17,6 +17,8 @@ from geostream.errors import ConfigError, TrainingError, UnknownObjectError
 from geostream.kgstore import DynamicKg, Triple, ent_key, rel_key
 from geostream.numkit import relu, row_softmax, sgd_step, sigmoid
 
+import probes
+
 ObjKey = tuple[int, int]
 
 
@@ -160,7 +162,7 @@ class OracleEmbedder:
         )
 
     def joint_cached(self, key: ObjKey) -> np.ndarray:
-        nodes = self.kg.context_of(key)
+        nodes = probes.context(self.kg, key)
         sig = self._signature(nodes)
         hit = self._joint_cache.get(key)
         if hit is not None and hit[0] == sig:
@@ -172,7 +174,7 @@ class OracleEmbedder:
     def _triple_forward(self, triple: Triple) -> list[tuple[np.ndarray, dict]]:
         """Joint forwards of a triple's head, relation kind and tail."""
         keys = (ent_key(triple.head), rel_key(triple.rel), ent_key(triple.tail))
-        return [self._joint_forward(self.kg.context_of(k)) for k in keys]
+        return [self._joint_forward(probes.context(self.kg, k)) for k in keys]
 
     def triple_residual(self, triple: Triple) -> float:
         (h, _), (r, _), (t, _) = self._triple_forward(triple)
@@ -252,7 +254,7 @@ class OracleEmbedder:
                 seed = d_state[d:] / max(n_rel, 1)
             else:
                 seed = d_state[:d] / max(n_ent, 1)
-            _, cache = self._joint_forward(self.kg.context_of(key))
+            _, cache = self._joint_forward(probes.context(self.kg, key))
             self._joint_backward(cache, seed, grads)
         sgd_step(self.enc.store, lr)
         self._apply_grads(grads, lr, allowed=set(keys))

@@ -100,7 +100,7 @@ def build_check_store(embedder: Embedder, keys) -> ParamStore:
     for name in embedder.enc.store.names():
         store.add(name, embedder.enc.store.get(name))
     for key in keys:
-        store.add(f"emb/{key[0]}:{key[1]}", probes.row(embedder.table, key))
+        store.add(f"emb/{key[0]}:{key[1]}", probes.row(embedder, key))
     return store
 
 
@@ -113,7 +113,7 @@ def fill_check_grads(
     for name in store.names():
         if name.startswith("emb/"):
             kind, index = name[4:].split(":")
-            analytic[name] = emb_grads[embedder.table.row_of((int(kind), int(index)))]
+            analytic[name] = emb_grads[embedder.kg.rows[(int(kind), int(index))]]
         else:
             analytic[name] = embedder.enc.store.grad(name).copy()
     return analytic

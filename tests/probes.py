@@ -1,41 +1,49 @@
 """Views of production objects that only the tests need.
 
-The package reads embedding rows by index and never lists a user's
-window, asks for the bare hinge loss or reads a reward baseline's
-window; these helpers give the tests those views without widening the
-package's API.
+The package reads embedding rows and contexts by row index and never
+lists a user's window, asks for the bare hinge loss or reads a reward
+baseline's window; these helpers give the tests those views, keyed by
+object, without widening the package's API.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from geostream.embed import Embedder, EmbeddingTable, ObjKey, TrainBatch
+from geostream.embed import Embedder, ObjKey, TrainBatch
 from geostream.errors import ConfigError
 from geostream.kgstore import DynamicKg
 from geostream.reward import BaselineWindows
 
 
-def table_keys(table: EmbeddingTable) -> list[ObjKey]:
-    return sorted(table.rows)
+def table_keys(emb: Embedder) -> list[ObjKey]:
+    """Every object with a table row, sorted."""
+    return sorted(emb.kg.keys)
 
 
-def row(table: EmbeddingTable, key: ObjKey) -> np.ndarray:
-    """The object's row, a view into ``table.vecs``."""
-    return table.vecs[table.row_of(key)]
+def row(emb: Embedder, key: ObjKey) -> np.ndarray:
+    """The object's row, a view into ``emb.table.vecs``."""
+    return emb.table.vecs[emb.kg.rows[key]]
 
 
-def set_row(table: EmbeddingTable, key: ObjKey, value) -> None:
-    """Write (or append) the object's row; a changed value bumps ``table.version``,
+def set_row(emb: Embedder, key: ObjKey, value) -> None:
+    """Write the object's row; a changed value bumps ``table.version``,
     so the embedder's joint memo re-encodes every row."""
+    table = emb.table
     value = np.asarray(value, dtype=np.float64)
     if value.shape != (table.d,):
         raise ConfigError(f"vector for {key} has shape {value.shape}, want ({table.d},)")
-    if key not in table.rows:
-        table._append([key], value[None, :])
-    elif not np.array_equal(table.vecs[table.rows[key]], value):
-        table.vecs[table.rows[key]] = value
+    if not np.array_equal(row(emb, key), value):
+        table.vecs[emb.kg.rows[key]] = value
         table.version += 1
+
+
+def context(kg: DynamicKg, key) -> tuple[ObjKey, ...]:
+    """The objects of ``key``'s context, in ``context_of``'s order: the
+    object of each row it returns. Objects the graph has not indexed yet
+    are indexed first, in sorted order, as a new embedder indexes them."""
+    kg.index(sorted(kg.object_keys()))
+    return tuple(kg.keys[r] for r in kg.context_of(key))
 
 
 def margin_loss(emb: Embedder, batch: TrainBatch) -> float:

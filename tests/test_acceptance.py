@@ -39,7 +39,7 @@ def test_01_gradient_integrity(toy_kg):
     triples = sorted(toy_kg.triples(), key=kgstore._triple_sort_key)
     batch = emb.make_batch(triples, neg_per_pos=1)
     _, grads = emb.margin_loss_and_grads(batch)
-    store = gradcheck.build_check_store(emb, probes.table_keys(emb.table))
+    store = gradcheck.build_check_store(emb, probes.table_keys(emb))
     analytic = gradcheck.fill_check_grads(store, emb, grads)
     rep = finite_diff_check(
         lambda s: probes.margin_loss(emb, batch), store, eps=1e-6, tol=GRAD_TOL,
@@ -142,11 +142,11 @@ def test_03_incremental_update_locality():
         p = int(rng.integers(50))
         t = clocks.get(u, 0.0) + 1.0
         clocks[u] = t
-        before = {k: probes.row(emb.table, k).copy() for k in probes.table_keys(emb.table)}
+        before = {k: probes.row(emb, k).copy() for k in probes.table_keys(emb)}
         delta = kg.apply_visit(u, p, t)
         emb.incremental_update(delta, steps=1, lr=0.05, max_triples=12)
         for k, v in before.items():
-            if k not in delta.affected and not np.array_equal(probes.row(emb.table, k), v):
+            if k not in delta.affected and not np.array_equal(probes.row(emb, k), v):
                 violations += 1
     _report("03 incremental-update locality", violations == 0,
             f"{violations} vector changes outside affected+new over 200 deltas")

@@ -46,7 +46,7 @@ class TestEncodeContext:
         kg = build_static([(0, 0, 0)])
         emb = Embedder(kg, d=4, layers=1, rng=np.random.default_rng(1))
         key = kgstore.ent_key(kgstore.rpoi(0))  # unconnected entity
-        z = probes.row(emb.table, key)
+        z = probes.row(emb, key)
         cx = emb._forward([kgstore.rpoi(0)])[1]["cx"][0]
         expected = np.maximum(z @ emb.enc.gcn_weight(0), 0.0)
         np.testing.assert_allclose(cx, expected, atol=1e-12)
@@ -55,8 +55,8 @@ class TestEncodeContext:
         kg = build_static([(0, 0, 0)])
         emb = Embedder(kg, d=4, layers=1, rng=np.random.default_rng(2))
         # zone 0's only neighbor is poi 0; give both the same raw vector
-        probes.set_row(emb.table, kgstore.ent_key(kgstore.zone(0)), np.array([0.3, -1.0, 0.5, 2.0]))
-        probes.set_row(emb.table, kgstore.ent_key(poi(0)), np.array([0.3, -1.0, 0.5, 2.0]))
+        probes.set_row(emb, kgstore.ent_key(kgstore.zone(0)), np.array([0.3, -1.0, 0.5, 2.0]))
+        probes.set_row(emb, kgstore.ent_key(poi(0)), np.array([0.3, -1.0, 0.5, 2.0]))
         _, cache = emb._forward([kgstore.zone(0)])
         np.testing.assert_allclose(cache["alpha"], [0.5, 0.5], atol=1e-12)
 
@@ -65,12 +65,12 @@ class TestEncodeContext:
         rng = np.random.default_rng(3)
         emb = Embedder(kg, d=6, layers=1, rng=rng)
         obj = poi(0)
-        nodes = kg.context_of(obj)
+        nodes = probes.context(kg, obj)
         assert len(nodes) == 3  # poi + category + zone star
-        z0 = np.stack([probes.row(emb.table, k) for k in nodes])
+        z0 = np.stack([probes.row(emb, k) for k in nodes])
         expected = oracle_context_vector(
             z0, induced_adjacency(kg.triples(), nodes), [emb.enc.gcn_weight(0)],
-            emb.enc.att_scale, probes.row(emb.table, nodes[0]),
+            emb.enc.att_scale, probes.row(emb, nodes[0]),
         )
         cx = emb._forward([obj])[1]["cx"][0]
         np.testing.assert_allclose(cx, expected, atol=1e-12)
@@ -81,12 +81,12 @@ class TestEncodeContext:
         rng = np.random.default_rng(5)
         emb = Embedder(kg, d=5, layers=2, rng=rng)
         for obj in (poi(0), user(4), kgstore.category(0)):
-            nodes = kg.context_of(obj)
-            z0 = np.stack([probes.row(emb.table, k) for k in nodes])
+            nodes = probes.context(kg, obj)
+            z0 = np.stack([probes.row(emb, k) for k in nodes])
             expected = oracle_context_vector(
                 z0, induced_adjacency(kg.triples(), nodes),
                 [emb.enc.gcn_weight(0), emb.enc.gcn_weight(1)],
-                emb.enc.att_scale, probes.row(emb.table, nodes[0]),
+                emb.enc.att_scale, probes.row(emb, nodes[0]),
             )
             cx = emb._forward([obj])[1]["cx"][0]
             np.testing.assert_allclose(cx, expected, atol=1e-12)
@@ -108,16 +108,37 @@ class TestEncodeContext:
         kg_b.apply_visit(9, perm[0], 1.0)
         rng = np.random.default_rng(7)
         emb_a = Embedder(kg_a, d=5, layers=2, rng=rng)
-        emb_b = Embedder(kg_b, table=EmbeddingTable(5), enc=emb_a.enc)
+        emb_b = Embedder(kg_b, d=5, layers=2, enc=emb_a.enc)
         inv = {v: k for k, v in perm.items()}
         for key in kg_b.object_keys():
             kind, idx = key
             src = (kind, inv[idx]) if kind in (EntityKind.POI, EntityKind.RPOI) else key
-            probes.set_row(emb_b.table, key, probes.row(emb_a.table, src))
+            probes.set_row(emb_b, key, probes.row(emb_a, src))
         for p in (0, 1, 2):
             cx_a = emb_a._forward([poi(p)])[1]["cx"][0]
             cx_b = emb_b._forward([poi(perm[p])])[1]["cx"][0]
             np.testing.assert_allclose(cx_a, cx_b, atol=1e-10)
+
+
+class TestObjectIndex:
+    def test_construction_indexes_sorted_object_keys(self, toy_kg):
+        emb = Embedder(toy_kg, d=3, rng=np.random.default_rng(11))
+        assert toy_kg.keys == sorted(toy_kg.object_keys())
+        assert emb.table.vecs.shape == (len(toy_kg.keys), 3)
+
+    def test_delta_objects_come_next_sorted(self):
+        kg = build_static([(0, 0, 0), (1, 0, 1)], window=2)
+        emb = Embedder(kg, d=3, rng=np.random.default_rng(12))
+        before = list(kg.keys)
+        delta = kg.apply_visit(7, 1, 1.0)
+        emb.incremental_update(delta, steps=0)
+        new = sorted(set(delta.affected) - set(before))
+        assert new == [kgstore.ent_key(user(7)), kgstore.rel_key(RelType.VISIT)]
+        assert kg.keys == before + new
+        assert len(emb.table.vecs) == len(kg.keys)
+        delta = kg.apply_visit(7, 0, 2.0)  # adds the cascade relation kind only
+        emb.incremental_update(delta, steps=0)
+        assert kg.keys == before + new + [kgstore.rel_key(RelType.ALSO_VISIT)]
 
 
 class TestJointOf:
@@ -128,12 +149,12 @@ class TestJointOf:
         emb = Embedder(kg, d=5, layers=2, rng=np.random.default_rng(21))
         emb.enc.gate[...] = np.random.default_rng(22).normal(size=5) * 3
         for obj in (poi(0), user(4), kgstore.category(0)):
-            nodes = kg.context_of(obj)
-            z0 = np.stack([probes.row(emb.table, k) for k in nodes])
+            nodes = probes.context(kg, obj)
+            z0 = np.stack([probes.row(emb, k) for k in nodes])
             expected = oracle_joint(
                 z0, induced_adjacency(kg.triples(), nodes),
                 [emb.enc.gcn_weight(0), emb.enc.gcn_weight(1)],
-                emb.enc.att_scale, emb.enc.gate, probes.row(emb.table, nodes[0]),
+                emb.enc.att_scale, emb.enc.gate, probes.row(emb, nodes[0]),
             )
             np.testing.assert_allclose(emb._forward([obj])[0][0], expected, atol=1e-12)
 
@@ -152,7 +173,7 @@ def _flat_embedder(values, d=1):
     emb.enc.gcn_weight(0)[...] = 0.0
     emb.enc.gate[...] = 0.0
     for key, v in values.items():
-        probes.set_row(emb.table, key, np.full(d, v))
+        probes.set_row(emb, key, np.full(d, v))
     return kg, emb
 
 
@@ -164,7 +185,7 @@ class TestMarginLoss:
             kgstore.ent_key(kgstore.category(0)): 0.0,
             kgstore.ent_key(kgstore.category(1)): -2.6,
         })
-        probes.set_row(emb.table, kgstore.rel_key(RelType.BELONG_TO), np.zeros(1))
+        probes.set_row(emb, kgstore.rel_key(RelType.BELONG_TO), np.zeros(1))
         pos = Triple(poi(0), RelType.BELONG_TO, kgstore.category(0))
         neg = Triple(poi(0), RelType.BELONG_TO, kgstore.category(1))
         assert _residual(emb, pos) == pytest.approx(0.2)
@@ -177,7 +198,7 @@ class TestMarginLoss:
             kgstore.ent_key(kgstore.category(0)): 0.0,
             kgstore.ent_key(kgstore.category(1)): 0.8,
         })
-        probes.set_row(emb.table, kgstore.rel_key(RelType.BELONG_TO), np.zeros(1))
+        probes.set_row(emb, kgstore.rel_key(RelType.BELONG_TO), np.zeros(1))
         pos = Triple(poi(0), RelType.BELONG_TO, kgstore.category(0))
         neg = Triple(poi(0), RelType.BELONG_TO, kgstore.category(1))
         assert probes.margin_loss(emb, TrainBatch([(pos, neg)], margin=1.0)) == pytest.approx(1.0)
@@ -192,9 +213,9 @@ class TestMarginLoss:
             total = np.zeros(4)
             rel = kgstore.rel_key(triple.rel)
             for sgn, obj in ((1, triple.head), (1, rel), (-1, triple.tail)):
-                nodes = kg.context_of(obj)
-                z0 = np.stack([probes.row(emb.table, k) for k in nodes])
-                o = probes.row(emb.table, nodes[0])
+                nodes = probes.context(kg, obj)
+                z0 = np.stack([probes.row(emb, k) for k in nodes])
+                o = probes.row(emb, nodes[0])
                 j = oracle_joint(
                     z0, induced_adjacency(kg.triples(), nodes),
                     [emb.enc.gcn_weight(0), emb.enc.gcn_weight(1)],
@@ -238,7 +259,7 @@ class TestGradients:
         triples = sorted(toy_kg.triples(), key=kgstore._triple_sort_key)
         batch = emb.make_batch(triples, neg_per_pos=1)
         _, grads = emb.margin_loss_and_grads(batch)
-        store = gradcheck.build_check_store(emb, probes.table_keys(emb.table))
+        store = gradcheck.build_check_store(emb, probes.table_keys(emb))
         analytic = gradcheck.fill_check_grads(store, emb, grads)
         report = finite_diff_check(
             lambda s: probes.margin_loss(emb, batch), store,
@@ -267,10 +288,10 @@ class TestTrainInit:
     def test_zero_epochs_is_identity(self):
         kg = self._toy_kg(5)
         emb = Embedder(kg, d=4, layers=2, rng=np.random.default_rng(66))
-        before = {k: probes.row(emb.table, k).copy() for k in probes.table_keys(emb.table)}
+        before = {k: probes.row(emb, k).copy() for k in probes.table_keys(emb)}
         state = emb.train_init(epochs=0, lr=0.01)
         for k, v in before.items():
-            np.testing.assert_array_equal(probes.row(emb.table, k), v)
+            np.testing.assert_array_equal(probes.row(emb, k), v)
         np.testing.assert_array_equal(state, emb.pool_state())
 
 
@@ -294,17 +315,17 @@ class TestIncrementalUpdate:
         kg = build_static([(i, i, i) for i in range(4)], window=5)
         emb = Embedder(kg, d=4, rng=np.random.default_rng(73))
         far_key = kgstore.ent_key(poi(3))
-        far_before = probes.row(emb.table, far_key).copy()
+        far_before = probes.row(emb, far_key).copy()
         delta = kg.apply_visit(42, 0, 1.0)
         emb.incremental_update(delta, steps=3, lr=0.05)
         user_key = kgstore.ent_key(user(42))
-        assert user_key in emb.table
+        assert user_key in kg.rows
         # initialized then trained: the row moved away from an untrained twin's
         twin_kg = build_static([(i, i, i) for i in range(4)], window=5)
         twin = Embedder(twin_kg, d=4, rng=np.random.default_rng(73))
         twin.incremental_update(twin_kg.apply_visit(42, 0, 1.0), steps=0, lr=0.05)
-        assert not np.array_equal(probes.row(emb.table, user_key), probes.row(twin.table, user_key))
-        np.testing.assert_array_equal(probes.row(emb.table, far_key), far_before)
+        assert not np.array_equal(probes.row(emb, user_key), probes.row(twin, user_key))
+        np.testing.assert_array_equal(probes.row(emb, far_key), far_before)
 
     def test_eviction_endpoints_are_retrained(self):
         kg = build_static([(0, 0, 0), (1, 1, 1)], window=1)
@@ -325,20 +346,20 @@ class TestIncrementalUpdate:
             p = int(rng.integers(12))
             t = clocks.get(u, 0.0) + 1.0
             clocks[u] = t
-            before = {k: probes.row(emb.table, k).copy() for k in probes.table_keys(emb.table)}
+            before = {k: probes.row(emb, k).copy() for k in probes.table_keys(emb)}
             delta = kg.apply_visit(u, p, t)
             emb.incremental_update(delta, steps=2, lr=0.05)
             for k, v in before.items():
                 if k not in delta.affected:
-                    np.testing.assert_array_equal(probes.row(emb.table, k), v)
+                    np.testing.assert_array_equal(probes.row(emb, k), v)
 
 
 class TestPoolState:
     def test_matches_bruteforce_mean(self, toy_kg):
         emb = Embedder(toy_kg, d=4, rng=np.random.default_rng(81))
         state = emb.pool_state()
-        ents = [k for k in probes.table_keys(emb.table) if not kgstore.key_is_relation(k)]
-        rels = [k for k in probes.table_keys(emb.table) if kgstore.key_is_relation(k)]
+        ents = [k for k in probes.table_keys(emb) if not kgstore.key_is_relation(k)]
+        rels = [k for k in probes.table_keys(emb) if kgstore.key_is_relation(k)]
         ent_mean = np.mean([emb._forward([k])[0][0] for k in ents], axis=0)
         rel_mean = np.mean([emb._forward([k])[0][0] for k in rels], axis=0)
         np.testing.assert_allclose(state, np.concatenate([ent_mean, rel_mean]), atol=1e-12)
@@ -347,10 +368,10 @@ class TestPoolState:
         kg = build_static([(0, 0, 0)])
         emb = Embedder(kg, d=2, rng=np.random.default_rng(82))
         emb.enc.gate[...] = 80.0  # saturate: joints equal raw vectors
-        for k in probes.table_keys(emb.table):
-            probes.set_row(emb.table, k, np.zeros(2))
-        probes.set_row(emb.table, kgstore.ent_key(poi(0)), np.array([1.0, 1.0]))
-        probes.set_row(emb.table, kgstore.ent_key(kgstore.rpoi(0)), np.array([3.0, 3.0]))
+        for k in probes.table_keys(emb):
+            probes.set_row(emb, k, np.zeros(2))
+        probes.set_row(emb, kgstore.ent_key(poi(0)), np.array([1.0, 1.0]))
+        probes.set_row(emb, kgstore.ent_key(kgstore.rpoi(0)), np.array([3.0, 3.0]))
         state = emb.pool_state()
         n_ent = 4  # poi, rpoi, category, zone
         np.testing.assert_allclose(state[:2], [(1 + 3) / n_ent, (1 + 3) / n_ent])
@@ -372,7 +393,7 @@ class TestPoolState:
 
 
 def _full_joint(emb):
-    return emb._forward(list(emb.table.rows))[0]
+    return emb._forward(emb.kg.keys)[0]
 
 
 class TestIncrementalJoint:
@@ -399,9 +420,10 @@ class TestIncrementalJoint:
         emb.incremental_update(delta, steps=1, lr=0.05)
         joint, seen = self._forwarded(monkeypatch, emb)
         assert emb.joint_all() is joint  # then a memo hit
-        want = sorted({m for k in delta.affected for m in kg.context_of(k)})
+        # the stars' objects, once each, in row order
+        want = sorted({m for k in delta.affected for m in probes.context(kg, k)}, key=kg.rows.get)
         assert seen == [want]
-        assert len(want) < len(emb.table)
+        assert len(want) < len(emb.table.vecs)
         np.testing.assert_array_equal(joint, _full_joint(emb))
 
     def test_earlier_rows_keep_their_values(self):
@@ -411,23 +433,23 @@ class TestIncrementalJoint:
         row = emb.joint_cached(kgstore.ent_key(poi(4)))
         emb.incremental_update(kg.apply_visit(3, 4, 10.0), steps=1, lr=0.05)
         after = emb.joint_all()
-        assert after.shape == (len(emb.table), 4) and len(emb.table) == len(before) + 1
+        assert after.shape == (len(emb.table.vecs), 4) and len(emb.table.vecs) == len(before) + 1
         np.testing.assert_array_equal(before, kept)  # patched into a copy
-        assert not np.array_equal(row, after[emb.table.row_of(kgstore.ent_key(poi(4)))])
+        assert not np.array_equal(row, after[kg.rows[kgstore.ent_key(poi(4))]])
 
     @pytest.mark.parametrize("outside", ["table_set", "unseen_visit", "feedback"])
     def test_unaccounted_moves_reencode_every_row(self, monkeypatch, outside):
         kg, emb = self._warm()
         key = kgstore.ent_key(kgstore.category(2))
         if outside == "table_set":
-            probes.set_row(emb.table, key, probes.row(emb.table, key) + 1.0)
+            probes.set_row(emb, key, probes.row(emb, key) + 1.0)
         elif outside == "unseen_visit":
             kg.apply_visit(2, 8, 20.0)
         else:
             emb.state_feedback(np.ones(8), [key], lr=0.1)
         emb.incremental_update(kg.apply_visit(1, 11, 30.0), steps=1, lr=0.05)
         joint, seen = self._forwarded(monkeypatch, emb)
-        assert seen == [list(emb.table.rows)]
+        assert seen == [kg.keys]
         np.testing.assert_array_equal(joint, _full_joint(emb))
 
 
@@ -464,17 +486,17 @@ def test_patched_joint_equals_full_forward(n_pois, window, layers, d, seed, step
                 u, p = args
                 # the embedder has no row for an object it never saw arrive
                 known = {kgstore.ent_key(user(u)), kgstore.rel_key(RelType.ALSO_VISIT)}
-                if known <= emb.table.rows.keys():
+                if known <= kg.rows.keys():
                     clock += 1.0
                     kg.apply_visit(u, p % n_pois, clock)
             elif op == "feedback":
                 rng = np.random.default_rng(args[0])
-                keys = [k for k in probes.table_keys(emb.table) if rng.random() < 0.3]
+                keys = [k for k in probes.table_keys(emb) if rng.random() < 0.3]
                 emb.state_feedback(rng.normal(size=2 * d), keys, lr=0.1)
             elif op == "set":
                 rng = np.random.default_rng(args[0])
-                keys = probes.table_keys(emb.table)
-                probes.set_row(emb.table, keys[int(rng.integers(len(keys)))], rng.normal(size=d))
+                keys = probes.table_keys(emb)
+                probes.set_row(emb, keys[int(rng.integers(len(keys)))], rng.normal(size=d))
             else:
                 emb = copy.deepcopy(emb)
                 kg = emb.kg
@@ -512,8 +534,8 @@ def test_matches_per_object_oracle(case):
     for t, (u, p) in enumerate(visits):
         emb.incremental_update(kg.apply_visit(u, p, float(t)), steps=1, lr=0.05)
     table = OracleTable(d)
-    for key in probes.table_keys(emb.table):
-        table.set(key, probes.row(emb.table, key))
+    for key in probes.table_keys(emb):
+        table.set(key, probes.row(emb, key))
     oracle = OracleEmbedder(kg, table, copy.deepcopy(emb.enc))
 
     batch = emb.make_batch(sorted(kg.triples(), key=kgstore._triple_sort_key))
@@ -521,8 +543,8 @@ def test_matches_per_object_oracle(case):
     oracle_loss, oracle_grads = oracle.margin_loss_and_grads(batch)
     _assert_close(loss, oracle_loss)
     _assert_close(probes.margin_loss(emb, batch), oracle.margin_loss(batch))
-    for key in probes.table_keys(emb.table):
-        _assert_close(grads[emb.table.row_of(key)], oracle_grads.get(key, np.zeros(d)))
+    for key in probes.table_keys(emb):
+        _assert_close(grads[kg.rows[key]], oracle_grads.get(key, np.zeros(d)))
     for name in emb.enc.store.names():
         _assert_close(emb.enc.store.grad(name), oracle.enc.store.grad(name))
     emb.enc.store.zero_grads()
@@ -530,11 +552,11 @@ def test_matches_per_object_oracle(case):
     _assert_close(emb.pool_state(), oracle.pool_state())
 
     d_state = rng.normal(size=2 * d)
-    affected = [k for k in probes.table_keys(emb.table) if rng.random() < 0.5]
+    affected = [k for k in probes.table_keys(emb) if rng.random() < 0.5]
     emb.state_feedback(d_state, affected, lr=0.5)
     oracle.state_feedback(d_state, affected, lr=0.5)
-    for key in probes.table_keys(emb.table):
-        _assert_close(probes.row(emb.table, key), oracle.table.get(key))
+    for key in probes.table_keys(emb):
+        _assert_close(probes.row(emb, key), oracle.table.get(key))
     for name in emb.enc.store.names():
         _assert_close(emb.enc.store.get(name), oracle.enc.store.get(name))
     _assert_close(emb.pool_state(), oracle.pool_state())
@@ -542,14 +564,13 @@ def test_matches_per_object_oracle(case):
 
 def test_table_roundtrip(tmp_path, toy_kg):
     emb = Embedder(toy_kg, d=5, rng=np.random.default_rng(91))
-    emb.table.step(np.ones_like(emb.table.vecs), [emb.table.row_of(kgstore.ent_key(poi(0)))], 0.1)
+    emb.table.step(np.ones_like(emb.table.vecs), [toy_kg.rows[kgstore.ent_key(poi(0))]], 0.1)
     path = tmp_path / "table.bin"
-    emb.table.save(path)
-    loaded = EmbeddingTable.load(path)
+    emb.table.save(path, toy_kg.keys)
+    loaded, keys = EmbeddingTable.load(path)
     assert loaded.d == 5
-    assert probes.table_keys(loaded) == probes.table_keys(emb.table)
-    for k in probes.table_keys(emb.table):
-        np.testing.assert_array_equal(probes.row(loaded, k), probes.row(emb.table, k))
+    assert keys == toy_kg.keys
+    np.testing.assert_array_equal(loaded.vecs, emb.table.vecs)
 
 
 class TestDamagedTable:
@@ -557,7 +578,7 @@ class TestDamagedTable:
         """Path of a table container with the given entries replaced (None drops one)."""
         emb = Embedder(toy_kg, d=3, rng=np.random.default_rng(93))
         path = tmp_path / "embeddings.bin"
-        emb.table.save(path)
+        emb.table.save(path, toy_kg.keys)
         entries = load_matrices(path)
         entries.update(mats)
         save_matrices(path, {k: v for k, v in entries.items() if v is not None})
@@ -590,6 +611,12 @@ class TestDamagedTable:
         keys = load_matrices(path)["keys"]
         keys[0, 1] = 0.5
         self._rejects(self._saved(tmp_path, toy_kg, keys=keys), "non-integral")
+
+    def test_duplicate_key(self, tmp_path, toy_kg):
+        path = self._saved(tmp_path, toy_kg)
+        keys = load_matrices(path)["keys"]
+        keys[1] = keys[0]
+        self._rejects(self._saved(tmp_path, toy_kg, keys=keys), "duplicate")
 
     def test_row_counts_disagree(self, tmp_path, toy_kg):
         path = self._saved(tmp_path, toy_kg)

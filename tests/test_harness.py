@@ -436,9 +436,9 @@ class TestArtifactsRoundtrip:
         loaded = Artifacts.load(tmp_path)
         assert loaded.config == cfg
         assert loaded.env.kg.export_snapshot() == artifacts.env.kg.export_snapshot()
-        for key in probes.table_keys(artifacts.env.embedder.table):
+        for key in probes.table_keys(artifacts.env.embedder):
             np.testing.assert_array_equal(
-                probes.row(loaded.env.embedder.table, key), probes.row(artifacts.env.embedder.table, key)
+                probes.row(loaded.env.embedder, key), probes.row(artifacts.env.embedder, key)
             )
         _, test_events = split_stream(records[: cfg.stream_length], cfg.split_fraction)
         report, _ = run_eval(cfg, loaded, test_events)
@@ -663,11 +663,14 @@ class TestArtifactFiles:
 
     # a drpr-static graph never gains a visit triple or a user: a row of the
     # visit relation kind stands for one whose last triple was evicted, and
-    # may stay; a user's row may not
+    # may stay; a user's row may not, nor a row of a code that names no
+    # relation kind
     @pytest.mark.parametrize("key, loads", [
         (kgstore.rel_key(kgstore.RelType.VISIT), True),
         (kgstore.ent_key(kgstore.user(0)), False),
-    ], ids=["visit-relation", "user"])
+        ((kgstore.REL_KEY_BASE + len(kgstore.RelType), 0), False),
+        ((12, 7), False),
+    ], ids=["visit-relation", "user", "code-past-the-relation-kinds", "far-code"])
     def test_embedding_rows_beyond_the_graph(self, tmp_path, key, loads):
         artifacts, _, _ = run_training(
             _tiny_config(agent_mode="drpr-static"), records=make_cyclic_stream(40))
@@ -682,6 +685,17 @@ class TestArtifactFiles:
         else:
             with pytest.raises(CompatibilityError, match="embeddings.bin"):
                 Artifacts.load(tmp_path)
+
+    def test_loaded_rows_follow_the_file(self, saved, tmp_path):
+        shutil.copytree(saved["drpr"], tmp_path, dirs_exist_ok=True)
+        mats = load_matrices(tmp_path / "embeddings.bin")
+        keys = [tuple(k) for k in mats["keys"].astype(int).tolist()]
+        assert keys != sorted(keys)  # visits indexed users after the skeleton
+        save_matrices(tmp_path / "embeddings.bin", {k: v[::-1] for k, v in mats.items()})
+        emb = Artifacts.load(tmp_path).env.embedder
+        assert emb.kg.keys == keys[::-1]
+        for key, vec in zip(keys, mats["vecs"]):
+            np.testing.assert_array_equal(probes.row(emb, key), vec)
 
     def test_drpr_without_embeddings_names_the_file(self, saved, tmp_path):
         shutil.copytree(saved["drpr"], tmp_path, dirs_exist_ok=True)

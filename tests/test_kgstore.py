@@ -44,7 +44,7 @@ class TestBuildStatic:
     def test_rpoi_created_but_unconnected(self):
         kg = build_static([(0, 0, 0)])
         assert kgstore.ent_key(rpoi(0)) in kg.object_keys()
-        ctx = kg.context_of(rpoi(0))
+        ctx = probes.context(kg, rpoi(0))
         assert len(ctx) == 1
 
 
@@ -121,13 +121,13 @@ class TestApplyVisit:
 class TestContextOf:
     def test_isolated_entity(self):
         kg = build_static([(0, 0, 0)])
-        ctx = kg.context_of(rpoi(0))
+        ctx = probes.context(kg, rpoi(0))
         assert len(ctx) == 1
         np.testing.assert_array_equal(induced_adjacency(kg.triples(), ctx), [[0.0]])
 
     def test_poi_with_category_and_zone(self):
         kg = build_static([(0, 0, 0)])
-        ctx = kg.context_of(poi(0))
+        ctx = probes.context(kg, poi(0))
         assert len(ctx) == 3
         assert ctx[0] == kgstore.ent_key(poi(0))
 
@@ -137,7 +137,7 @@ class TestContextOf:
         kg.apply_visit(5, 1, 2.0)
         # context of the category includes both POIs; their shared zone
         # does not appear, but edges among included nodes must
-        ctx = kg.context_of(category(0))
+        ctx = probes.context(kg, category(0))
         n = len(ctx)
         adjacency = induced_adjacency(kg.triples(), ctx)
         assert adjacency.shape == (n, n)
@@ -146,13 +146,39 @@ class TestContextOf:
     def test_relation_singleton_context(self):
         kg = build_static([(0, 0, 0)])
         kg.apply_visit(5, 0, 1.0)
-        ctx = kg.context_of(kgstore.rel_key(RelType.VISIT))
+        ctx = probes.context(kg, kgstore.rel_key(RelType.VISIT))
         assert ctx == (kgstore.rel_key(RelType.VISIT),)
 
     def test_unknown_entity(self):
         kg = build_static([(0, 0, 0)])
         with pytest.raises(UnknownObjectError):
             kg.context_of(user(42))
+
+    def test_unindexed_object(self):
+        kg = build_static([(0, 0, 0)])
+        kg.index([kgstore.ent_key(poi(0))])
+        with pytest.raises(UnknownObjectError, match="no row"):
+            kg.context_of(poi(0))  # its category and zone have no row yet
+        kg.index(sorted(kg.object_keys()))
+        kg.apply_visit(5, 0, 1.0)
+        with pytest.raises(UnknownObjectError, match="no row"):
+            kg.context_of(kgstore.rel_key(RelType.VISIT))
+
+    def test_rows_follow_the_index_and_neighbors_the_keys(self):
+        # indexed in reverse key order, so row order and key order disagree
+        kg = build_static([(0, 0, 1), (1, 1, 0)])
+        kg.apply_visit(5, 0, 1.0)
+        keys = sorted(kg.object_keys(), reverse=True)
+        assert kg.index(keys) == list(range(len(keys)))
+        assert kg.keys == keys and kg.rows == {k: r for r, k in enumerate(keys)}
+        assert kg.index([keys[2], keys[0]]) == [2, 0]  # a known key keeps its row
+        star = kg.context_of(poi(0))
+        assert star.dtype == np.intp
+        want = [poi(0), user(5), category(0), zone(1)]  # the object, then sorted neighbors
+        assert star.tolist() == [kg.rows[kgstore.ent_key(e)] for e in want]
+        assert probes.context(kg, poi(0)) == tuple(kgstore.ent_key(e) for e in want)
+        rel = kgstore.rel_key(RelType.VISIT)
+        assert kg.context_of(rel).tolist() == [kg.rows[rel]]
 
 
 class TestPopularity:
@@ -217,7 +243,7 @@ class TestInvariants:
         events = _random_stream(rng, 4, 10, 120)
         for u, p, t in events:
             before = {
-                e: kg.context_of(e)
+                e: probes.context(kg, e)
                 for e in [kgstore.EntityId(*k) for k in kg.object_keys()
                           if not kgstore.key_is_relation(k)]
             }
@@ -228,7 +254,7 @@ class TestInvariants:
             for e, ctx in before.items():
                 if kgstore.ent_key(e) in delta.affected:
                     continue
-                after = kg.context_of(e)
+                after = probes.context(kg, e)
                 assert after == ctx
                 assert np.array_equal(
                     induced_adjacency(kg.triples(), after), before_adjacency[e]
@@ -306,6 +332,17 @@ class TestSnapshot:
         with pytest.raises(IngestionError):
             import_snapshot(head + events, skeleton)
 
+    @pytest.mark.parametrize("head, match", [
+        ("version -1\npoi 0 2\npoi 1 1\n", "version -1 is negative"),
+        ("version 3\npoi 0 -1\npoi 1 1\n", "POI 0 has -1 lifetime visits"),
+        ("version 3\npoi 0 1\npoi 1 0\n", "POI 1 has 0 lifetime visits but 1 window events"),
+    ], ids=["negative-version", "negative-visits", "fewer-visits-than-window-events"])
+    def test_impossible_counts_rejected(self, head, match):
+        events = "event 1 0 1.0 -\nevent 1 1 2.0 0\n"
+        skeleton = [(0, 0, 0), (1, 0, 1)]
+        with pytest.raises(IngestionError, match=match):
+            import_snapshot("# geostream-kg 3\nwindow 2\n" + head + events, skeleton)
+
     @pytest.mark.parametrize("skeleton", [[(0, 0, 0)], [(0, 0, 0), (2, 0, 1)], [(0, 0, 0), (1, 0, 1), (2, 0, 0)]])
     def test_other_skeleton_rejected(self, skeleton):
         text = build_static([(0, 0, 0), (1, 0, 1)]).export_snapshot()
@@ -361,7 +398,7 @@ def test_snapshot_then_continue_matches_memory(stream):
         assert all(probes.window_events(kg2, uid) == probes.window_events(kg, uid) for uid in kg.users)
         assert kg2.version == kg.version
         # the reloaded store memoizes its stars from the replayed edges
-        assert all(kg2.context_of(k) == kg.context_of(k) for k in kg.object_keys())
+        assert all(probes.context(kg2, k) == probes.context(kg, k) for k in kg.object_keys())
 
 
 def _star(n):
@@ -376,14 +413,14 @@ def _assert_same_queries(kg, oracle):
     assert kg.triples() == oracle.triples()
     for key in keys:
         if not kgstore.key_is_relation(key):
-            # every entity context is the star over the keys context_of returns
-            mine, theirs = kg.context_of(key), oracle.context_of(kgstore.EntityId(*key))
+            # every entity context is the star over the objects of the rows context_of returns
+            mine, theirs = probes.context(kg, key), oracle.context_of(kgstore.EntityId(*key))
             assert mine == theirs.nodes
             assert np.array_equal(theirs.adjacency, _star(len(mine)))
     for t in sorted(kg.triples(), key=kgstore._triple_sort_key):
         # every edge joins a POI to a non-POI, so relation contexts are singletons
         assert (t.head.kind == kgstore.EntityKind.POI) != (t.tail.kind == kgstore.EntityKind.POI)
-        assert oracle.context_of(t).nodes == kg.context_of(kgstore.rel_key(t.rel))
+        assert oracle.context_of(t).nodes == probes.context(kg, kgstore.rel_key(t.rel))
         assert oracle.context_of(t).nodes == (kgstore.rel_key(t.rel),)
     for p in kg.pois:
         assert kg.neighbors(poi(p), EntityKind.RPOI) == set(oracle.cascade_successors(p))

@@ -19,8 +19,7 @@ from conftest import WORDVEC_PATH, make_drifting_stream
 N_EVENTS = 240
 
 
-def _digests(**overrides) -> tuple[str, str]:
-    records = make_drifting_stream(n_events=N_EVENTS, seed=5)
+def _config(**overrides) -> RunConfig:
     cfg = RunConfig(
         stream_length=N_EVENTS, split_fraction=0.75, d=8, k=2, w=3, b=60,
         gamma=0.1, epsilon_start=0.5, epsilon_end=0.05,
@@ -30,7 +29,12 @@ def _digests(**overrides) -> tuple[str, str]:
         qnet_hidden=16, legacy_n=8, seed=3, wordvecs=WORDVEC_PATH,
         priority_mode="td", stochastic_replay=True,
     )
-    cfg = replace(cfg, **overrides)
+    return replace(cfg, **overrides)
+
+
+def _digests(**overrides) -> tuple[str, str]:
+    records = make_drifting_stream(n_events=N_EVENTS, seed=5)
+    cfg = _config(**overrides)
     artifacts, train_log, _ = run_training(cfg, records=list(records))
     _, test_events = split_stream(records, cfg.split_fraction)
     _, eval_log = run_eval(cfg, artifacts, test_events)
@@ -46,6 +50,17 @@ def test_drpr_trace_digests():
     assert _digests(agent_mode="drpr") == (
         "5bbe98de9cb1eeda35452e5653a07a9401ae8a6d07fe1267a15a808fc0309ce8",
         "7a0e1f5acfe0d05f43e3c97daf5b0bae56293dee5caad65f051d3a1f93fa7049",
+    )
+
+
+def test_drpr_embeddings_digest(tmp_path):
+    # the saved table's keys and vectors, row by row: fixes the order in
+    # which objects get their rows and draw their initial vectors
+    records = make_drifting_stream(n_events=N_EVENTS, seed=5)
+    artifacts, _, _ = run_training(_config(agent_mode="drpr"), records=list(records))
+    artifacts.save(tmp_path)
+    assert hashlib.sha256((tmp_path / "embeddings.bin").read_bytes()).hexdigest() == (
+        "a6d0170bee86ac0006b274074676ebaf721c7505f3168bf687b7baa8a947f40b"
     )
 
 
