@@ -57,13 +57,13 @@ def generate_candidates(kg: DynamicKg, user_id: int, k: int) -> CandidateSet:
     if k < 1:
         raise ConfigError("k must be >= 1")
     found: dict[int, str] = {}  # POI -> the first scheme that found it
-    if user_id in kg.users:
+    if (_U, user_id) in kg:
         for scheme in SCHEMES:
             for p in kg.popularity(expand_meta_path(kg, user_id, scheme))[:k]:
                 found.setdefault(p, scheme)
-    limit = min(4 * k, len(kg.pois))
+    limit = min(4 * k, len(kg.entities(_V)))
     if len(found) < limit:
-        for p in kg.popularity(kg.pois):
+        for p in kg.popularity(kg.entities(_V)):
             found.setdefault(p, PAD_TAG)
             if len(found) == limit:
                 break

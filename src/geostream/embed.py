@@ -44,7 +44,7 @@ from .errors import (
     IngestionError,
     TrainingError,
 )
-from .kgstore import DynamicKg, EntityId, EntityKind, RelType, Triple, ent_key, rel_key
+from .kgstore import DynamicKg, EntityId, RelType, Triple, ent_key, rel_key
 from .numkit import ParamStore, load_matrices, relu, save_matrices, sgd_step, sigmoid
 
 ObjKey = tuple[int, int]
@@ -95,7 +95,7 @@ class EmbeddingTable:
             raise IngestionError(f"{path}: keys {keys.shape} or vecs {vecs.shape} misshapen")
         if len(keys) != len(vecs):
             raise IngestionError(f"{path}: {len(keys)} keys but {len(vecs)} vectors")
-        if not (np.isfinite(keys).all() and np.array_equal(keys, np.round(keys))):
+        if not np.array_equal(keys, np.round(keys)):
             raise IngestionError(f"{path}: non-integral object key")
         keys = [(int(k), int(i)) for k, i in keys]
         if len(set(keys)) != len(keys):
@@ -209,7 +209,7 @@ class Embedder:
         self._joint_memo: tuple[tuple, np.ndarray] | None = None
         self._stale: set[ObjKey] = set()
         if table is None:
-            kg.index(sorted(kg.object_keys()))
+            kg.index(kg.object_keys())
             self.table.draw(len(kg.keys), self.rng)
 
     # -- forward / backward ------------------------------------------------
@@ -317,21 +317,11 @@ class Embedder:
 
     # -- training ----------------------------------------------------------
 
-    def _entity_pool(self, kind: int) -> list[int]:
-        kg = self.kg
-        if kind == EntityKind.USER:
-            return sorted(kg.users)
-        if kind in (EntityKind.POI, EntityKind.RPOI):
-            return sorted(kg.pois)
-        if kind == EntityKind.CATEGORY:
-            return sorted(kg.categories)
-        return sorted(kg.zones)
-
     def _corrupt(self, triple: Triple) -> Triple | None:
         sides = [0, 1] if self.rng.random() < 0.5 else [1, 0]
         for side in sides:
             original = triple.head if side == 0 else triple.tail
-            pool = self._entity_pool(original.kind)
+            pool = self.kg.entities(original.kind)
             if len(pool) < 2:
                 continue
             while True:

@@ -324,7 +324,7 @@ class Catalog:
     def from_tsv(cls, text: str) -> "Catalog":
         """Parse ``to_tsv`` output; ``IngestionError`` names the first bad line."""
         cat = cls()
-        for no, line in enumerate(text.splitlines(), 1):
+        for no, line in enumerate(text.split("\n"), 1):  # a name may hold what splitlines breaks at
             if line:
                 try:
                     cat._read_line(line.split("\t"))
@@ -866,13 +866,13 @@ def inspect_kg(artifacts_dir) -> dict:
     for t in triples:
         name = kgstore._REL_NAMES[kgstore.RelType(t.rel)]
         by_rel[name] = by_rel.get(name, 0) + 1
-    top = kg.popularity(kg.pois)[:5]
+    top = kg.popularity(kg.entities(EntityKind.POI))[:5]
     return {
         "window_capacity": kg.window_capacity,
-        "pois": len(kg.pois),
-        "users": len(kg.users),
-        "categories": len(kg.categories),
-        "zones": len(kg.zones),
+        "pois": len(kg.entities(EntityKind.POI)),
+        "users": len(kg.entities(EntityKind.USER)),
+        "categories": len(kg.entities(EntityKind.CATEGORY)),
+        "zones": len(kg.entities(EntityKind.ZONE)),
         "triples": len(triples),
         "triples_by_relation": by_rel,
         "top_pois_by_visits": [(p, kg.visit_counts.get(p, 0)) for p in top],

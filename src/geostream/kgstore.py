@@ -4,12 +4,14 @@ The graph starts from a static spatial skeleton (POI -> category, POI ->
 zone) and evolves as timestamped visit events stream in. Each user owns a
 fixed-capacity sliding window of visit events; when the window overflows,
 the oldest event and the triples it induced leave the graph. Lifetime
-visit counts per POI survive eviction. Every object also keeps its RPOI
+visit counts per POI survive eviction. Every POI also keeps its RPOI
 duplicate so visit-cascade edges never collide with the static relations.
 
-Every edge joins a POI to a non-POI, so each entity's context is the star
-of the entity and its neighbors. ``index`` gives each embeddable object
-its one row of the embedding table, and ``context_of`` returns a star as rows.
+Entities are only ever added: ``entities(kind)`` lists a kind's indices in
+order and ``key in kg`` asks for one. Every edge joins a POI to a non-POI,
+so each entity's context is the star of the entity and its neighbors.
+``index`` gives each embeddable object its one table row, and
+``context_of`` returns a star as rows.
 
 All mutation goes through ``apply_visit``, which returns a ``DeltaReport``
 listing added/removed triples and the set of objects whose context changed
@@ -18,6 +20,7 @@ listing added/removed triples and the set of objects whose context changed
 
 from __future__ import annotations
 
+import bisect
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -123,10 +126,6 @@ class _VisitEvent:
 @dataclass
 class DynamicKg:
     window_capacity: int = 50
-    pois: set[int] = field(default_factory=set)
-    users: set[int] = field(default_factory=set)
-    categories: set[int] = field(default_factory=set)
-    zones: set[int] = field(default_factory=set)
     visit_counts: dict[int, int] = field(default_factory=dict)
     version: int = 0
 
@@ -138,6 +137,8 @@ class DynamicKg:
         self._refs: dict[Triple, int] = {}
         # entity -> neighbor -> live triples joining the two, either direction
         self._nbrs: dict[EntityId, dict[EntityId, set[Triple]]] = {}
+        # the entity registry: each kind's indices, ascending; entities are never removed
+        self._entities: dict[int, list[int]] = {kind: [] for kind in EntityKind}
         # object -> its context_of rows; an entity's drops when its neighbor set changes
         self._stars: dict[tuple[int, int], np.ndarray] = {}
         self._windows: dict[int, deque[_VisitEvent]] = {}
@@ -148,7 +149,9 @@ class DynamicKg:
     # -- edge store ------------------------------------------------------
 
     def _add_entity(self, e: EntityId) -> None:
-        self._nbrs.setdefault(e, {})
+        if e not in self._nbrs:
+            self._nbrs[e] = {}
+            bisect.insort(self._entities[e.kind], e.index)
 
     def _ref(self, t: Triple) -> bool:
         """Take a reference on ``t``; True if that made it live."""
@@ -176,8 +179,7 @@ class DynamicKg:
     def _push_event(self, user_id: int, poi_id: int, time: float, src: int | None) -> list[Triple]:
         """Append a window event referencing its visit edge and, when
         ``src`` is given, the cascade from it; return the triples made live."""
-        if user_id not in self.users:
-            self.users.add(user_id)
+        if user_id not in self._windows:
             self._add_entity(user(user_id))
             self._windows[user_id] = deque()
         visit_triple = Triple(user(user_id), RelType.VISIT, poi(poi_id), time)
@@ -190,11 +192,8 @@ class DynamicKg:
     # -- mutation --------------------------------------------------------
 
     def add_poi(self, poi_id: int, category_id: int, zone_id: int) -> None:
-        if poi_id in self.pois:
+        if poi(poi_id) in self:
             raise IngestionError(f"duplicate POI id {poi_id}")
-        self.pois.add(poi_id)
-        self.categories.add(category_id)
-        self.zones.add(zone_id)
         self.visit_counts.setdefault(poi_id, 0)
         for e in (poi(poi_id), rpoi(poi_id), category(category_id), zone(zone_id)):
             self._add_entity(e)
@@ -203,7 +202,7 @@ class DynamicKg:
 
     def apply_visit(self, user_id: int, poi_id: int, time: float) -> DeltaReport:
         """Insert one visit event, evicting the user's oldest if needed."""
-        if poi_id not in self.pois:
+        if poi(poi_id) not in self:
             raise UnknownObjectError(f"unknown POI {poi_id}")
         time = float(time)
         window = self._windows.get(user_id, ())
@@ -243,6 +242,16 @@ class DynamicKg:
         return DeltaReport(tuple(added), tuple(removed), frozenset(affected), self.version)
 
     # -- queries ---------------------------------------------------------
+
+    def __contains__(self, key) -> bool:
+        """Whether ``key`` (an :class:`EntityId` or ``ent_key``) is an entity."""
+        return key in self._nbrs
+
+    def entities(self, kind: int) -> list[int]:
+        """Indices of the entities of ``kind``, ascending; the registry's own
+        list, so callers must not mutate it. Every POI has its RPOI, so the
+        RPOI and POI lists are equal."""
+        return self._entities[kind]
 
     def index(self, keys) -> list[int]:
         """Rows of ``keys``; each key not yet indexed gets the next row, in order."""
@@ -297,10 +306,10 @@ class DynamicKg:
         return sorted(found, key=_triple_sort_key)
 
     def object_keys(self) -> list[tuple[int, int]]:
-        """All embeddable objects: entities plus relation kinds in use."""
-        keys = [ent_key(e) for e in self._nbrs]
-        keys += [rel_key(r) for r in {t.rel for t in self._refs}]
-        return sorted(keys)
+        """All embeddable objects, sorted: entities by kind then index, then
+        the relation kinds in use."""
+        keys = [(int(kind), i) for kind in EntityKind for i in self._entities[kind]]
+        return keys + [rel_key(r) for r in sorted({t.rel for t in self._refs})]
 
     # -- snapshot text format ---------------------------------------------
 
@@ -309,7 +318,7 @@ class DynamicKg:
         counts and every window event with the POI its cascade came from
         (or ``-``)."""
         lines = [_SNAPSHOT_HEADER, f"window {self.window_capacity}", f"version {self.version}"]
-        lines += [f"poi {p} {self.visit_counts[p]}" for p in sorted(self.pois)]
+        lines += [f"poi {p} {self.visit_counts[p]}" for p in self.entities(EntityKind.POI)]
         for user_id in sorted(self._windows):
             for e in self._windows[user_id]:
                 src = "-" if e.cascade is None else e.cascade.head.index
@@ -345,6 +354,8 @@ def import_snapshot(text: str, skeleton) -> DynamicKg:
             len(f) != 2 for f in lines[1:3]
         ):
             raise IngestionError("snapshot must start with its window and version lines")
+        if int(lines[1][1]) < 1:
+            raise IngestionError(f"snapshot window {lines[1][1]} is below 1")
         kg = build_static(skeleton, window=int(lines[1][1]))
         kg.version = int(lines[2][1])
         if kg.version < 0:
@@ -362,10 +373,9 @@ def import_snapshot(text: str, skeleton) -> DynamicKg:
                 raise IngestionError(f"bad snapshot line {' '.join([tag, *fields])!r}")
     except ValueError as exc:
         raise IngestionError(f"bad snapshot: {exc}") from None
-    if pois != sorted(kg.pois):
-        raise IngestionError(
-            f"snapshot POI lines ({len(pois)}) do not list the skeleton's {len(kg.pois)} POIs in order"
-        )
+    if pois != kg.entities(EntityKind.POI):
+        n = len(kg.entities(EntityKind.POI))
+        raise IngestionError(f"snapshot POI lines ({len(pois)}) do not list the skeleton's {n} POIs in order")
     held = Counter(e.poi for window in kg._windows.values() for e in window)
     for p in pois:  # a negative count falls short of any window too
         if kg.visit_counts[p] < held[p]:
@@ -378,7 +388,7 @@ def import_snapshot(text: str, skeleton) -> DynamicKg:
 def _replay_event(kg: DynamicKg, user_id: int, poi_id: int, time: float, src: int | None) -> None:
     """Check a snapshot event against the window it joins, then push it."""
     window = kg._windows.get(user_id, ())
-    if poi_id not in kg.pois or (src is not None and src not in kg.pois):
+    if poi(poi_id) not in kg or (src is not None and poi(src) not in kg):
         raise IngestionError(f"snapshot event names an unknown POI: {poi_id}, {src}")
     if window and (src != window[-1].poi or time < window[-1].time):
         raise IngestionError(

@@ -148,7 +148,8 @@ def load_matrices(path) -> dict[str, np.ndarray]:
 
     A missing file raises ``OSError``. A damaged one raises
     ``IngestionError`` naming the path: a wrong magic or version, a file
-    cut short, a name that is not UTF-8, or bytes after the last matrix.
+    cut short, a name that is not UTF-8, a non-finite value, or bytes
+    after the last matrix.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -177,6 +178,8 @@ def load_matrices(path) -> dict[str, np.ndarray]:
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
         data_bytes = take(8 * math.prod(shape))
         out[name] = np.frombuffer(data_bytes, dtype="<f8").astype(np.float64).reshape(shape)
+        if not np.isfinite(out[name]).all():
+            raise IngestionError(f"{path}: entry {name!r} holds a non-finite value")
     if pos != len(data):
         raise IngestionError(f"{path}: {len(data) - pos} bytes after the last matrix")
     return out

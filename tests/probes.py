@@ -42,7 +42,7 @@ def context(kg: DynamicKg, key) -> tuple[ObjKey, ...]:
     """The objects of ``key``'s context, in ``context_of``'s order: the
     object of each row it returns. Objects the graph has not indexed yet
     are indexed first, in sorted order, as a new embedder indexes them."""
-    kg.index(sorted(kg.object_keys()))
+    kg.index(kg.object_keys())
     return tuple(kg.keys[r] for r in kg.context_of(key))
 
 

@@ -190,7 +190,7 @@ def test_05_candidate_soundness():
             t = clocks.get(u, 0.0) + 1.0
             clocks[u] = t
             kg.apply_visit(u, p, t)
-        users = sorted(kg.users)
+        users = kg.entities(kgstore.EntityKind.USER)
         while checked < 10 * (round_ + 1):
             u = users[int(rng.integers(len(users)))]
             cand = candidates.generate_candidates(kg, u, k=2)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from geostream import candidates, kgstore
 from geostream.candidates import expand_meta_path, generate_candidates
 from geostream.errors import ConfigError, UnknownObjectError
-from geostream.kgstore import RelType, build_static
+from geostream.kgstore import EntityKind, RelType, build_static
 
 import candidates_oracle
 from kg_oracle import DynamicKg as OracleKg
@@ -130,7 +130,7 @@ class TestGenerateCandidates:
             t = clocks.get(u, 0.0) + 1.0
             clocks[u] = t
             kg.apply_visit(u, p, t)
-        for u in kg.users:
+        for u in kg.entities(EntityKind.USER):
             out = generate_candidates(kg, u, k=2)
             for poi_id, tag in zip(out.pois, out.provenance):
                 if tag == candidates.PAD_TAG:
@@ -150,12 +150,12 @@ def test_walk_matches_per_scheme_oracle(stream, k):
     for u, p, t in events:
         kg.apply_visit(u, p, t)
         oracle.apply_visit(u, p, t)
-        for uid in sorted(kg.users):
+        for uid in kg.entities(EntityKind.USER):
             for scheme in candidates.SCHEMES:
                 assert expand_meta_path(kg, uid, scheme) == candidates_oracle.expand_meta_path(
                     oracle, uid, scheme
                 )
-        for uid in sorted(kg.users) + [99]:  # 99: a user the stream never names
+        for uid in kg.entities(EntityKind.USER) + [99]:  # 99: a user the stream never names
             mine = generate_candidates(kg, uid, k)
             theirs = candidates_oracle.generate_candidates(oracle, uid, k)
             assert (mine.pois, mine.provenance) == (theirs.pois, theirs.provenance)

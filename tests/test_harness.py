@@ -227,11 +227,16 @@ def _jittered(records):
 
 
 class TestCatalog:
-    def test_tsv_roundtrip(self):
-        recs = make_cyclic_stream(20)
-        cat = Catalog.build(recs, 0.01)
-        clone = Catalog.from_tsv(cat.to_tsv())
-        assert vars(clone) == vars(cat)
+    def test_tsv_roundtrip(self, tmp_path):
+        # str.splitlines breaks lines at each of these, and a check-in name may hold any of them
+        for ch in ["", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]:
+            recs = [r._replace(user=f"u{ch}0", venue=f"{r.venue}{ch}", category_name=f"{r.category_name}{ch}e")
+                    for r in make_cyclic_stream(20)]
+            cat = Catalog.build(recs, 0.01)
+            assert vars(Catalog.from_tsv(cat.to_tsv())) == vars(cat), repr(ch)
+            path = tmp_path / "catalog.tsv"  # through a file, as a bundle reads it
+            path.write_text(cat.to_tsv())
+            assert vars(harness._parse_file(path, Catalog.from_tsv)) == vars(cat), repr(ch)
 
     # 0.5 puts every drifting POI of a cluster, and several clusters, in one cell
     @pytest.mark.parametrize("cell_deg", [0.001, 0.01, 0.05, 0.5])
@@ -546,7 +551,7 @@ class TestArtifactFiles:
             artifacts.save(dirs[name])
         return dirs
 
-    @pytest.mark.parametrize("damage", ["missing", "unknown", "wrong-shape"])
+    @pytest.mark.parametrize("damage", ["missing", "unknown", "wrong-shape", "non-finite"])
     @pytest.mark.parametrize("name", ["encoder.bin", "qnet.bin", "legacy.bin"])
     def test_damaged_parameters_rejected(self, saved, tmp_path, name, damage):
         shutil.copytree(saved["rirl" if name == "legacy.bin" else "drpr"], tmp_path, dirs_exist_ok=True)
@@ -558,9 +563,12 @@ class TestArtifactFiles:
         elif damage == "unknown":
             entry = "param/bogus" if name == "legacy.bin" else "bogus"
             mats[entry] = np.zeros(1)
-        else:
+        elif damage == "wrong-shape":
             entry = cut
             mats[entry] = mats[entry][:1]
+        else:  # a NaN weight would load and score every candidate NaN
+            entry = cut
+            mats[entry][0] = np.nan
         save_matrices(tmp_path / name, mats)
         with pytest.raises(IngestionError, match=f"{re.escape(name)}: .*'{re.escape(entry)}'"):
             Artifacts.load(tmp_path)

@@ -30,12 +30,19 @@ class TestBuildStatic:
     def test_shared_category(self):
         kg = build_static([(0, 0, 0), (1, 0, 1)])
         assert len(kg.triples()) == 4
-        assert len(kg.categories) == 1
+        assert kg.entities(EntityKind.CATEGORY) == [0]
 
     def test_empty_input(self):
         kg = build_static([])
         assert len(kg.triples()) == 0
-        assert not kg.pois
+        assert kg.entities(EntityKind.POI) == []
+
+    def test_shared_entities_listed_once(self):
+        kg = build_static([(2, 1, 0), (0, 1, 3), (1, 1, 0)])
+        assert kg.entities(EntityKind.POI) == kg.entities(EntityKind.RPOI) == [0, 1, 2]
+        assert kg.entities(EntityKind.CATEGORY) == [1]
+        assert kg.entities(EntityKind.ZONE) == [0, 3]
+        assert kg.entities(EntityKind.USER) == []
 
     def test_duplicate_poi_rejected(self):
         with pytest.raises(IngestionError):
@@ -223,7 +230,7 @@ class TestInvariants:
         kg = build_static([(i, i % 3, i % 2) for i in range(8)], window=4)
         for u, p, t in _random_stream(rng, 3, 8, 400):
             kg.apply_visit(u, p, t)
-            for uid in kg.users:
+            for uid in kg.entities(EntityKind.USER):
                 assert len(probes.window_events(kg, uid)) <= 4
 
     def test_replay_determinism(self):
@@ -333,15 +340,16 @@ class TestSnapshot:
             import_snapshot(head + events, skeleton)
 
     @pytest.mark.parametrize("head, match", [
-        ("version -1\npoi 0 2\npoi 1 1\n", "version -1 is negative"),
-        ("version 3\npoi 0 -1\npoi 1 1\n", "POI 0 has -1 lifetime visits"),
-        ("version 3\npoi 0 1\npoi 1 0\n", "POI 1 has 0 lifetime visits but 1 window events"),
-    ], ids=["negative-version", "negative-visits", "fewer-visits-than-window-events"])
+        ("window 2\nversion -1\npoi 0 2\npoi 1 1\n", "version -1 is negative"),
+        ("window 2\nversion 3\npoi 0 -1\npoi 1 1\n", "POI 0 has -1 lifetime visits"),
+        ("window 2\nversion 3\npoi 0 1\npoi 1 0\n", "POI 1 has 0 lifetime visits but 1 window events"),
+        ("window 0\nversion 3\npoi 0 2\npoi 1 1\n", "window 0 is below 1"),
+    ], ids=["negative-version", "negative-visits", "fewer-visits-than-window-events", "zero-window"])
     def test_impossible_counts_rejected(self, head, match):
         events = "event 1 0 1.0 -\nevent 1 1 2.0 0\n"
         skeleton = [(0, 0, 0), (1, 0, 1)]
         with pytest.raises(IngestionError, match=match):
-            import_snapshot("# geostream-kg 3\nwindow 2\n" + head + events, skeleton)
+            import_snapshot("# geostream-kg 3\n" + head + events, skeleton)
 
     @pytest.mark.parametrize("skeleton", [[(0, 0, 0)], [(0, 0, 0), (2, 0, 1)], [(0, 0, 0), (1, 0, 1), (2, 0, 0)]])
     def test_other_skeleton_rejected(self, skeleton):
@@ -395,7 +403,8 @@ def test_snapshot_then_continue_matches_memory(stream):
         d1, d2 = kg.apply_visit(u, p, t), kg2.apply_visit(u, p, t)
         assert (d2.added, d2.removed, d2.affected) == (d1.added, d1.removed, d1.affected)
         assert kg2.triples() == kg.triples()
-        assert all(probes.window_events(kg2, uid) == probes.window_events(kg, uid) for uid in kg.users)
+        assert all(probes.window_events(kg2, uid) == probes.window_events(kg, uid)
+                   for uid in kg.entities(EntityKind.USER))
         assert kg2.version == kg.version
         # the reloaded store memoizes its stars from the replayed edges
         assert all(probes.context(kg2, k) == probes.context(kg, k) for k in kg.object_keys())
@@ -422,8 +431,15 @@ def _assert_same_queries(kg, oracle):
         assert (t.head.kind == kgstore.EntityKind.POI) != (t.tail.kind == kgstore.EntityKind.POI)
         assert oracle.context_of(t).nodes == probes.context(kg, kgstore.rel_key(t.rel))
         assert oracle.context_of(t).nodes == (kgstore.rel_key(t.rel),)
-    for p in kg.pois:
+    for p in kg.entities(EntityKind.POI):
         assert kg.neighbors(poi(p), EntityKind.RPOI) == set(oracle.cascade_successors(p))
+    # the registry lists each kind's entities in order; an RPOI exists for every POI
+    kinds = {EntityKind.USER: oracle.users, EntityKind.POI: oracle.pois, EntityKind.RPOI: oracle.pois,
+             EntityKind.CATEGORY: oracle.categories, EntityKind.ZONE: oracle.zones}
+    for kind, members in kinds.items():
+        assert kg.entities(kind) == sorted(members)
+        assert all((kind, i) in kg and kgstore.EntityId(kind, i) in kg for i in members)
+    assert all(kgstore.rel_key(r) not in kg for r in RelType)
 
 
 @settings(max_examples=60, deadline=None)

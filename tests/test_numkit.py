@@ -191,6 +191,13 @@ class TestDamagedContainer:
         with pytest.raises(IngestionError, match=re.escape(f"{path}: matrix container version 7")):
             load_matrices(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value(self, tmp_path, bad):
+        path = tmp_path / "mats.bin"
+        save_matrices(path, {"b": np.array([1.5]), "a/w": np.array([[0.0, 1.0], [bad, 2.0]])})
+        with pytest.raises(IngestionError, match=re.escape(f"{path}: entry 'a/w' holds a non-finite value")):
+            load_matrices(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_matrices(tmp_path / "absent.bin")
