@@ -108,6 +108,9 @@ class RunConfig:
     wordvecs: str = ""
 
     def __post_init__(self):
+        for f in dc_fields(self):
+            if f.type == "float" and not isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} {getattr(self, f.name)} is not finite")
         if not 0.0 < self.split_fraction < 1.0:
             raise ConfigError(f"split_fraction {self.split_fraction} outside (0, 1)")
         for name in ("stream_length", "d", "k", "w", "b", "buffer_capacity", "batch_size", "qnet_hidden",
@@ -288,8 +291,11 @@ class Catalog:
         cat = cls()
         for r in records:
             if r.user not in cat.users:
+                _check_name(r.user)
                 cat.users[r.user] = len(cat.users)
             if r.venue not in cat.venues:
+                _check_name(r.venue)
+                _check_name(r.category_name)
                 check_coords(r.lat, r.lon)
                 cell = (floor(r.lat / cell_deg), floor(r.lon / cell_deg))
                 cat._add_poi(r.venue, r.category_name, r.lat, r.lon, cell)
@@ -353,6 +359,12 @@ class Catalog:
 
 # fields per catalog line, by tag
 _TSV_FIELDS = {"U": 2, "P": 7}
+
+
+def _check_name(name: str) -> None:
+    """A name ``to_tsv`` can write: no tab or line break."""
+    if any(ch in name for ch in "\t\n\r"):
+        raise DataError(f"name {name!r} holds a tab or line break")
 
 
 def _parse_file(path, parse, *args):
@@ -750,11 +762,7 @@ def _replay_stream(
         if buf and config.train_every and (l + 1) % config.train_every == 0:
             if config.target_refresh and train_steps % config.target_refresh == 0:
                 target_net = net.clone()
-            batch = buf.sample_batch(
-                config.batch_size,
-                stochastic=config.stochastic_replay,
-                rng=rng if config.stochastic_replay else None,
-            )
+            batch = buf.sample_batch(config.batch_size, rng if config.stochastic_replay else None)
             policy_mod.train_step(
                 net, batch, config.gamma, config.lr_q, feedback, target_net=target_net
             )

@@ -11,7 +11,10 @@ Entities are only ever added: ``entities(kind)`` lists a kind's indices in
 order and ``key in kg`` asks for one. Every edge joins a POI to a non-POI,
 so each entity's context is the star of the entity and its neighbors.
 ``index`` gives each embeddable object its one table row, and
-``context_of`` returns a star as rows.
+``context_of`` returns a star as rows. Each live triple is held once, with
+its reference count, in the dict its two endpoints share; it leaves with
+its last reference, and a star is rebuilt only after a neighbor pair of its
+entity appears or disappears.
 
 All mutation goes through ``apply_visit``, which returns a ``DeltaReport``
 listing added/removed triples and the set of objects whose context changed
@@ -132,11 +135,10 @@ class DynamicKg:
     def __post_init__(self):
         if self.window_capacity < 1:
             raise ConfigError("window capacity must be >= 1")
-        # live triple -> references: 1 for a static triple; window events
-        # hold one on their visit edge and one on the cascade they created
-        self._refs: dict[Triple, int] = {}
-        # entity -> neighbor -> live triples joining the two, either direction
-        self._nbrs: dict[EntityId, dict[EntityId, set[Triple]]] = {}
+        # entity -> neighbor -> {live triple joining the two: references}, one
+        # dict per pair shared by both directions. A static triple holds 1;
+        # window events hold one on their visit edge and one on their cascade
+        self._nbrs: dict[EntityId, dict[EntityId, dict[Triple, int]]] = {}
         # the entity registry: each kind's indices, ascending; entities are never removed
         self._entities: dict[int, list[int]] = {kind: [] for kind in EntityKind}
         # object -> its context_of rows; an entity's drops when its neighbor set changes
@@ -155,26 +157,27 @@ class DynamicKg:
 
     def _ref(self, t: Triple) -> bool:
         """Take a reference on ``t``; True if that made it live."""
-        count = self._refs.get(t, 0)
-        self._refs[t] = count + 1
-        if count:
-            return False
-        for a, b in ((t.head, t.tail), (t.tail, t.head)):
-            self._nbrs[a].setdefault(b, set()).add(t)
-            self._stars.pop(a, None)
-        return True
+        joined = self._nbrs[t.head].get(t.tail)
+        if joined is None:  # a new neighbor pair
+            joined = self._nbrs[t.head][t.tail] = self._nbrs[t.tail][t.head] = {}
+            for e in (t.head, t.tail):
+                self._stars.pop(e, None)
+        count = joined.get(t, 0)
+        joined[t] = count + 1
+        return not count
 
-    def _unref(self, t: Triple) -> None:
-        self._refs[t] -= 1
-        if self._refs[t]:
-            return
-        del self._refs[t]
-        for a, b in ((t.head, t.tail), (t.tail, t.head)):
-            joined = self._nbrs[a][b]
-            joined.discard(t)
-            if not joined:
-                del self._nbrs[a][b]
-                self._stars.pop(a, None)
+    def _unref(self, t: Triple) -> bool:
+        """Drop a reference on ``t``; True if that detached it."""
+        joined = self._nbrs[t.head][t.tail]
+        joined[t] -= 1
+        if joined[t]:
+            return False
+        del joined[t]
+        if not joined:  # the pair's last triple
+            del self._nbrs[t.head][t.tail], self._nbrs[t.tail][t.head]
+            for e in (t.head, t.tail):
+                self._stars.pop(e, None)
+        return True
 
     def _push_event(self, user_id: int, poi_id: int, time: float, src: int | None) -> list[Triple]:
         """Append a window event referencing its visit edge and, when
@@ -226,12 +229,9 @@ class DynamicKg:
         if len(window) == self.window_capacity:
             old = window.popleft()
             for tri in (old.visit_triple, old.cascade):
-                if tri is None:
-                    continue
-                if self._refs[tri] == 1:
-                    touch(tri)  # neighborhood snapshot before detaching
+                if tri is not None and self._unref(tri):
+                    touch(tri)  # detached, yet both endpoints are still added
                     removed.append(tri)
-                self._unref(tri)
 
         src = window[-1].poi if window else None
         added = self._push_event(user_id, poi_id, time, src)
@@ -293,15 +293,13 @@ class DynamicKg:
         return {e.index for e in nbrs if e.kind == kind}
 
     def triples(self) -> set[Triple]:
-        return set(self._refs)
+        return {t for nbrs in self._nbrs.values() for joined in nbrs.values() for t in joined}
 
     def triples_incident_to(self, keys) -> list[Triple]:
         """Triples touching any affected entity, in a deterministic order."""
         found: set[Triple] = set()
         for key in keys:
-            if key_is_relation(key):
-                continue
-            for joined in self._nbrs.get(EntityId(*key), {}).values():
+            for joined in self._nbrs.get(key, {}).values():
                 found.update(joined)
         return sorted(found, key=_triple_sort_key)
 
@@ -309,7 +307,7 @@ class DynamicKg:
         """All embeddable objects, sorted: entities by kind then index, then
         the relation kinds in use."""
         keys = [(int(kind), i) for kind in EntityKind for i in self._entities[kind]]
-        return keys + [rel_key(r) for r in sorted({t.rel for t in self._refs})]
+        return keys + [rel_key(r) for r in sorted({t.rel for t in self.triples()})]
 
     # -- snapshot text format ---------------------------------------------
 

@@ -219,19 +219,11 @@ def update_spatial_grads(params: LegacyParams, update: SpatialUpdate,
     d_h_visited = d_heads[update.poi]
     # siblings ran last: their grads add to the updated tails
     for sib, row, cache in reversed(update.sibling_caches):
-        d_sib = d_heads[sib]
-        if not np.any(d_sib):
-            continue
-        d_heads[sib], d_t = _blend_grads(params, cache, d_sib)
+        d_heads[sib], d_t = _blend_grads(params, cache, d_heads[sib])
         d_tails[row] = d_tails[row] + d_t
     for row, cache in reversed(update.tail_caches):
-        d_t = d_tails[row]
-        if not np.any(d_t):
-            continue
-        _, d_h = _blend_grads(params, cache, d_t)
+        _, d_h = _blend_grads(params, cache, d_tails[row])
         d_h_visited = d_h_visited + d_h
-    if not np.any(d_h_visited):
-        return np.zeros(params.n), np.zeros(params.n)
     _, d_u, d_tt = _interact_grads(params, update.head_cache, d_h_visited)
     return d_u, d_tt
 

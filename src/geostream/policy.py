@@ -7,8 +7,8 @@ may change per step. The vanilla mode, the classical fixed-action head
 over all POIs of the legacy baseline, takes the column of the POI's
 Q-value. Replay priorities are either the raw reward or the
 temporal-difference error; batches are drawn deterministically as the
-top-K of the softmaxed priorities (a seeded stochastic mode exists
-behind a flag).
+top-K of the softmaxed priorities, or sampled from them with a seeded
+generator when the caller gives one.
 """
 
 from __future__ import annotations
@@ -193,13 +193,11 @@ class PriorityReplayBuffer:
         self._seq += 1
         self._items.append(t)
 
-    def sample_batch(
-        self, k: int, stochastic: bool = False, rng: np.random.Generator | None = None
-    ) -> list[Transition]:
+    def sample_batch(self, k: int, rng: np.random.Generator | None = None) -> list[Transition]:
         """Top-k of the priority softmax; ties resolve by insertion order.
 
         The softmax is monotone in the priority, so deterministic top-k by
-        priority realizes it; ``stochastic`` instead samples k transitions
+        priority realizes it; given ``rng``, it instead samples k transitions
         without replacement from the softmax distribution.
         """
         items = list(self._items)
@@ -207,9 +205,7 @@ class PriorityReplayBuffer:
             return []
         if k >= len(items):
             return items
-        if stochastic:
-            if rng is None:
-                raise ConfigError("stochastic sampling needs an rng")
+        if rng is not None:
             probs = row_softmax(np.array([[t.priority for t in items]]))[0]
             picks = rng.choice(len(items), size=k, replace=False, p=probs)
             return [items[int(i)] for i in picks]

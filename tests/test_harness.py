@@ -193,6 +193,8 @@ class TestRunConfig:
         ("lr_embed", float("nan")), ("lr_embed", -0.01), ("lr_q", float("nan")),
         ("lr_q", -0.01), ("lr_feedback", float("nan")), ("lr_feedback", -0.01),
         ("margin", float("nan")), ("margin", -1.0),
+        *[(key, float("inf")) for key in ("lr_embed", "lr_q", "lr_feedback", "margin", "cell_deg",
+                                           "d_floor_km", "legacy_bin_hours")],
     ])
     def test_out_of_range_value_rejected(self, key, val):
         with pytest.raises(ConfigError, match=rf"^{key} "):
@@ -237,6 +239,16 @@ class TestCatalog:
             path = tmp_path / "catalog.tsv"  # through a file, as a bundle reads it
             path.write_text(cat.to_tsv())
             assert vars(harness._parse_file(path, Catalog.from_tsv)) == vars(cat), repr(ch)
+
+    # `to_tsv` cannot write a tab or line break in a name, so a kept name may hold none
+    @pytest.mark.parametrize("ch", ["\t", "\n", "\r"], ids=["tab", "newline", "return"])
+    @pytest.mark.parametrize("name", ["user", "venue", "category_name"])
+    def test_control_character_in_name_rejected(self, name, ch):
+        recs = make_cyclic_stream(20)
+        rec = recs[3]._replace(venue="v-new")  # a new venue, so its category name is kept
+        recs[3] = rec._replace(**{name: getattr(rec, name) + ch + "e"})
+        with pytest.raises(DataError, match="tab or line break"):
+            Catalog.build(recs, 0.01)
 
     # 0.5 puts every drifting POI of a cluster, and several clusters, in one cell
     @pytest.mark.parametrize("cell_deg", [0.001, 0.01, 0.05, 0.5])

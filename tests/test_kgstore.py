@@ -188,6 +188,35 @@ class TestContextOf:
         assert kg.context_of(rel).tolist() == [kg.rows[rel]]
 
 
+class TestStarMemo:
+    """A star is rebuilt exactly when a neighbor pair appears or disappears."""
+
+    def test_new_triple_on_a_linked_pair_keeps_the_stars(self):
+        kg = build_static([(0, 0, 0)], window=2)
+        kg.apply_visit(5, 0, 1.0)
+        kg.apply_visit(5, 0, 2.0)  # a second VISIT triple on the user-POI pair
+        kg.index(kg.object_keys())
+        star = kg.context_of(user(5))
+        rpoi_star = kg.context_of(rpoi(0))
+        delta = kg.apply_visit(5, 0, 3.0)  # evicts the first visit; the pair stays linked
+        assert delta.added == (Triple(user(5), RelType.VISIT, poi(0), 3.0),)
+        assert delta.removed == (Triple(user(5), RelType.VISIT, poi(0), 1.0),)
+        assert kg.context_of(user(5)) is star
+        assert kg.context_of(rpoi(0)) is rpoi_star  # the cascade only gained a reference
+
+    def test_evicting_a_pairs_last_triple_renews_both_stars(self):
+        kg = build_static([(0, 0, 0), (1, 0, 0)], window=1)
+        kg.apply_visit(5, 0, 1.0)
+        kg.index(kg.object_keys())
+        old = kg.context_of(user(5)), kg.context_of(poi(0))
+        delta = kg.apply_visit(5, 1, 2.0)
+        assert delta.removed == (Triple(user(5), RelType.VISIT, poi(0), 1.0),)
+        new = kg.context_of(user(5)), kg.context_of(poi(0))
+        assert new[0] is not old[0] and new[1] is not old[1]
+        assert probes.context(kg, user(5)) == (user(5), poi(1))
+        assert probes.context(kg, poi(0)) == (poi(0), category(0), zone(0))
+
+
 class TestPopularity:
     def test_by_count(self):
         kg = build_static([(0, 0, 0), (1, 0, 0)])
@@ -420,6 +449,11 @@ def _assert_same_queries(kg, oracle):
     keys = kg.object_keys()
     assert keys == oracle.object_keys()
     assert kg.triples() == oracle.triples()
+    # each pair's live triples sit in one dict, shared by both directions
+    for a, nbrs in kg._nbrs.items():
+        for b, joined in nbrs.items():
+            assert joined is kg._nbrs[b][a] and joined
+            assert all({t.head, t.tail} == {a, b} and refs > 0 for t, refs in joined.items())
     for key in keys:
         if not kgstore.key_is_relation(key):
             # every entity context is the star over the objects of the rows context_of returns

@@ -228,9 +228,13 @@ class TestBuffer:
         buf = PriorityReplayBuffer(10, mode="reward")
         for i in range(6):
             buf.push(_transition(rng, net, 0, table, reward=float(i)), net, 0.9)
-        a = buf.sample_batch(3, stochastic=True, rng=np.random.default_rng(42))
-        b = buf.sample_batch(3, stochastic=True, rng=np.random.default_rng(42))
+        a = buf.sample_batch(3, rng=np.random.default_rng(42))
+        b = buf.sample_batch(3, rng=np.random.default_rng(42))
         assert a == b
+        # a generator samples; without one the batch is the top-k
+        top = [t.seq for t in buf.sample_batch(3)]
+        assert any([t.seq for t in buf.sample_batch(3, rng=np.random.default_rng(s))] != top
+                   for s in range(10))
 
 
 class TestTrainStep:
@@ -492,16 +496,6 @@ def _priority_with_mode(mode):
     priority_of(_transition(rng, net, 0, _table(rng, [0, 1], 3), 1.0), mode, net, 0.9)
 
 
-def _sample_without_rng():
-    net = QNet(4, 3, hidden=8)
-    rng = np.random.default_rng(0)
-    buf = PriorityReplayBuffer(5)
-    table = _table(rng, [0, 1], 3)
-    for poi in (0, 1):
-        buf.push(_transition(rng, net, poi, table, 1.0), net, 0.9)
-    buf.sample_batch(1, stochastic=True)
-
-
 # each case passes one bad argument to one public entry point
 @pytest.mark.parametrize("call", [
     lambda: QNet(4, 3, mode="bogus"),
@@ -514,11 +508,10 @@ def _sample_without_rng():
     lambda: expand_meta_path(kgstore.build_static([(0, 0, 0)]), 0, "UVX"),
     lambda: generate_candidates(kgstore.build_static([(0, 0, 0)]), 0, 0),
     lambda: kgstore.build_static([(0, 0, 0)], window=0),
-    _sample_without_rng,
     lambda: policy.train_step(QNet(4, 3, hidden=8), [], 0.9, 0.01),
 ], ids=["qnet-mode", "vanilla-without-actions", "epsilon-above-one", "epsilon-below-zero",
         "priority-mode", "buffer-capacity", "buffer-mode", "meta-path-scheme", "candidates-k",
-        "kg-window", "stochastic-sample-without-rng", "empty-batch"])
+        "kg-window", "empty-batch"])
 def test_bad_argument_is_a_config_error(call):
     with pytest.raises(ConfigError):
         call()
