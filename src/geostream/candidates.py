@@ -69,8 +69,3 @@ def generate_candidates(kg: DynamicKg, user_id: int, k: int) -> CandidateSet:
                 break
     return CandidateSet(tuple(found), tuple(found.values()))
 
-
-def full_candidate_set(pois) -> CandidateSet:
-    """Every given POI as a candidate, sorted (no candidate generation)."""
-    pois = tuple(sorted(pois))
-    return CandidateSet(pois, tuple(PAD_TAG for _ in pois))

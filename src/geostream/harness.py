@@ -474,9 +474,9 @@ def _load_rng(path) -> np.random.Generator:
 # (``fresh``), sizes the Q-network for it (``new_net``), persists it
 # (``save``/``load``), copies it for evaluation (``replica``) and says
 # what graph a saved bundle has (``graph``). In the loop it answers
-# ``observe`` (the state, the user's candidates and their Q-net inputs),
-# takes each real visit in ``advance`` and trains on the Bellman
-# gradient in ``feedback``.
+# ``observe`` (the state, the user's candidate POIs and their Q-net
+# inputs), takes each real visit in ``advance`` and trains on the
+# Bellman step's state gradient in ``feedback``.
 
 
 def _load_wordvecs(config: RunConfig) -> WordVectors:
@@ -494,8 +494,6 @@ class _DrprDriver:
         self.embedder = embedder
         self.last_affected: frozenset = frozenset()
         self.static = config.agent_mode == "drpr-static"
-        # every POI of the skeleton, for drpr-nocand
-        self.all_pois = cand_mod.full_candidate_set(range(len(catalog.poi_info)))
 
     @classmethod
     def fresh(cls, config: RunConfig, catalog: Catalog, rng: np.random.Generator):
@@ -569,23 +567,19 @@ class _DrprDriver:
         self.last_affected = delta.affected
 
     def observe(self, user_idx: int):
-        """The pooled state, the user's candidates and their Q-net inputs:
-        joint embeddings, one row per POI in ``cand.pois``."""
+        """The pooled state, the user's candidate POIs (every POI for
+        drpr-nocand) and their Q-net inputs: joint embeddings, one row per POI."""
         state = self.embedder.pool_state()
         if self.config.agent_mode == "drpr-nocand":
-            cand = self.all_pois
+            pois = range(len(self.catalog.poi_info))
         else:
-            cand = cand_mod.generate_candidates(self.kg, user_idx, self.config.k)
-        inputs = np.stack(
-            [self.embedder.joint_cached((int(EntityKind.POI), p)) for p in cand.pois]
-        )
-        return state, cand, inputs
+            pois = cand_mod.generate_candidates(self.kg, user_idx, self.config.k).pois
+        inputs = np.stack([self.embedder.joint_cached((int(EntityKind.POI), p)) for p in pois])
+        return state, pois, inputs
 
-    def feedback(self, d_states) -> None:
-        if not self.last_affected:
-            return
-        mean_grad = np.mean(d_states, axis=0)
-        self.embedder.state_feedback(mean_grad, self.last_affected, self.config.lr_feedback)
+    def feedback(self, d_state) -> None:
+        if self.last_affected:
+            self.embedder.state_feedback(d_state, self.last_affected, self.config.lr_feedback)
 
 
 class _RirlDriver:
@@ -610,7 +604,6 @@ class _RirlDriver:
         # the last `advance`'s (temporal cache, user cache, spatial update), None before it
         self.tape = None
         self.static = False  # set on a frozen_eval replica: `advance` changes nothing
-        self.all_pois = cand_mod.full_candidate_set(range(len(catalog.poi_info)))
         self.columns = np.arange(len(catalog.poi_info))
 
     @classmethod
@@ -655,14 +648,15 @@ class _RirlDriver:
         env.rng = None
         path = os.path.join(out_dir, "legacy.bin")
         stores = {"param": {}, "rep": {}}
+        users = {f"user/{i}": i for i in range(len(catalog.users))}  # the names `save` writes
         for name, arr in load_matrices(path).items():
             kind, _, rest = name.partition("/")
             if kind in stores:
                 stores[kind][rest] = arr
-            elif kind == "user" and rest.isdecimal():
+            elif name in users:
                 if arr.shape != (n,):
                     raise IngestionError(f"{path}: entry {name!r} has shape {arr.shape}, want ({n},)")
-                env.users[int(rest)] = arr
+                env.users[users[name]] = arr
             else:
                 raise IngestionError(f"{path}: unknown entry {name!r}")
         env.params.store.load_exact(stores["param"], path, prefix="param/")
@@ -690,14 +684,15 @@ class _RirlDriver:
 
     def observe(self, user_idx: int):
         """The user's legacy state; every POI is a candidate, and its Q-net input is its head column."""
-        return legacy_mod.legacy_state(self._user_vec(user_idx), self.rep), self.all_pois, self.columns
+        state = legacy_mod.legacy_state(self._user_vec(user_idx), self.rep)
+        return state, range(len(self.columns)), self.columns
 
-    def feedback(self, d_states) -> None:
+    def feedback(self, d_state) -> None:
         if self.tape is None:
             return
         t_cache, u_cache, update = self.tape
         # the state is (user, mean head, mean relation, mean tail); each row gets its share
-        d_u_state, d_h_mean, _d_rel, d_t_mean = np.split(np.mean(d_states, axis=0), 4)
+        d_u_state, d_h_mean, _d_rel, d_t_mean = np.split(d_state, 4)
         d_heads = np.broadcast_to(d_h_mean / len(self.rep.heads), self.rep.heads.shape)
         d_tails = np.broadcast_to(d_t_mean / len(self.rep.tails), self.rep.tails.shape)
         # representations themselves move only via the update rules; the
@@ -740,21 +735,22 @@ def _replay_stream(
         rec = events[l]
         user_idx = catalog.users[rec.user]
         real_idx = catalog.venues[rec.venue]
-        state, cand, inputs = env.observe(user_idx)
+        state, pois, inputs = env.observe(user_idx)
         if buf is not None and user_idx in pending:
             t = pending.pop(user_idx)
             t.next_state = state
             t.next_actions = inputs
             buf.push(t, net, config.gamma)
         epsilon = config.epsilon_at(l, n) if buf is not None else 0.0
-        action = policy_mod.select_action(net, state, cand, epsilon, rng, inputs)
+        row = policy_mod.select_action(net, state, inputs, epsilon, rng)
+        action = pois[row]
         parts = component_rewards(
             catalog.poi_info[action], catalog.poi_info[real_idx], wv, config.d_floor_km
         )
         r = compute_reward(parts, weights, windows)
         if buf is not None:
             pending[user_idx] = policy_mod.Transition(
-                state=state, action=inputs[cand.pois.index(action)], reward=r,
+                state=state, action=inputs[row], reward=r,
             )
         log.events.append(EventRecord(
             l, rec.user, catalog.raw_venues[action], rec.venue, action, real_idx, r, *parts

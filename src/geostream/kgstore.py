@@ -27,12 +27,14 @@ import bisect
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import IntEnum
+from math import isfinite
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     ConfigError,
+    DataError,
     IngestionError,
     StreamOrderError,
     UnknownObjectError,
@@ -208,6 +210,8 @@ class DynamicKg:
         if poi(poi_id) not in self:
             raise UnknownObjectError(f"unknown POI {poi_id}")
         time = float(time)
+        if not isfinite(time):
+            raise DataError(f"visit time {time} is not finite")
         window = self._windows.get(user_id, ())
         if window and time < window[-1].time:
             raise StreamOrderError(
@@ -386,6 +390,8 @@ def import_snapshot(text: str, skeleton) -> DynamicKg:
 def _replay_event(kg: DynamicKg, user_id: int, poi_id: int, time: float, src: int | None) -> None:
     """Check a snapshot event against the window it joins, then push it."""
     window = kg._windows.get(user_id, ())
+    if not isfinite(time):
+        raise IngestionError(f"user {user_id}'s snapshot event at {time!r} is not finite")
     if poi(poi_id) not in kg or (src is not None and poi(src) not in kg):
         raise IngestionError(f"snapshot event names an unknown POI: {poi_id}, {src}")
     if window and (src != window[-1].poi or time < window[-1].time):

@@ -14,10 +14,11 @@ pushing reward feedback into the rule weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
-from .errors import ConfigError, UnknownObjectError
+from .errors import ConfigError, DataError, UnknownObjectError
 from .numkit import ParamStore, sigmoid, sigmoid_scalar
 
 REL_NAMES = ("belong_to", "locate_at")
@@ -248,6 +249,8 @@ class TrafficBins:
         self._bin = None
 
     def record(self, prev_zone, new_zone, time: float) -> None:
+        if not isfinite(time):
+            raise DataError(f"visit time {time} is not finite")
         bin_id = int(time // self.bin_seconds)
         if bin_id != self._bin:
             self.counts[...] = 0.0

@@ -1,11 +1,15 @@
 """Evaluation metrics over (predicted, real) POI pairs.
 
 Category precision and recall are frequency-weighted ratio-of-sums over
-per-category confusion counts; similarity and distance average the
+per-category counts of real events, predicted events and hits: a real
+category's hits plus false positives is its prediction count, and its
+hits plus misses is its real count. Similarity and distance average the
 word-vector cosine and the great-circle distance per event.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from .errors import DataError
 from .geo import haversine_km
@@ -19,46 +23,30 @@ def _require_nonempty(log: EvalLog) -> None:
         raise DataError("metric over an empty log")
 
 
-def _confusion(log: EvalLog):
+def _category_counts(log: EvalLog):
+    """Per category: real events, predicted events and hits."""
     _require_nonempty(log)
-    real_count: dict[str, int] = {}
-    tp: dict[str, int] = {}
-    fp: dict[str, int] = {}
-    fn: dict[str, int] = {}
-    for pred, real in log:
-        real_count[real.category] = real_count.get(real.category, 0) + 1
-        if pred.category == real.category:
-            tp[real.category] = tp.get(real.category, 0) + 1
-        else:
-            fp[pred.category] = fp.get(pred.category, 0) + 1
-            fn[real.category] = fn.get(real.category, 0) + 1
-    return real_count, tp, fp, fn
-
-
-def _weighted_ratio(real_count, tp, misses) -> float:
-    """Sum over real categories of weight * hits over weight * (hits + misses);
-    a category with no hits and no misses contributes 0."""
-    num = den = 0.0
-    for cat, weight in real_count.items():
-        hits = tp.get(cat, 0)
-        total = hits + misses.get(cat, 0)
-        if total == 0:
-            continue
-        num += weight * hits
-        den += weight * total
-    return num / den if den else 0.0
+    real, pred, hits = Counter(), Counter(), Counter()
+    for p, r in log:
+        real[r.category] += 1
+        pred[p.category] += 1
+        hits[r.category] += p.category == r.category
+    return real, pred, hits
 
 
 def prec_cat(log: EvalLog) -> float:
-    """Weighted category precision; zero-denominator classes contribute 0."""
-    real_count, tp, fp, _ = _confusion(log)
-    return _weighted_ratio(real_count, tp, fp)
+    """Sum of w*hits over sum of w*predictions, over real categories of
+    weight w (their real count); 0 when no real category was predicted."""
+    real, pred, hits = _category_counts(log)
+    den = sum(w * pred[c] for c, w in real.items())
+    return sum(w * hits[c] for c, w in real.items()) / den if den else 0.0
 
 
 def rec_cat(log: EvalLog) -> float:
-    """Weighted category recall."""
-    real_count, tp, _, fn = _confusion(log)
-    return _weighted_ratio(real_count, tp, fn)
+    """Weighted category recall: sum of w*hits over sum of w*w, as a real
+    category's hits plus misses is its weight w."""
+    real, _, hits = _category_counts(log)
+    return sum(w * hits[c] for c, w in real.items()) / sum(w * w for w in real.values())
 
 
 def avg_sim(log: EvalLog, wv: WordVectors) -> float:

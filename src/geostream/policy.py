@@ -5,10 +5,12 @@ pairwise network takes an action vector and scores one (state, action
 vector) concatenation at a time with shared weights, so the action set
 may change per step. The vanilla mode, the classical fixed-action head
 over all POIs of the legacy baseline, takes the column of the POI's
-Q-value. Replay priorities are either the raw reward or the
-temporal-difference error; batches are drawn deterministically as the
-top-K of the softmaxed priorities, or sampled from them with a seeded
-generator when the caller gives one.
+Q-value. The agent acts on rows: ``select_action`` returns the row of
+the candidates' inputs it picks, and ``train_step`` hands the encoder one
+state gradient, the batch mean. Replay priorities are either the raw
+reward or the temporal-difference error; batches are drawn
+deterministically as the top-K of the softmaxed priorities, or sampled
+from them with a seeded generator when the caller gives one.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .candidates import CandidateSet
 from .errors import ActionSpaceError, ConfigError, TrainingError
 from .numkit import ParamStore, relu, row_softmax, sgd_step
 
@@ -125,26 +126,19 @@ def _q(net: QNet, state: np.ndarray, actions) -> np.ndarray:
 
 
 def select_action(
-    net: QNet,
-    state: np.ndarray,
-    cand: CandidateSet,
-    epsilon: float,
-    rng: np.random.Generator,
-    actions,
+    net: QNet, state: np.ndarray, actions, epsilon: float, rng: np.random.Generator
 ) -> int:
-    """Uniform over candidates with prob epsilon, else first-best by Q.
+    """The row of ``actions`` to take: uniform with prob epsilon, else first-best by Q.
 
-    ``actions`` holds the candidates' Q-net inputs in the order of
-    ``cand.pois``: action-vector rows, or head columns for a vanilla net.
+    ``actions`` holds the candidates' Q-net inputs (see ``_q``).
     """
-    if len(cand) == 0:
+    if len(actions) == 0:
         raise ActionSpaceError("empty candidate set")
     if not 0.0 <= epsilon <= 1.0:
         raise ConfigError(f"epsilon {epsilon} outside [0, 1]")
     if epsilon > 0.0 and rng.random() < epsilon:
-        return cand.pois[int(rng.integers(len(cand)))]
-    scores = _q(net, state, actions)
-    return cand.pois[int(np.argmax(scores))]
+        return int(rng.integers(len(actions)))
+    return int(np.argmax(_q(net, state, actions)))
 
 
 def _q_of(net: QNet, t: Transition) -> float:
@@ -224,8 +218,8 @@ def train_step(
 
     Targets use the online network (held fixed within the step) unless a
     frozen ``target_net`` is supplied. With ``encoder_feedback`` set (a
-    callable), the loss gradient with respect to each state vector (one
-    row per transition) is handed back for the representation module's
+    callable), the batch mean of the loss gradient with respect to the
+    state vectors is handed back for the representation module's
     closed-loop update.
     """
     if not batch:
@@ -250,5 +244,5 @@ def train_step(
     d_x = net.backward(cache, d_out)
     sgd_step(net.store, lr)
     if encoder_feedback is not None:
-        encoder_feedback(d_x[:, : net.dim_state])
+        encoder_feedback(d_x[:, : net.dim_state].mean(axis=0))
     return loss

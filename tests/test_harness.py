@@ -349,6 +349,14 @@ class TestTrainingLoop:
         assert artifacts.env.params is not None
         assert len(log) == 24
 
+    @pytest.mark.parametrize("mode", ["drpr", "rirl"])
+    def test_non_finite_timestamp_fails_loudly(self, mode):
+        # in-memory records skip parse_checkins, which drops such lines
+        records = make_cyclic_stream(40)
+        records[5] = records[5]._replace(timestamp=float("nan"))
+        with pytest.raises(DataError, match="not finite"):
+            run_training(_tiny_config(agent_mode=mode), records=records)
+
 
 class TestEval:
     def _trained(self, **overrides):
@@ -364,10 +372,11 @@ class TestEval:
         assert set(report) == {"prec_cat", "rec_cat", "avg_sim", "avg_dist_km", "wall_s"}
 
     def test_perfect_oracle_agent(self, monkeypatch):
-        cfg, artifacts, test_events = self._trained()
+        # every POI is a candidate under drpr-nocand, and a POI's row is its index
+        cfg, artifacts, test_events = self._trained(agent_mode="drpr-nocand")
         reals = iter(test_events)  # the replay selects once per event, in order
 
-        def oracle(net, state, cand, epsilon, rng, actions):
+        def oracle(net, state, actions, epsilon, rng):
             return artifacts.catalog.venues[next(reals).venue]
 
         monkeypatch.setattr(policy, "select_action", oracle)
@@ -390,8 +399,8 @@ class TestEval:
         _, test_events = split_stream(records[:1300], cfg.split_fraction)
         assert len(test_events) >= 1000
 
-        def agent(net, state, cand, epsilon, rng, actions):
-            return cand.pois[int(rng.integers(len(cand)))]
+        def agent(net, state, actions, epsilon, rng):
+            return int(rng.integers(len(actions)))
 
         monkeypatch.setattr(policy, "select_action", agent)
         report, _ = run_eval(cfg, artifacts, test_events)
@@ -599,6 +608,8 @@ class TestArtifactFiles:
         ("short", "rep/heads"),
         ("short", "rep/rels"),
         ("short", "rep/tails"),
+        ("unknown", "user/1"),
+        ("unknown", "user/00"),
         ("short", "user/0"),
         ("row-fewer", "rep/heads"),
         ("row-fewer", "rep/tails"),

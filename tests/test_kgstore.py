@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geostream import kgstore
-from geostream.errors import IngestionError, StreamOrderError, UnknownObjectError
+from geostream.errors import DataError, IngestionError, StreamOrderError, UnknownObjectError
 from geostream.kgstore import (
     EntityKind,
     RelType,
@@ -87,6 +87,15 @@ class TestApplyVisit:
         kg.apply_visit(1, 0, 10.0)
         with pytest.raises(StreamOrderError):
             kg.apply_visit(1, 0, 5.0)
+
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, time):
+        kg = build_static([(0, 0, 0)])
+        kg.apply_visit(1, 0, 9.0)
+        with pytest.raises(DataError):
+            kg.apply_visit(1, 0, time)
+        assert kg.version == 1
+        assert kg.apply_visit(1, 0, 10.0).version == 2
 
     def test_equal_time_allowed(self):
         kg = build_static([(0, 0, 0), (1, 0, 0)])
@@ -356,6 +365,7 @@ class TestSnapshot:
 
     @pytest.mark.parametrize("events", [
         "event 1 7 1.0 -\n",  # unknown POI
+        "event 0 0 nan -\n",  # non-finite time
         "event 1 0 2.0 -\nevent 1 1 1.0 0\n",  # out of time order
         "event 1 0 1.0 -\nevent 1 1 2.0 1\n",  # cascade not from the previous POI
         "event 1 0 1.0 -\nevent 1 1 2.0 -\n",  # missing cascade

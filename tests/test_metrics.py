@@ -64,8 +64,8 @@ class TestPrecRec:
                 _ev(str(rng.choice(cats)), str(rng.choice(cats)))
                 for _ in range(n)
             ]
-            assert abs(prec_cat(log) - oracle_weighted(log, "prec")) < 1e-12
-            assert abs(rec_cat(log) - oracle_weighted(log, "rec")) < 1e-12
+            assert prec_cat(log) == oracle_weighted(log, "prec")
+            assert rec_cat(log) == oracle_weighted(log, "rec")
 
     def test_equal_frequency_equals_macro_precision(self):
         # balanced real AND predicted counts: every category appears equally

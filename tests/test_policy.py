@@ -85,7 +85,7 @@ class TestSelectAction:
         rng = np.random.default_rng(4)
         net = QNet(4, 3, hidden=8, rng=rng)
         with pytest.raises(ActionSpaceError):
-            select_action(net, rng.normal(size=4), _cand([]), epsilon, rng, np.zeros((0, 3)))
+            select_action(net, rng.normal(size=4), np.zeros((0, 3)), epsilon, rng)
 
     def test_greedy_is_argmax(self):
         rng = np.random.default_rng(6)
@@ -93,8 +93,8 @@ class TestSelectAction:
         table = _table(rng, [0, 1, 2], 3)
         s = rng.normal(size=4)
         scores = policy._q(net, s, _rows(table, [0, 1, 2]))
-        pick = select_action(net, s, _cand([0, 1, 2]), 0.0, rng, _rows(table, [0, 1, 2]))
-        assert pick == [0, 1, 2][int(np.argmax(scores))]
+        pick = select_action(net, s, _rows(table, [0, 1, 2]), 0.0, rng)
+        assert pick == int(np.argmax(scores))
 
     def test_greedy_is_pure_function(self):
         rng = np.random.default_rng(7)
@@ -102,9 +102,7 @@ class TestSelectAction:
         table = _table(rng, [0, 1, 2], 3)
         s = rng.normal(size=4)
         picks = {
-            select_action(
-                net, s, _cand([0, 1, 2]), 0.0, np.random.default_rng(i), _rows(table, [0, 1, 2])
-            )
+            select_action(net, s, _rows(table, [0, 1, 2]), 0.0, np.random.default_rng(i))
             for i in range(10)
         }
         assert len(picks) == 1
@@ -114,8 +112,18 @@ class TestSelectAction:
         net = QNet(4, 3, hidden=8, rng=rng)
         net.store.get("out/w")[...] = 0.0  # all scores equal the bias
         table = _table(rng, [5, 9], 3)
-        pick = select_action(net, rng.normal(size=4), _cand([5, 9]), 0.0, rng, _rows(table, [5, 9]))
-        assert pick == 5
+        pick = select_action(net, rng.normal(size=4), _rows(table, [5, 9]), 0.0, rng)
+        assert pick == 0
+
+    def test_vanilla_returns_the_row_not_the_column(self):
+        rng = np.random.default_rng(11)
+        net = QNet(4, mode=policy.VANILLA, n_actions=10, hidden=8, rng=rng)
+        s = rng.normal(size=4)
+        columns = np.array([5, 9, 2])
+        head = net.forward(s)[0][0]
+        pick = select_action(net, s, columns, 0.0, rng)
+        assert type(pick) is int
+        assert pick == int(np.argmax(head[columns]))  # a row of `columns`, not a head column
 
     def test_epsilon_one_is_uniform(self):
         rng = np.random.default_rng(9)
@@ -127,7 +135,7 @@ class TestSelectAction:
         draws = np.zeros(8)
         n = 10_000
         for _ in range(n):
-            draws[select_action(net, s, _cand(pois), 1.0, rng, vecs)] += 1
+            draws[select_action(net, s, vecs, 1.0, rng)] += 1
         expected = n / 8
         chi2 = float(((draws - expected) ** 2 / expected).sum())
         # 7 dof: mean 7, sd sqrt(14); 3 sigma above is ~18.2
@@ -301,7 +309,7 @@ class TestTrainStep:
             seen["shape"] = d_states.shape
 
         train_step(net, batch, 0.9, lr=0.01, encoder_feedback=hook)
-        assert seen["shape"] == (2, 4)
+        assert seen["shape"] == (4,)
 
 
 class TestVanillaMode:
@@ -479,15 +487,14 @@ class TestMatchesOracle:
         assert loss == o_loss
         for name in net.store.names():
             assert np.array_equal(net.store.get(name), twin.store.get(name)), name
-        assert seen["new"].shape == (4, 5)
-        assert np.array_equal(seen["new"], seen["old"])
+        assert seen["new"].shape == (5,)
+        assert np.array_equal(seen["new"], seen["old"].mean(axis=0))
 
 
 def _select_with_epsilon(epsilon):
     net = QNet(4, 3, hidden=8)
     table = _table(np.random.default_rng(0), [0, 1], 3)
-    select_action(net, np.zeros(4), _cand([0, 1]), epsilon, np.random.default_rng(0),
-                  _rows(table, [0, 1]))
+    select_action(net, np.zeros(4), _rows(table, [0, 1]), epsilon, np.random.default_rng(0))
 
 
 def _priority_with_mode(mode):
