@@ -19,9 +19,11 @@ import csv
 import io
 import json
 import os
+import re
 import time as _time
+from array import array
 from dataclasses import dataclass, field, fields as dc_fields, replace
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 from math import floor, isfinite
 from typing import NamedTuple
 
@@ -194,9 +196,28 @@ class RunConfig:
 # -- ingestion -----------------------------------------------------------------
 
 _FOURSQUARE_FMT = "%a %b %d %H:%M:%S %z %Y"
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+# the canonical shape of _FOURSQUARE_FMT; each field admits no more than strptime's
+_FOURSQUARE_RE = re.compile(
+    r"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun) (" + "|".join(_MONTHS) + r") (0[1-9]|[12]\d|3[01]) "
+    r"([01]\d|2[0-3]):([0-5]\d):([0-5]\d|6[01]) ([+-])(\d\d)([0-5]\d) (\d{4})",
+    re.ASCII,
+)
 
 
 def _parse_timestamp(text: str) -> float:
+    """Epoch seconds of a finite number or a ``_FOURSQUARE_FMT`` string.
+
+    A string of the canonical shape is built directly; any other goes to
+    ``strptime``, which gives the same float or ``ValueError``.
+    """
+    m = _FOURSQUARE_RE.fullmatch(text)
+    if m:
+        mon, day, hour, minute, sec, sign, off_h, off_m, year = m.groups()
+        offset = timedelta(hours=int(off_h), minutes=int(off_m))
+        tz = timezone(-offset if sign == "-" else offset)
+        return datetime(int(year), _MONTHS.index(mon) + 1, int(day),
+                        int(hour), int(minute), int(sec), tzinfo=tz).timestamp()
     try:
         ts = float(text)
     except ValueError:
@@ -396,27 +417,44 @@ class EventRecord:
     r_p: float
 
 
-@dataclass
+_TYPECODES = {"int": "q", "float": "d"}
+
+
 class EpisodeLog:
-    events: list[EventRecord] = field(default_factory=list)
+    """The replayed events, one column per ``EventRecord`` field: ints and
+    floats unboxed in ``array``s, names as references to the strings that
+    the records and the catalog already hold."""
+
+    def __init__(self):
+        self._columns = {f.name: array(_TYPECODES[f.type]) if f.type in _TYPECODES else []
+                         for f in dc_fields(EventRecord)}
+
+    def add(self, *values) -> None:
+        """Append one event, given as its ``EventRecord`` fields in order."""
+        for column, value in zip(self._columns.values(), values, strict=True):
+            column.append(value)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._columns["index"])
+
+    @property
+    def events(self) -> list[EventRecord]:
+        """The events as records, built anew on each read."""
+        return [EventRecord(*row) for row in zip(*self._columns.values())]
 
     def to_trace_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(TRACE_COLUMNS)
-        for e in self.events:
-            writer.writerow(
-                [e.index, e.user, e.pred_raw, e.real_raw,
-                 repr(e.reward), repr(e.r_d), repr(e.r_c), repr(e.r_p)]
-            )
+        for index, user, pred_raw, real_raw, _, _, *rewards in zip(*self._columns.values()):
+            writer.writerow([index, user, pred_raw, real_raw, *map(repr, rewards)])
         return out.getvalue()
 
     def to_eval_log(self, catalog: Catalog, tail: int | None = None) -> metrics_mod.EvalLog:
-        events = self.events[-tail:] if tail else self.events
-        return [(catalog.poi_info[e.pred_idx], catalog.poi_info[e.real_idx]) for e in events]
+        pairs = list(zip(self._columns["pred_idx"], self._columns["real_idx"]))
+        if tail:
+            pairs = pairs[-tail:]
+        return [(catalog.poi_info[pred], catalog.poi_info[real]) for pred, real in pairs]
 
 
 # -- trained artifacts -------------------------------------------------------------
@@ -733,6 +771,8 @@ def _replay_stream(
         if progress is not None:
             progress(l)
         rec = events[l]
+        if not isfinite(rec.timestamp):
+            raise DataError(f"event {l}: timestamp {rec.timestamp} is not finite")
         user_idx = catalog.users[rec.user]
         real_idx = catalog.venues[rec.venue]
         state, pois, inputs = env.observe(user_idx)
@@ -752,9 +792,7 @@ def _replay_stream(
             pending[user_idx] = policy_mod.Transition(
                 state=state, action=inputs[row], reward=r,
             )
-        log.events.append(EventRecord(
-            l, rec.user, catalog.raw_venues[action], rec.venue, action, real_idx, r, *parts
-        ))
+        log.add(l, rec.user, catalog.raw_venues[action], rec.venue, action, real_idx, r, *parts)
         if buf and config.train_every and (l + 1) % config.train_every == 0:
             if config.target_refresh and train_steps % config.target_refresh == 0:
                 target_net = net.clone()

@@ -19,7 +19,7 @@ from math import isfinite
 import numpy as np
 
 from .errors import ConfigError, DataError, UnknownObjectError
-from .numkit import ParamStore, sigmoid, sigmoid_scalar
+from .numkit import ParamStore, sigmoid
 
 REL_NAMES = ("belong_to", "locate_at")
 
@@ -76,12 +76,15 @@ def transform_temporal_grads(params: LegacyParams, cache, d_out: np.ndarray) -> 
 def _blend(prefix: str, x: np.ndarray, target: np.ndarray, params: LegacyParams, squash: bool = True):
     """alpha * x + (1 - alpha) * target, alpha the prefix's gate on x.
 
+    ``x`` is one vector or a matrix of rows, each row with its own gate.
     Every update rule is this blend; all but the tail rule squash the
     result through a sigmoid.
     """
     s = params.store
-    alpha = sigmoid_scalar(s.get(f"{prefix}/gate_w") @ x + s.get(f"{prefix}/gate_b")[0])
-    out = alpha * x + (1.0 - alpha) * target
+    # vecdot gives each row's gate the same float as a per-row ``gate_w @ x``
+    alpha = sigmoid(np.vecdot(x, s.get(f"{prefix}/gate_w")) + s.get(f"{prefix}/gate_b")[0])
+    a = alpha[..., None]
+    out = a * x + (1.0 - a) * target
     if squash:
         out = sigmoid(out)
     cache = {"prefix": prefix, "x": x.copy(), "target": target,
@@ -89,17 +92,29 @@ def _blend(prefix: str, x: np.ndarray, target: np.ndarray, params: LegacyParams,
     return out, cache
 
 
+def _add_in_order(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``acc`` plus each of ``rows`` one at a time, last row first: the order
+    of a per-row loop run backwards. A reduce could sum pairwise instead."""
+    rows = np.reshape(rows, (-1,) + acc.shape)
+    return np.add.accumulate(np.concatenate([acc[None], rows[::-1]]))[-1]
+
+
 def _blend_grads(params: LegacyParams, cache, d_out: np.ndarray):
-    """Backward of ``_blend``; returns (d_x, d_target)."""
+    """Backward of ``_blend``; returns (d_x, d_target), d_target per row of x.
+
+    The gate gradients of a matrix's rows add in last row first.
+    """
     s = params.store
     prefix, out, alpha, x = cache["prefix"], cache["out"], cache["alpha"], cache["x"]
     d_pre = d_out * out * (1.0 - out) if cache["squash"] else d_out
-    d_alpha = float(d_pre @ (x - cache["target"]))
+    d_alpha = np.vecdot(d_pre, x - cache["target"])
     d_z = d_alpha * alpha * (1.0 - alpha)
-    s.accumulate(f"{prefix}/gate_w", d_z * x)
-    s.accumulate(f"{prefix}/gate_b", np.array([d_z]))
-    d_x = d_pre * alpha + d_z * s.get(f"{prefix}/gate_w")  # direct path + through the gate
-    return d_x, d_pre * (1.0 - alpha)
+    w, b = s.grad(f"{prefix}/gate_w"), s.grad(f"{prefix}/gate_b")
+    w[...] = _add_in_order(w, d_z[..., None] * x)
+    b[...] = _add_in_order(b, d_z)
+    a = alpha[..., None]
+    d_x = d_pre * a + d_z[..., None] * s.get(f"{prefix}/gate_w")  # direct path + through the gate
+    return d_x, d_pre * (1.0 - a)
 
 
 def _interact(prefix: str, x: np.ndarray, other: np.ndarray, t_tilde: np.ndarray, params: LegacyParams):
@@ -135,7 +150,8 @@ class SpatialKgRep:
     ``heads`` (one row per POI index), ``rels`` (``REL_NAMES`` order) and
     ``tails`` (the categories, then the zones), plus the static linkage as
     row indices: ``poi_links[p]`` holds ``(tail row, rel row)`` per link of
-    POI ``p`` and ``members[row]`` the POIs linked to tail ``row``."""
+    POI ``p`` and ``members[row]`` the index array of the POIs linked to
+    tail ``row``."""
 
     def __init__(self, n: int, n_pois: int, n_tails: int):
         self.store = ParamStore()
@@ -143,7 +159,7 @@ class SpatialKgRep:
         self.rels = self.store.add("rels", np.zeros((len(REL_NAMES), n)))
         self.tails = self.store.add("tails", np.zeros((n_tails, n)))
         self.poi_links: list[tuple[tuple[int, int], ...]] = [()] * n_pois
-        self.members: list[list[int]] = [[] for _ in range(n_tails)]
+        self.members: list[np.ndarray] = [np.zeros(0, dtype=np.intp)] * n_tails
 
     @classmethod
     def from_catalog(cls, pois, n: int, rng: np.random.Generator) -> "SpatialKgRep":
@@ -156,6 +172,7 @@ class SpatialKgRep:
         n_cats = 1 + max((cat for _, cat, _ in pois), default=-1)
         n_zones = 1 + max((zn for _, _, zn in pois), default=-1)
         rep = cls(n, len(pois), n_cats + n_zones)
+        members = [[] for _ in range(n_cats + n_zones)]
         for row in range(len(REL_NAMES)):
             rep.rels[row] = rng.uniform(-1, 1, size=n)
         for poi_id, cat, zn in pois:
@@ -163,10 +180,11 @@ class SpatialKgRep:
             # belong_to links the category, locate_at the zone
             links = ((cat, 0), (n_cats + zn, 1))
             for row, _ in links:
-                if not rep.members[row]:
+                if not members[row]:
                     rep.tails[row] = rng.uniform(0.0, 1.0, size=n)
-                rep.members[row].append(poi_id)
+                members[row].append(poi_id)
             rep.poi_links[poi_id] = links
+        rep.members = [np.array(m, dtype=np.intp) for m in members]
         return rep
 
 
@@ -175,7 +193,7 @@ class SpatialUpdate:
     poi: int
     head_cache: dict
     tail_caches: list[tuple[int, dict]]
-    sibling_caches: list[tuple[int, int, dict]]
+    sibling_caches: list[tuple[np.ndarray, int, dict]]  # (sibling rows, tail row, cache) per tail
 
 
 def update_spatial(rep: SpatialKgRep, poi_id: int, u: np.ndarray, t_tilde: np.ndarray,
@@ -184,8 +202,9 @@ def update_spatial(rep: SpatialKgRep, poi_id: int, u: np.ndarray, t_tilde: np.nd
 
     Mutates ``rep`` in place: the visited head is blended toward the user
     interaction, each linked tail t toward h' + rel (no outer squash), and
-    each sibling head toward the translation pre-image t' - rel. Other rows
-    keep their values; relation rows are never written.
+    the tail's other members, its siblings, toward the translation
+    pre-image t' - rel as one matrix of rows. Other rows keep their values;
+    relation rows are never written.
     """
     if not 0 <= poi_id < len(rep.heads):
         raise UnknownObjectError(f"unknown POI {poi_id}")
@@ -197,13 +216,10 @@ def update_spatial(rep: SpatialKgRep, poi_id: int, u: np.ndarray, t_tilde: np.nd
         t_new, t_cache = _blend("tail", rep.tails[row], h_new + rel, params, squash=False)
         rep.tails[row] = t_new
         tail_caches.append((row, t_cache))
-        pull = t_new - rel
-        for sib in rep.members[row]:
-            if sib == poi_id:
-                continue
-            s_new, s_cache = _blend("sibling", rep.heads[sib], pull, params)
-            rep.heads[sib] = s_new
-            sibling_caches.append((sib, row, s_cache))
+        sibs = rep.members[row]
+        sibs = sibs[sibs != poi_id]
+        rep.heads[sibs], s_cache = _blend("sibling", rep.heads[sibs], t_new - rel, params)
+        sibling_caches.append((sibs, row, s_cache))
     return SpatialUpdate(poi_id, head_cache, tail_caches, sibling_caches)
 
 
@@ -219,9 +235,9 @@ def update_spatial_grads(params: LegacyParams, update: SpatialUpdate,
     d_tails = np.array(d_tails, dtype=np.float64)
     d_h_visited = d_heads[update.poi]
     # siblings ran last: their grads add to the updated tails
-    for sib, row, cache in reversed(update.sibling_caches):
-        d_heads[sib], d_t = _blend_grads(params, cache, d_heads[sib])
-        d_tails[row] = d_tails[row] + d_t
+    for sibs, row, cache in reversed(update.sibling_caches):
+        d_heads[sibs], d_t = _blend_grads(params, cache, d_heads[sibs])
+        d_tails[row] = _add_in_order(d_tails[row], d_t)
     for row, cache in reversed(update.tail_caches):
         _, d_h = _blend_grads(params, cache, d_tails[row])
         d_h_visited = d_h_visited + d_h

@@ -4,7 +4,9 @@ import os
 import re
 import shutil
 import time
+import tracemalloc
 from dataclasses import replace
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -104,6 +106,43 @@ class TestParseCheckins:
             time.strptime("Tue Apr 03 18:00:09 2012", "%a %b %d %H:%M:%S %Y")
         )
         assert out[0].timestamp == oracle == 1333476009
+
+    def test_timestamp_fast_path_matches_strptime(self):
+        # canonical strings and variants of each field's width, case, range
+        # and the offset's form: the same float, or ValueError on both sides
+        rng = np.random.default_rng(7)
+        days, months = ("Mon", "Tue", "Sun"), ("Jan", "Feb", "Apr", "Dec")
+
+        def vary(canonical, *variants):
+            return canonical if rng.random() < 0.9 else variants[int(rng.integers(len(variants)))]
+
+        corpus = []
+        for _ in range(3000):
+            d, hh, mm, ss = (int(rng.integers(k)) for k in (32, 24, 60, 62))
+            oh, om, year = int(rng.integers(25)), int(rng.integers(60)), int(rng.integers(1, 10000))
+            corpus.append(
+                f"{days[d % 3]} {months[mm % 4]} {vary(f'{d:02d}', str(d), f'{d:2d}', '32')} "
+                f"{vary(f'{hh:02d}', str(hh), '24')}:{vary(f'{mm:02d}', str(mm), '60')}:"
+                f"{vary(f'{ss:02d}', str(ss), '62')} {'+-'[hh % 2]}"
+                f"{vary(f'{oh:02d}{om:02d}', f'{oh:02d}:{om:02d}', f'{oh:02d}60')} "
+                f"{vary(f'{year:04d}', '0000', str(year))}")
+        corpus += ["tue apr 03 18:00:09 +0000 2012", "TUE APR 03 18:00:09 +0000 2012",
+                   "Tue Apr 03 18:00:09 Z 2012", "Tue  Apr 03 18:00:09 +0000 2012",
+                   "Tue Apr 03 18:00:09 +000000 2012", "Tue Apr 03 18:00:09 +0000 2012 ",
+                   "Tuesday Apr 03 18:00:09 +0000 2012", "Tue Feb 29 00:00:00 +0000 2011",
+                   "Tue Feb 29 00:00:00 +0000 2012", "Tue Apr 31 00:00:00 -2359 2012"]
+
+        def outcome(parse, text):
+            try:
+                return parse(text)
+            except ValueError:
+                return ValueError
+
+        strptime = lambda text: datetime.strptime(text, harness._FOURSQUARE_FMT).timestamp()
+        results = [(outcome(harness._parse_timestamp, t), outcome(strptime, t)) for t in corpus]
+        assert all(got == want for got, want in results)
+        parsed = sum(got is not ValueError for got, _ in results)
+        assert 1000 < parsed < len(corpus) - 1000  # both outcomes well covered
 
     def test_too_many_malformed_lines(self, tmp_path):
         path = tmp_path / "c.tsv"
@@ -349,13 +388,49 @@ class TestTrainingLoop:
         assert artifacts.env.params is not None
         assert len(log) == 24
 
-    @pytest.mark.parametrize("mode", ["drpr", "rirl"])
+    @pytest.mark.parametrize("mode", ["drpr", "drpr-static", "rirl"])
     def test_non_finite_timestamp_fails_loudly(self, mode):
         # in-memory records skip parse_checkins, which drops such lines
         records = make_cyclic_stream(40)
         records[5] = records[5]._replace(timestamp=float("nan"))
         with pytest.raises(DataError, match="not finite"):
             run_training(_tiny_config(agent_mode=mode), records=records)
+
+
+def _event_values(i, users, venues):
+    return (i, users[i % 7], venues[i % 5], venues[(i + 1) % 5], i % 5, (i + 1) % 5,
+            1.0 / (i + 3), 0.1 * i, -0.5 / (i + 1), float(i % 2))
+
+
+class TestEpisodeLog:
+    def test_events_are_the_records_added(self):
+        users, venues = [f"u{i}" for i in range(7)], [f"v{i}" for i in range(5)]
+        log = harness.EpisodeLog()
+        for i in range(40):
+            log.add(*_event_values(i, users, venues))
+        assert len(log) == 40
+        assert log.events == [harness.EventRecord(*_event_values(i, users, venues))
+                              for i in range(40)]
+        assert all(e.user is users[e.index % 7] for e in log.events)  # references, not copies
+
+    def test_short_event_rejected(self):
+        with pytest.raises(ValueError):
+            harness.EpisodeLog().add(0, "u0", "v0", "v1", 0, 1, 0.5)
+
+    def test_memory_per_event(self):
+        users, venues = [f"u{i}" for i in range(7)], [f"v{i}" for i in range(5)]
+        n = 10_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            log = harness.EpisodeLog()
+            for i in range(n):
+                log.add(*_event_values(i, users, venues))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(log) == n
+        assert held / n <= 128
 
 
 class TestEval:
@@ -438,6 +513,14 @@ class TestEval:
             np.testing.assert_array_equal(frozen.observe(u)[0], before)
             moved = moved or not np.array_equal(live.observe(u)[0], live_before)
         assert moved  # the same replay does move a live replica
+
+    @pytest.mark.parametrize("mode", ["drpr", "rirl"])
+    def test_frozen_eval_rejects_non_finite_timestamp(self, mode):
+        # a frozen replica applies no visit, so the loop itself must check
+        cfg, artifacts, test_events = self._trained(agent_mode=mode)
+        test_events[2] = test_events[2]._replace(timestamp=float("inf"))
+        with pytest.raises(DataError, match="not finite"):
+            run_eval(replace(cfg, frozen_eval=True), artifacts, test_events)
 
     def test_unknown_test_user_rejected(self):
         cfg, artifacts, _ = self._trained()

@@ -374,7 +374,7 @@ class TestMatchesOracle:
         o_upd = legacy_oracle.update_spatial(o_rep, poi, u, tt, q)
         _assert_same_rep(rep, o_rep, tail_keys)
         assert np.array_equal(legacy_state(u, rep), legacy_oracle.legacy_state(u, o_rep))
-        assert [(sib, tail_keys[row]) for sib, row, _ in upd.sibling_caches] == \
+        assert [(sib, tail_keys[row]) for sibs, row, _ in upd.sibling_caches for sib in sibs] == \
             [(sib, key) for sib, key, _ in o_upd.sibling_caches]
         assert [tail_keys[row] for row, _ in upd.tail_caches] == o_upd.touched_tails
         # every row seeded, rows the update left alone too; a zero seed on
@@ -389,4 +389,28 @@ class TestMatchesOracle:
             q, o_upd, dict(enumerate(d_heads)), dict(zip(tail_keys, d_tails)))
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+        _assert_same_param_grads(p, q)
+
+
+class TestBatchedBlend:
+    """A blend over m rows equals m one-row blends, with the gate gradients
+    added in the order the backward visits the rows: last row first."""
+
+    @pytest.mark.parametrize("n", [2, 5, 50])
+    @pytest.mark.parametrize("m", [1, 2, 9, 60])
+    @pytest.mark.parametrize("prefix, squash", [("sibling", True), ("tail", False)])
+    def test_rows_match_one_row_calls(self, n, m, prefix, squash):
+        rng, p = _oracle_case(n + m, n=n)
+        for name in p.store.names():  # the batch adds onto gradients already held
+            p.store.grad(name)[...] = rng.normal(size=p.store.grad(name).shape)
+        q = copy.deepcopy(p)
+        x, d_out = rng.normal(size=(m, n)), rng.normal(size=(m, n))
+        target = rng.normal(size=n)
+        out, cache = legacy._blend(prefix, x, target, p, squash=squash)
+        d_x, d_target = legacy._blend_grads(p, cache, d_out)
+        rows = [legacy._blend(prefix, x[i], target, q, squash=squash) for i in range(m)]
+        grads = {i: legacy._blend_grads(q, rows[i][1], d_out[i]) for i in reversed(range(m))}
+        assert np.array_equal(out, np.array([o for o, _ in rows]))
+        assert np.array_equal(d_x, np.array([grads[i][0] for i in range(m)]))
+        assert np.array_equal(d_target, np.array([grads[i][1] for i in range(m)]))
         _assert_same_param_grads(p, q)
