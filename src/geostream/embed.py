@@ -151,27 +151,35 @@ class TrainBatch:
 class _Stars:
     """The stars of a key list, stacked node by node.
 
-    ``rows`` holds the table row of each node, ``seg`` the star each node
-    belongs to, and ``starts`` where each star begins (at its centre).
+    ``rows`` holds the table row of each node, ``sizes`` the node count of
+    each star, and ``starts`` where each star begins (at its centre).
     """
 
     def __init__(self, kg: DynamicKg, keys):
-        stars = [kg.context_of(key) for key in keys]
+        stars = list(map(kg.context_of, keys))
         self.rows = np.concatenate(stars)
-        sizes = np.array([len(star) for star in stars])
-        self.starts = np.concatenate([[0], np.cumsum(sizes[:-1])]).astype(np.intp)
-        self.seg = np.repeat(np.arange(len(stars)), sizes)
-        self.centre = self.starts[self.seg]  # each node's centre
-        is_centre = self.centre == np.arange(len(self.seg))
-        n = sizes[self.seg].astype(np.float64)
-        self.self_w = np.where(is_centre, 1.0 / n, 0.5)[:, None]
-        self.cross_w = np.where(is_centre, 0.0, 1.0 / np.sqrt(2.0 * n))[:, None]
+        self.sizes = np.fromiter(map(len, stars), dtype=np.intp, count=len(stars))
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.centre_w = (1.0 / self.sizes)[:, None]
+        self.cross_w = (1.0 / np.sqrt(2.0 * self.sizes))[:, None]
+        self.leaf_w = self.spread(self.cross_w)  # the cross weight at a leaf, 0 at a centre
+        self.leaf_w[self.starts] = 0.0
+
+    def spread(self, x: np.ndarray) -> np.ndarray:
+        """Each star's row of ``x`` once per node of the star."""
+        return np.repeat(x, self.sizes, axis=0)
 
     def mix(self, x: np.ndarray) -> np.ndarray:
         """The renormalized star adjacency times ``x``, per star. The
-        adjacency is symmetric, so the backward pass mixes the same way."""
-        out = self.self_w * x + self.cross_w * x[self.centre]
-        out[self.starts] += np.add.reduceat(self.cross_w * x, self.starts)
+        adjacency is symmetric, so the backward pass mixes the same way.
+
+        A leaf takes half of itself plus the cross weight times its centre;
+        a centre takes 1/n of itself plus its star's sum of ``leaf_w``
+        times each node."""
+        xc = x[self.starts]
+        out = x * 0.5
+        out += self.spread(self.cross_w * xc)
+        out[self.starts] = self.centre_w * xc + np.add.reduceat(self.leaf_w * x, self.starts)
         return out
 
     def sum(self, x: np.ndarray) -> np.ndarray:
@@ -218,49 +226,57 @@ class Embedder:
         """Joint embeddings of ``keys``, one row each, and the tape."""
         enc = self.enc
         st = _Stars(self.kg, keys)
-        zs = [self.table.vecs[st.rows]]
+        zs = [np.take(self.table.vecs, st.rows, axis=0)]
         for i in range(enc.layers):
             zs.append(relu(st.mix(zs[-1]) @ enc.gcn_weight(i)))
         zm = zs[-1]
         o = zs[0][st.starts]
-        scores = (zm * (enc.att_scale * o)[st.seg]).sum(axis=1)
-        e = np.exp(scores - np.maximum.reduceat(scores, st.starts)[st.seg])
-        alpha = e / st.sum(e)[st.seg]
+        q = st.spread(enc.att_scale * o)
+        scores = (zm * q).sum(axis=1)
+        e = np.exp(scores - st.spread(np.maximum.reduceat(scores, st.starts)))
+        alpha = e / st.spread(st.sum(e))
         cx = st.sum(alpha[:, None] * zm)
         g = sigmoid(enc.gate)
         ostar = g * o + (1.0 - g) * cx
-        cache = {"st": st, "zs": zs, "alpha": alpha, "cx": cx, "g": g, "o": o}
+        cache = {"st": st, "zs": zs, "q": q, "alpha": alpha, "cx": cx, "g": g, "o": o}
         return ostar, cache
 
-    def _backward(self, cache: dict, d_ostar: np.ndarray, grads: np.ndarray) -> None:
-        """Encoder grads into its store; raw-vector grads into ``grads``
-        (one row per table row)."""
+    def _backward(self, cache: dict, d_ostar: np.ndarray, *, encoder: bool = True) -> np.ndarray:
+        """Raw-vector grads, one row per table row; encoder grads into its
+        store unless ``encoder`` is off."""
         enc = self.enc
-        st, o, cx, g, alpha = (cache[k] for k in ("st", "o", "cx", "g", "alpha"))
+        st, o, q, cx, g, alpha = (cache[k] for k in ("st", "o", "q", "cx", "g", "alpha"))
         zm = cache["zs"][-1]
-        enc.store.accumulate("gate", (d_ostar * (o - cx) * g * (1.0 - g)).sum(axis=0))
-        d_cx = (d_ostar * (1.0 - g))[st.seg]
+        if encoder:
+            enc.store.accumulate("gate", (d_ostar * (o - cx) * g * (1.0 - g)).sum(axis=0))
+        d_cx = st.spread(d_ostar * (1.0 - g))
         d_alpha = (zm * d_cx).sum(axis=1)
-        d_scores = alpha * (d_alpha - st.sum(alpha * d_alpha)[st.seg])
-        d_z = alpha[:, None] * d_cx + d_scores[:, None] * (enc.att_scale * o)[st.seg]
+        d_scores = alpha * (d_alpha - st.spread(st.sum(alpha * d_alpha)))
+        d_z = alpha[:, None] * d_cx + d_scores[:, None] * q
         d_q = st.sum(d_scores[:, None] * zm)
-        enc.store.accumulate("att/scale", (d_q * o).sum(axis=0))
+        if encoder:
+            enc.store.accumulate("att/scale", (d_q * o).sum(axis=0))
         for i in reversed(range(enc.layers)):
             # the tape keeps only the layer outputs: relu(m) > 0 iff m > 0,
-            # and the mixed input is recomputed
+            # and the weight gradient recomputes the mixed input
             d_m = d_z * (cache["zs"][i + 1] > 0)
-            enc.store.accumulate(f"gcn/w{i}", st.mix(cache["zs"][i]).T @ d_m)
+            if encoder:
+                enc.store.accumulate(f"gcn/w{i}", st.mix(cache["zs"][i]).T @ d_m)
             d_z = st.mix(d_m @ enc.gcn_weight(i).T)
         d_z[st.starts] += d_ostar * g + d_q * enc.att_scale
-        np.add.at(grads, st.rows, d_z)
+        # each table row sums its nodes from 0 in node order, as np.add.at into zeros
+        d = self.table.d
+        flat = (st.rows[:, None] * d + np.arange(d)).ravel()
+        return np.bincount(flat, weights=d_z.ravel(), minlength=len(self.table.vecs) * d).reshape(-1, d)
 
     def joint_all(self) -> np.ndarray:
         """Joint embeddings of every table row.
 
         After local updates only the stars holding a stale key are
-        re-encoded, into a copy of the memo; a move the memo does not
+        re-encoded, into the memo itself (into a copy when the table has
+        grown), so an earlier result may change; a move the memo does not
         account for (the encoder, or a graph or table write outside
-        ``incremental_update``) re-encodes every row.
+        ``incremental_update``) re-encodes every row into a new array.
         """
         sig = (self.kg.version, self.enc.store.step_count, self.table.version)
         memo = self._joint_memo
@@ -268,9 +284,11 @@ class Embedder:
             joint = self._forward(self.kg.keys)[0]
         elif self._stale:
             # stars are symmetric: the rows whose star holds k are k's star
-            rows = np.unique(np.concatenate([self.kg.context_of(k) for k in self._stale]))
-            joint = np.empty_like(self.table.vecs)
-            joint[: len(memo[1])] = memo[1]
+            rows = np.unique(np.concatenate([self.kg.context_of(k) for k in self._stale])).tolist()
+            joint = memo[1]
+            if len(joint) < len(self.table.vecs):
+                joint = np.empty_like(self.table.vecs)
+                joint[: len(memo[1])] = memo[1]
             joint[rows] = self._forward([self.kg.keys[r] for r in rows])[0]
         else:
             return memo[1]
@@ -278,6 +296,8 @@ class Embedder:
         return joint
 
     def joint_cached(self, key: ObjKey) -> np.ndarray:
+        """One object's joint embedding: a view of its ``joint_all`` row, which
+        the next partial re-encode may overwrite."""
         return self.joint_all()[self.kg.rows[key]]
 
     # -- losses --------------------------------------------------------------
@@ -298,22 +318,22 @@ class Embedder:
         n = len(batch.pairs)
         return f[:n] + batch.margin - f[n:], e, hrt, cache
 
-    def margin_loss_and_grads(self, batch: TrainBatch) -> tuple[float, np.ndarray]:
+    def margin_loss_and_grads(self, batch: TrainBatch, *,
+                              encoder: bool = True) -> tuple[float, np.ndarray]:
         """Hinge loss plus raw-vector gradients, one row per table row;
-        encoder grads accumulate in its store."""
-        grads = np.zeros_like(self.table.vecs)
+        encoder grads accumulate in its store unless ``encoder`` is off."""
         if not batch.pairs:
-            return 0.0, grads
+            return 0.0, np.zeros_like(self.table.vecs)
         hinge, e, hrt, cache = self._hinge(batch)
         active = (hinge > 0.0).astype(np.float64)
-        if active.any():
-            # the backward is linear in d_ostar, so sum it per object first
-            de = np.concatenate([active, -active])[:, None] * np.sign(e)
-            d_ostar = np.zeros_like(cache["o"])
-            for col, sign in ((0, 1.0), (1, 1.0), (2, -1.0)):
-                np.add.at(d_ostar, hrt[:, col], sign * de)
-            self._backward(cache, d_ostar, grads)
-        return float(hinge[hinge > 0.0].sum()), grads
+        if not active.any():
+            return 0.0, np.zeros_like(self.table.vecs)
+        # the backward is linear in d_ostar, so sum it per object first:
+        # every head, then every relation, then every tail
+        de = np.concatenate([active, -active])[:, None] * np.sign(e)
+        d_ostar = np.zeros_like(cache["o"])
+        np.add.at(d_ostar, hrt.T.ravel(), np.concatenate([de, de, -de]))
+        return float(hinge[hinge > 0.0].sum()), self._backward(cache, d_ostar, encoder=encoder)
 
     # -- training ----------------------------------------------------------
 
@@ -397,8 +417,8 @@ class Embedder:
             batch = self.make_batch(sample)
             if not batch.pairs:
                 continue
-            _, grads = self.margin_loss_and_grads(batch)
-            self.enc.store.zero_grads()  # encoder is frozen during local updates
+            # the encoder is frozen during local updates
+            _, grads = self.margin_loss_and_grads(batch, encoder=False)
             self.table.step(grads, rows, lr)
         if follows:
             self._stale |= delta.affected
@@ -437,7 +457,6 @@ class Embedder:
         n_ent = len(rel) - n_rel
         seed = np.where(rel[rows, None], d_state[d:] / max(n_rel, 1), d_state[:d] / max(n_ent, 1))
         _, cache = self._forward(keys)
-        grads = np.zeros_like(self.table.vecs)
-        self._backward(cache, seed, grads)
+        grads = self._backward(cache, seed)
         sgd_step(self.enc.store, lr)
         self.table.step(grads, rows, lr)

@@ -612,8 +612,9 @@ class _DrprDriver:
             pois = range(len(self.catalog.poi_info))
         else:
             pois = cand_mod.generate_candidates(self.kg, user_idx, self.config.k).pois
-        inputs = np.stack([self.embedder.joint_cached((int(EntityKind.POI), p)) for p in pois])
-        return state, pois, inputs
+        kind = int(EntityKind.POI)
+        rows = [self.kg.rows[(kind, p)] for p in pois]
+        return state, pois, self.embedder.joint_all()[rows]
 
     def feedback(self, d_state) -> None:
         if self.last_affected:

@@ -301,7 +301,7 @@ class DynamicKg:
 
     def triples_incident_to(self, keys) -> list[Triple]:
         """Triples touching any affected entity, in a deterministic order."""
-        found: set[Triple] = set()
+        found: dict[Triple, int] = {}  # keeps insertion order, so stored runs reach `sorted` in order
         for key in keys:
             for joined in self._nbrs.get(key, {}).values():
                 found.update(joined)

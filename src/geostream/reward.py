@@ -72,6 +72,7 @@ class WordVectors:
 
     def __init__(self, vectors: dict[str, np.ndarray] | None = None):
         self._vectors: dict[str, np.ndarray] = {}
+        self._by_name: dict[str, np.ndarray | None] = {}  # category_vector's memo
         if vectors:
             for token, vec in vectors.items():
                 self.add(token, vec)
@@ -87,6 +88,7 @@ class WordVectors:
         if vec.shape != first.shape:
             raise DataError(f"word vector for {token!r} has shape {vec.shape}, want {first.shape}")
         self._vectors[token.lower()] = vec
+        self._by_name.clear()
 
     def __len__(self) -> int:
         return len(self._vectors)
@@ -110,15 +112,16 @@ class WordVectors:
         return wv
 
     def category_vector(self, name: str) -> np.ndarray | None:
-        """Mean of the per-token vectors; None when every token is unknown."""
-        hits = [
-            self._vectors[tok]
-            for tok in _TOKEN_RE.findall(name.lower())
-            if tok in self._vectors
-        ]
-        if not hits:
-            return None
-        return np.mean(hits, axis=0)
+        """Mean of the per-token vectors; None when every token is unknown.
+        Memoized per name until the next ``add``; callers must not mutate it."""
+        if name not in self._by_name:
+            hits = [
+                self._vectors[tok]
+                for tok in _TOKEN_RE.findall(name.lower())
+                if tok in self._vectors
+            ]
+            self._by_name[name] = np.mean(hits, axis=0) if hits else None
+        return self._by_name[name]
 
     def category_similarity(self, a: str, b: str) -> float:
         """1.0 for equal names, else the cosine of their category vectors

@@ -5,6 +5,11 @@ Kept verbatim as the oracle that ``test_embed.py`` compares the production
 object, one dense renormalized-adjacency GCN forward and backward per
 object, a joint cache keyed on those versions, the hinge loss summed pair
 by pair, and pooling and feedback key by key.
+
+``StackedOracle`` is the batched star encoder with a weight per stacked
+node, a backward that always takes the encoder's gradients and an
+``np.add.at`` scatter; ``test_embed.py`` compares the local update with it
+bit for bit.
 """
 
 from __future__ import annotations
@@ -258,3 +263,122 @@ class OracleEmbedder:
             self._joint_backward(cache, seed, grads)
         sgd_step(self.enc.store, lr)
         self._apply_grads(grads, lr, allowed=set(keys))
+
+
+
+class _WeightedStars:
+    """Stacked stars with a mixing weight per node: 1/n on a centre and
+    1/2 on a leaf, and the cross weight 1/sqrt(2n) on a leaf, 0 on a
+    centre."""
+
+    def __init__(self, kg: DynamicKg, keys):
+        stars = [kg.context_of(key) for key in keys]
+        self.rows = np.concatenate(stars)
+        sizes = np.array([len(star) for star in stars])
+        self.starts = np.concatenate([[0], np.cumsum(sizes[:-1])]).astype(np.intp)
+        self.seg = np.repeat(np.arange(len(stars)), sizes)
+        self.centre = self.starts[self.seg]
+        is_centre = self.centre == np.arange(len(self.seg))
+        n = sizes[self.seg].astype(np.float64)
+        self.self_w = np.where(is_centre, 1.0 / n, 0.5)[:, None]
+        self.cross_w = np.where(is_centre, 0.0, 1.0 / np.sqrt(2.0 * n))[:, None]
+
+    def mix(self, x: np.ndarray) -> np.ndarray:
+        out = self.self_w * x + self.cross_w * x[self.centre]
+        out[self.starts] += np.add.reduceat(self.cross_w * x, self.starts)
+        return out
+
+    def sum(self, x: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(x, self.starts)
+
+
+class StackedOracle:
+    """The batched star encoder of an ``Embedder`` (its graph, table,
+    encoder and generator) with node weights gathered per node, a backward
+    that always takes the encoder's gradients and scatters the raw ones by
+    ``np.add.at``, and a local update that zeroes the encoder's gradients
+    after each step. Every float operation is ``Embedder``'s, in its order."""
+
+    def __init__(self, emb):
+        self.emb = emb
+
+    def forward(self, keys) -> tuple[np.ndarray, dict]:
+        enc, st = self.emb.enc, _WeightedStars(self.emb.kg, keys)
+        zs = [self.emb.table.vecs[st.rows]]
+        for i in range(enc.layers):
+            zs.append(relu(st.mix(zs[-1]) @ enc.gcn_weight(i)))
+        zm = zs[-1]
+        o = zs[0][st.starts]
+        scores = (zm * (enc.att_scale * o)[st.seg]).sum(axis=1)
+        e = np.exp(scores - np.maximum.reduceat(scores, st.starts)[st.seg])
+        alpha = e / st.sum(e)[st.seg]
+        cx = st.sum(alpha[:, None] * zm)
+        g = sigmoid(enc.gate)
+        return g * o + (1.0 - g) * cx, {"st": st, "zs": zs, "alpha": alpha, "cx": cx, "g": g, "o": o}
+
+    def backward(self, cache: dict, d_ostar: np.ndarray, grads: np.ndarray) -> None:
+        enc = self.emb.enc
+        st, o, cx, g, alpha = (cache[k] for k in ("st", "o", "cx", "g", "alpha"))
+        zm = cache["zs"][-1]
+        enc.store.accumulate("gate", (d_ostar * (o - cx) * g * (1.0 - g)).sum(axis=0))
+        d_cx = (d_ostar * (1.0 - g))[st.seg]
+        d_alpha = (zm * d_cx).sum(axis=1)
+        d_scores = alpha * (d_alpha - st.sum(alpha * d_alpha)[st.seg])
+        d_z = alpha[:, None] * d_cx + d_scores[:, None] * (enc.att_scale * o)[st.seg]
+        d_q = st.sum(d_scores[:, None] * zm)
+        enc.store.accumulate("att/scale", (d_q * o).sum(axis=0))
+        for i in reversed(range(enc.layers)):
+            d_m = d_z * (cache["zs"][i + 1] > 0)
+            enc.store.accumulate(f"gcn/w{i}", st.mix(cache["zs"][i]).T @ d_m)
+            d_z = st.mix(d_m @ enc.gcn_weight(i).T)
+        d_z[st.starts] += d_ostar * g + d_q * enc.att_scale
+        np.add.at(grads, st.rows, d_z)
+
+    def margin_loss_and_grads(self, batch: TrainBatch) -> tuple[float, np.ndarray]:
+        grads = np.zeros_like(self.emb.table.vecs)
+        if not batch.pairs:
+            return 0.0, grads
+        index: dict[ObjKey, int] = {}
+        triples = [pos for pos, _ in batch.pairs] + [neg for _, neg in batch.pairs]
+        hrt = np.array([
+            [index.setdefault(k, len(index)) for k in (ent_key(t.head), rel_key(t.rel), ent_key(t.tail))]
+            for t in triples
+        ])
+        ostar, cache = self.forward(list(index))
+        e = ostar[hrt[:, 0]] + ostar[hrt[:, 1]] - ostar[hrt[:, 2]]
+        f = np.abs(e).sum(axis=1)
+        n = len(batch.pairs)
+        hinge = f[:n] + batch.margin - f[n:]
+        active = (hinge > 0.0).astype(np.float64)
+        if active.any():
+            de = np.concatenate([active, -active])[:, None] * np.sign(e)
+            d_ostar = np.zeros_like(cache["o"])
+            for col, sign in ((0, 1.0), (1, 1.0), (2, -1.0)):
+                np.add.at(d_ostar, hrt[:, col], sign * de)
+            self.backward(cache, d_ostar, grads)
+        return float(hinge[hinge > 0.0].sum()), grads
+
+    def incremental_update(self, delta, steps: int = 1, lr: float = 0.01,
+                           max_triples: int | None = None) -> list[np.ndarray]:
+        """The local training of ``Embedder.incremental_update``; returns
+        each step's raw-vector gradients. The joint memo is left behind."""
+        emb = self.emb
+        affected = sorted(delta.affected)
+        rows = emb.kg.index(affected)
+        emb.table.draw(len(emb.kg.keys), emb.rng)
+        pool = emb.kg.triples_incident_to(affected)
+        taken = []
+        for _ in range(steps):
+            if max_triples is not None and len(pool) > max_triples:
+                picks = emb.rng.choice(len(pool), size=max_triples, replace=False)
+                sample = [pool[int(i)] for i in sorted(picks)]
+            else:
+                sample = pool
+            batch = emb.make_batch(sample)
+            if not batch.pairs:
+                continue
+            _, grads = self.margin_loss_and_grads(batch)
+            emb.enc.store.zero_grads()
+            emb.table.step(grads, rows, lr)
+            taken.append(grads)
+        return taken

@@ -14,6 +14,7 @@ from geostream.numkit import load_matrices, save_matrices
 import gradcheck
 import probes
 from gradcheck import finite_diff_check
+import embed_oracle
 from embed_oracle import OracleEmbedder, OracleTable
 from kg_oracle import induced_adjacency
 
@@ -434,7 +435,7 @@ class TestIncrementalJoint:
         emb.incremental_update(kg.apply_visit(3, 4, 10.0), steps=1, lr=0.05)
         after = emb.joint_all()
         assert after.shape == (len(emb.table.vecs), 4) and len(emb.table.vecs) == len(before) + 1
-        np.testing.assert_array_equal(before, kept)  # patched into a copy
+        np.testing.assert_array_equal(before, kept)  # the table grew: patched into a copy
         assert not np.array_equal(row, after[kg.rows[kgstore.ent_key(poi(4))]])
 
     @pytest.mark.parametrize("outside", ["table_set", "unseen_visit", "feedback"])
@@ -451,6 +452,67 @@ class TestIncrementalJoint:
         joint, seen = self._forwarded(monkeypatch, emb)
         assert seen == [kg.keys]
         np.testing.assert_array_equal(joint, _full_joint(emb))
+
+
+@pytest.mark.parametrize("layers,max_triples", [(1, 4), (2, None)])
+def test_local_update_leaves_the_encoder_alone(monkeypatch, layers, max_triples):
+    """Over a stream: each local step's raw-vector gradients equal the
+    stacked oracle's full backward, bit for bit; the encoder's parameters
+    and gradient buffers keep their values; the memo, patched in place,
+    equals the oracle's forward of every row. Then a backward that takes
+    the encoder's gradients matches the oracle's too."""
+    # POIs 0-7 share category 0, a small hub
+    kg = build_static([(i, 0 if i < 8 else 1 + i % 2, i % 4) for i in range(12)], window=2)
+    emb = Embedder(kg, d=5, layers=layers, rng=np.random.default_rng(7))
+    rng = np.random.default_rng(8)
+    emb.enc.gate[...] = rng.normal(size=5)
+    emb.enc.att_scale[...] = rng.normal(size=5)
+    twin = copy.deepcopy(emb)
+    oracle = embed_oracle.StackedOracle(twin)
+    for name in emb.enc.store.names():  # a full backward would zero these
+        emb.enc.store.grad(name)[...] = rng.normal(size=emb.enc.store.grad(name).shape)
+    encoder = {name: (emb.enc.store.get(name).copy(), emb.enc.store.grad(name).copy())
+               for name in emb.enc.store.names()}
+    taken = []
+    local = emb.margin_loss_and_grads
+
+    def spy(batch, **kw):
+        loss, grads = local(batch, **kw)
+        taken.append(grads)
+        return loss, grads
+
+    monkeypatch.setattr(emb, "margin_loss_and_grads", spy)
+    in_place = 0
+    for t in range(40):
+        u, p = int(rng.integers(6)), int(rng.integers(12))
+        before = emb.joint_all()
+        size = len(emb.table.vecs)
+        delta = kg.apply_visit(u, p, float(t))
+        emb.incremental_update(delta, steps=2, lr=0.05, max_triples=max_triples)
+        want = oracle.incremental_update(
+            twin.kg.apply_visit(u, p, float(t)), steps=2, lr=0.05, max_triples=max_triples)
+        rows = [kg.rows[k] for k in delta.affected]
+        assert len(taken) == len(want)
+        for got, full in zip(taken, want):
+            assert np.array_equal(got[rows], full[rows])
+        taken.clear()
+        assert np.array_equal(emb.table.vecs, twin.table.vecs)
+        for name, (param, grad) in encoder.items():
+            assert np.array_equal(emb.enc.store.get(name), param)
+            assert np.array_equal(emb.enc.store.grad(name), grad)
+        joint = emb.joint_all()
+        in_place += joint is before
+        assert (joint is before) == (len(emb.table.vecs) == size)
+        assert np.array_equal(joint, oracle.forward(kg.keys)[0])
+    assert in_place > 20
+    # the encoder's own backward, as train_init and state_feedback take it
+    batch = twin.make_batch(sorted(kg.triples(), key=kgstore._triple_sort_key))
+    emb.enc.store.zero_grads()
+    got = embed.Embedder.margin_loss_and_grads(emb, batch)
+    want = oracle.margin_loss_and_grads(batch)
+    assert got[0] == want[0] and np.array_equal(got[1], want[1])
+    for name in emb.enc.store.names():
+        assert np.array_equal(emb.enc.store.grad(name), twin.enc.store.grad(name))
 
 
 _STREAM_OP = st.one_of(

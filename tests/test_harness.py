@@ -514,6 +514,22 @@ class TestEval:
             moved = moved or not np.array_equal(live.observe(u)[0], live_before)
         assert moved  # the same replay does move a live replica
 
+    def test_replica_patches_its_own_memo(self):
+        cfg, artifacts, test_events = self._trained()
+        users, venues = artifacts.catalog.users, artifacts.catalog.venues
+        source = artifacts.env.embedder.joint_all()
+        kept = source.copy()
+        replica = artifacts.env.replica(cfg, np.random.default_rng(0))
+        memo = replica.embedder.joint_all()
+        assert memo is not source
+        for rec in test_events[:5]:
+            replica.observe(users[rec.user])
+            replica.advance(users[rec.user], venues[rec.venue], rec.timestamp)
+        assert replica.embedder.joint_all() is memo  # patched in place
+        assert not np.array_equal(memo, kept)
+        assert artifacts.env.embedder.joint_all() is source
+        np.testing.assert_array_equal(source, kept)
+
     @pytest.mark.parametrize("mode", ["drpr", "rirl"])
     def test_frozen_eval_rejects_non_finite_timestamp(self, mode):
         # a frozen replica applies no visit, so the loop itself must check

@@ -19,6 +19,17 @@ from geostream.numkit import (
 from gradcheck import finite_diff_check
 
 
+def two_branch_sigmoid(x) -> np.ndarray:
+    """The oracle ``sigmoid``: each sign's formula on its own masked elements."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 class TestActivations:
     def test_relu(self):
         np.testing.assert_array_equal(relu([[-1.0, 2.0]]), [[0.0, 2.0]])
@@ -42,6 +53,21 @@ class TestActivations:
                              [0.0, -0.0, 1e-300, -1e-300, np.inf, -np.inf]])
         assert [sigmoid_scalar(x) for x in xs] == sigmoid(xs).tolist()
         assert [sigmoid_scalar(float(x)) for x in xs] == sigmoid(xs).tolist()
+
+    def test_sigmoid_equals_the_two_branch_oracle(self):
+        # exp(-|x|) is exp(x) for x < 0 and exp(-x) otherwise, bit for bit
+        rng = np.random.default_rng(1)
+        for shape in [(), (1,), (7,), (9, 50), (3, 4, 5)]:
+            for scale in (1.0, 30.0, 800.0):
+                x = rng.normal(0, scale, size=shape)
+                got = sigmoid(x)
+                assert got.shape == x.shape and got.dtype == np.float64
+                np.testing.assert_array_equal(got, two_branch_sigmoid(x), strict=True)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324])
+        np.testing.assert_array_equal(sigmoid(special), two_branch_sigmoid(special))
+        assert sigmoid(special).tolist()[:4] == [0.5, 0.5, 1.0, 0.0]
+        for x in (0.0, -0.0, 2.5, -2.5, np.nan):
+            np.testing.assert_array_equal(sigmoid(x), two_branch_sigmoid(x), strict=True)
 
 
 class TestRowSoftmax:

@@ -87,6 +87,21 @@ class TestWordVectors:
     def test_all_unknown_is_none(self, wv):
         assert wv.category_vector("Qwerty Asdf") is None
 
+    def test_category_vector_memo_gives_the_same_floats(self, wv):
+        first = wv.category_vector("Museum Park")
+        assert wv.category_vector("Museum Park") is first
+        np.testing.assert_array_equal(first, np.mean([[1.0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0]], axis=0))
+
+    def test_token_added_after_a_lookup_counts(self):
+        wv = WordVectors({"museum": [1.0, 0.0], "park": [0.0, 1.0]})
+        assert wv.category_vector("Art Park") is not None
+        assert wv.category_vector("Art Gallery") is None
+        assert wv.category_similarity("Art Gallery", "Museum") == 0.0
+        assert wv.category_similarity("Art Park", "Museum") == 0.0
+        wv.add("art", [1.0, 0.0])
+        assert wv.category_similarity("Art Gallery", "Museum") == pytest.approx(1.0)
+        assert wv.category_similarity("Art Park", "Museum") == pytest.approx(np.sqrt(0.5))
+
     def test_similarity_orthogonal(self, wv):
         assert wv.category_similarity("Museum", "Park") == 0.0
 

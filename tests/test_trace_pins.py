@@ -72,7 +72,7 @@ def test_rirl_trace_digests():
 
 
 def test_drpr_nocand_trace_digests():
-    # pairwise scoring over every POI, as full_candidate_set gives them
+    # pairwise scoring over every POI of the catalog, in index order
     assert _digests(agent_mode="drpr-nocand") == (
         "26eb0128024b0068dcb3665f83d7753321cd69a9eb89b1248daf930bda32c1cf",
         "bbdf6ca3898909d02c8f3ea13628f78dc47dc1db74af1626283d9184f1f11d1d",
