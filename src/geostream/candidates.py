@@ -41,14 +41,15 @@ class CandidateSet:
         return len(self.pois)
 
 
-def expand_meta_path(kg: DynamicKg, user_id: int, scheme: str) -> set[int]:
+def expand_meta_path(kg: DynamicKg, user_id: int, scheme: str) -> frozenset[int] | set[int]:
     """All POIs reachable from the user by one instantiation of the scheme."""
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown meta-path scheme {scheme!r}")
     path = SCHEMES[scheme]
     frontier = {user_id}
     for src, dst in zip(path, path[1:]):
-        frontier = set().union(*(kg.neighbors((src, i), dst) for i in frontier))
+        sets = [kg.neighbors((src, i), dst) for i in frontier]
+        frontier = sets[0] if len(sets) == 1 else set().union(*sets)
     return frontier
 
 
@@ -59,11 +60,11 @@ def generate_candidates(kg: DynamicKg, user_id: int, k: int) -> CandidateSet:
     found: dict[int, str] = {}  # POI -> the first scheme that found it
     if (_U, user_id) in kg:
         for scheme in SCHEMES:
-            for p in kg.popularity(expand_meta_path(kg, user_id, scheme))[:k]:
+            for p in kg.most_visited(expand_meta_path(kg, user_id, scheme), k):
                 found.setdefault(p, scheme)
     limit = min(4 * k, len(kg.entities(_V)))
     if len(found) < limit:
-        for p in kg.popularity(kg.entities(_V)):
+        for p in kg.by_visits():
             found.setdefault(p, PAD_TAG)
             if len(found) == limit:
                 break

@@ -777,13 +777,14 @@ def _replay_stream(
         user_idx = catalog.users[rec.user]
         real_idx = catalog.venues[rec.venue]
         state, pois, inputs = env.observe(user_idx)
+        q = None  # the Q of `inputs`, once the TD priority has scored it
         if buf is not None and user_idx in pending:
             t = pending.pop(user_idx)
             t.next_state = state
             t.next_actions = inputs
-            buf.push(t, net, config.gamma)
+            q = buf.push(t, net, config.gamma)
         epsilon = config.epsilon_at(l, n) if buf is not None else 0.0
-        row = policy_mod.select_action(net, state, inputs, epsilon, rng)
+        row = policy_mod.select_action(net, state, inputs, epsilon, rng, q)
         action = pois[row]
         parts = component_rewards(
             catalog.poi_info[action], catalog.poi_info[real_idx], wv, config.d_floor_km
@@ -909,7 +910,7 @@ def inspect_kg(artifacts_dir) -> dict:
     for t in triples:
         name = kgstore._REL_NAMES[kgstore.RelType(t.rel)]
         by_rel[name] = by_rel.get(name, 0) + 1
-    top = kg.popularity(kg.entities(EntityKind.POI))[:5]
+    top = kg.by_visits()[:5]
     return {
         "window_capacity": kg.window_capacity,
         "pois": len(kg.entities(EntityKind.POI)),

@@ -13,8 +13,17 @@ so each entity's context is the star of the entity and its neighbors.
 ``index`` gives each embeddable object its one table row, and
 ``context_of`` returns a star as rows. Each live triple is held once, with
 its reference count, in the dict its two endpoints share; it leaves with
-its last reference, and a star is rebuilt only after a neighbor pair of its
-entity appears or disappears.
+its last reference.
+
+The graph keeps the answers the stream loop asks for at every event and
+renews them only where a visit changes them. POIs stay ordered by
+descending lifetime visits (``by_visits``, ``most_visited``); a visit moves
+its POI forward. An entity's star (``context_of``) is memoized until a
+neighbor pair of the entity appears or disappears; its neighbor sets by
+kind (``neighbors``) are patched when that happens, and its live incident
+triples in sort order (read by ``triples_incident_to``) when one of them
+becomes live or detaches. The memos are immutable, so a ``copy.deepcopy``
+of the graph shares them.
 
 All mutation goes through ``apply_visit``, which returns a ``DeltaReport``
 listing added/removed triples and the set of objects whose context changed
@@ -24,10 +33,13 @@ listing added/removed triples and the set of objects whose context changed
 from __future__ import annotations
 
 import bisect
+import copy
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
+from itertools import islice
 from math import isfinite
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +59,9 @@ class EntityKind(IntEnum):
     RPOI = 2
     CATEGORY = 3
     ZONE = 4
+
+
+_POI = int(EntityKind.POI)
 
 
 class RelType(IntEnum):
@@ -120,8 +135,7 @@ class DeltaReport:
     version: int
 
 
-@dataclass
-class _VisitEvent:
+class _VisitEvent(NamedTuple):
     poi: int
     time: float
     visit_triple: Triple
@@ -131,7 +145,6 @@ class _VisitEvent:
 @dataclass
 class DynamicKg:
     window_capacity: int = 50
-    visit_counts: dict[int, int] = field(default_factory=dict)
     version: int = 0
 
     def __post_init__(self):
@@ -143,8 +156,19 @@ class DynamicKg:
         self._nbrs: dict[EntityId, dict[EntityId, dict[Triple, int]]] = {}
         # the entity registry: each kind's indices, ascending; entities are never removed
         self._entities: dict[int, list[int]] = {kind: [] for kind in EntityKind}
-        # object -> its context_of rows; an entity's drops when its neighbor set changes
+        # lifetime visits per POI, written only beside the order: the POIs by
+        # (-visits, index), and each POI's place in it
+        self.visit_counts: dict[int, int] = {}
+        self._order: list[int] = []
+        self._rank: dict[int, int] = {}
+        # memos, each immutable and replaced, never mutated: object -> its
+        # context_of rows (read-only), dropped when its neighbor set changes;
+        # entity -> its neighbor sets by kind, patched when a neighbor pair of
+        # it appears or disappears; entity -> its live incident triples as
+        # sorted `_entry`s, patched when one of them becomes live or detaches
         self._stars: dict[tuple[int, int], np.ndarray] = {}
+        self._kinds: dict[tuple[int, int], tuple[frozenset[int], ...]] = {}
+        self._runs: dict[tuple[int, int], tuple[tuple, ...]] = {}
         self._windows: dict[int, deque[_VisitEvent]] = {}
         # the object index: each indexed object's row, and each row's object
         self.rows: dict[tuple[int, int], int] = {}
@@ -157,16 +181,40 @@ class DynamicKg:
             self._nbrs[e] = {}
             bisect.insort(self._entities[e.kind], e.index)
 
+    def _pair_changed(self, t: Triple, linked: bool) -> None:
+        """The endpoints of ``t`` became neighbors (or stopped being ones):
+        drop their stars and patch their memoized neighbor sets."""
+        for e, other in ((t.head, t.tail), (t.tail, t.head)):
+            self._stars.pop(e, None)
+            sets = self._kinds.get(e)
+            if sets is not None:
+                k, i = other
+                kind_set = sets[k] | {i} if linked else sets[k] - {i}
+                self._kinds[e] = (*sets[:k], kind_set, *sets[k + 1 :])
+
+    def _run_changed(self, t: Triple, live: bool) -> None:
+        """Insert the triple made live into its endpoints' memoized runs, or
+        take the detached one out."""
+        entry = None
+        for e in (t.head, t.tail):
+            run = self._runs.get(e)
+            if run is not None:
+                entry = entry or _entry(t)
+                i = bisect.bisect_left(run, entry)
+                self._runs[e] = run[:i] + (entry,) + run[i:] if live else run[:i] + run[i + 1 :]
+
     def _ref(self, t: Triple) -> bool:
         """Take a reference on ``t``; True if that made it live."""
         joined = self._nbrs[t.head].get(t.tail)
         if joined is None:  # a new neighbor pair
             joined = self._nbrs[t.head][t.tail] = self._nbrs[t.tail][t.head] = {}
-            for e in (t.head, t.tail):
-                self._stars.pop(e, None)
+            self._pair_changed(t, linked=True)
         count = joined.get(t, 0)
         joined[t] = count + 1
-        return not count
+        if count:
+            return False
+        self._run_changed(t, live=True)
+        return True
 
     def _unref(self, t: Triple) -> bool:
         """Drop a reference on ``t``; True if that detached it."""
@@ -175,11 +223,20 @@ class DynamicKg:
         if joined[t]:
             return False
         del joined[t]
+        self._run_changed(t, live=False)
         if not joined:  # the pair's last triple
             del self._nbrs[t.head][t.tail], self._nbrs[t.tail][t.head]
-            for e in (t.head, t.tail):
-                self._stars.pop(e, None)
+            self._pair_changed(t, linked=False)
         return True
+
+    def _visits_key(self):
+        counts = self.visit_counts
+        return lambda p: (-counts[p], p)
+
+    def _rank_all(self) -> None:
+        """Order every POI by its visits in one sort."""
+        self._order = sorted(self.visit_counts, key=self._visits_key())
+        self._rank = {p: i for i, p in enumerate(self._order)}
 
     def _push_event(self, user_id: int, poi_id: int, time: float, src: int | None) -> list[Triple]:
         """Append a window event referencing its visit edge and, when
@@ -197,9 +254,18 @@ class DynamicKg:
     # -- mutation --------------------------------------------------------
 
     def add_poi(self, poi_id: int, category_id: int, zone_id: int) -> None:
+        """Add a POI with its static triples; it takes its place in the order."""
+        self._link_poi(poi_id, category_id, zone_id)
+        order = self._order
+        at = bisect.bisect(order, (0, poi_id), key=self._visits_key())
+        order.insert(at, poi_id)
+        self._rank.update(zip(order[at:], range(at, len(order))))
+
+    def _link_poi(self, poi_id: int, category_id: int, zone_id: int) -> None:
+        """``add_poi`` without the order, which the caller then builds."""
         if poi(poi_id) in self:
             raise IngestionError(f"duplicate POI id {poi_id}")
-        self.visit_counts.setdefault(poi_id, 0)
+        self.visit_counts[poi_id] = 0
         for e in (poi(poi_id), rpoi(poi_id), category(category_id), zone(zone_id)):
             self._add_entity(e)
         self._ref(Triple(poi(poi_id), RelType.BELONG_TO, category(category_id)))
@@ -226,8 +292,7 @@ class DynamicKg:
             # endpoints, their current one-hop neighbors, and the relation kind
             for e in (t.head, t.tail):
                 affected.add(ent_key(e))
-                for nbr in self._nbrs[e]:
-                    affected.add(ent_key(nbr))
+                affected.update(map(ent_key, self._nbrs[e]))
             affected.add(rel_key(t.rel))
 
         if len(window) == self.window_capacity:
@@ -239,11 +304,20 @@ class DynamicKg:
 
         src = window[-1].poi if window else None
         added = self._push_event(user_id, poi_id, time, src)
-        self.visit_counts[poi_id] += 1
+        self._bump(poi_id)
         for t in added:
             touch(t)
         self.version += 1
         return DeltaReport(tuple(added), tuple(removed), frozenset(affected), self.version)
+
+    def _bump(self, poi_id: int) -> None:
+        """Count a visit to the POI and move it forward past the POIs it now outranks."""
+        visits = self.visit_counts[poi_id] = self.visit_counts[poi_id] + 1
+        order, old = self._order, self._rank[poi_id]
+        at = bisect.bisect_left(order, (-visits, poi_id), 0, old, key=self._visits_key())
+        if at < old:
+            order.insert(at, order.pop(old))
+            self._rank.update(zip(order[at : old + 1], range(at, old + 1)))
 
     # -- queries ---------------------------------------------------------
 
@@ -281,37 +355,84 @@ class DynamicKg:
                 star = np.array([self.rows[k] for k in (key, *sorted(nbrs))], dtype=np.intp)
             except KeyError as exc:
                 raise UnknownObjectError(f"object {exc.args[0]} has no row") from None
+            star.flags.writeable = False
             self._stars[key] = star
         return star
 
-    def popularity(self, pois) -> list[int]:
-        """POIs by descending lifetime visits; ties by ascending index."""
-        return sorted(pois, key=lambda p: (-self.visit_counts.get(p, 0), p))
+    def by_visits(self) -> list[int]:
+        """Every POI by descending lifetime visits, ties by ascending index;
+        the graph's own list, so callers must not mutate it."""
+        return self._order
 
-    def neighbors(self, key: EntityId | tuple[int, int], kind: int) -> set[int]:
+    def most_visited(self, pois, k: int) -> list[int]:
+        """The ``k`` POIs of the set ``pois`` that come first in ``by_visits``, in its order."""
+        order = self._order
+        if len(pois) ** 2 >= k * len(order):  # dense: the order's head holds them
+            return list(islice(filter(pois.__contains__, order), k))
+        return [order[r] for r in sorted(map(self._rank.__getitem__, pois))[:k]]
+
+    def neighbors(self, key: EntityId | tuple[int, int], kind: int) -> frozenset[int]:
         """Indices of the live neighbors of kind ``kind`` of the entity
-        ``key`` (an :class:`EntityId` or ``ent_key``)."""
-        nbrs = self._nbrs.get(key)
-        if nbrs is None:
-            raise UnknownObjectError(f"unknown entity {key}")
-        return {e.index for e in nbrs if e.kind == kind}
+        ``key`` (an :class:`EntityId` or ``ent_key``), memoized and patched
+        as its neighbor pairs appear and disappear."""
+        sets = self._kinds.get(key)
+        if sets is None:
+            nbrs = self._nbrs.get(key)
+            if nbrs is None:
+                raise UnknownObjectError(f"unknown entity {key}")
+            by_kind: list[list[int]] = [[] for _ in range(len(EntityKind))]
+            for nbr_kind, i in nbrs:
+                by_kind[nbr_kind].append(i)
+            sets = self._kinds[key] = tuple(map(frozenset, by_kind))
+        return sets[kind]
 
     def triples(self) -> set[Triple]:
         return {t for nbrs in self._nbrs.values() for joined in nbrs.values() for t in joined}
 
     def triples_incident_to(self, keys) -> list[Triple]:
-        """Triples touching any affected entity, in a deterministic order."""
-        found: dict[Triple, int] = {}  # keeps insertion order, so stored runs reach `sorted` in order
+        """Triples touching any of the objects ``keys``, in a deterministic order."""
+        keys = frozenset(keys)
+        entries = []
         for key in keys:
-            for joined in self._nbrs.get(key, {}).values():
-                found.update(joined)
-        return sorted(found, key=_triple_sort_key)
+            run = self._runs.get(key)
+            if run is None:
+                if key not in self._nbrs:  # a relation kind
+                    continue
+                # the entity's live incident triples as `_entry`s, in order
+                found = [_entry(t) for joined in self._nbrs[key].values() for t in joined]
+                run = self._runs[key] = tuple(sorted(found))
+            if key[0] == _POI:
+                # each triple joins a POI to a non-POI, so leave the
+                # triples that the non-POI's run brings
+                run = [e for e in run if e[7] not in keys]
+            entries += run
+        entries.sort()
+        return list(map(itemgetter(6), entries))
 
     def object_keys(self) -> list[tuple[int, int]]:
         """All embeddable objects, sorted: entities by kind then index, then
         the relation kinds in use."""
         keys = [(int(kind), i) for kind in EntityKind for i in self._entities[kind]]
         return keys + [rel_key(r) for r in sorted({t.rel for t in self.triples()})]
+
+    def __deepcopy__(self, memo) -> "DynamicKg":
+        """A graph that evolves apart from this one: every dict, list and
+        deque is new, each neighbor pair's dict is again shared by both
+        directions, and the immutable memos, triples and window events are shared."""
+        new = copy.copy(self)
+        memo[id(self)] = new
+        new._nbrs = {e: {} for e in self._nbrs}
+        for a, nbrs in self._nbrs.items():
+            mine = new._nbrs[a]
+            for b, joined in nbrs.items():
+                if b not in mine:
+                    mine[b] = new._nbrs[b][a] = dict(joined)
+        new._entities = {kind: list(members) for kind, members in self._entities.items()}
+        new._windows = {u: deque(window) for u, window in self._windows.items()}
+        for name in ("visit_counts", "_rank", "_stars", "_kinds", "_runs", "rows"):
+            setattr(new, name, dict(getattr(self, name)))
+        new._order, new.keys = list(self._order), list(self.keys)
+        return new
 
     # -- snapshot text format ---------------------------------------------
 
@@ -336,11 +457,20 @@ def _triple_sort_key(t: Triple):
     return (t.rel, t.time if t.time is not None else -1.0, t.head, t.tail)
 
 
+def _entry(t: Triple) -> tuple:
+    """``_triple_sort_key`` flattened to plain numbers, which orders the
+    same, then the triple and its non-POI endpoint's key."""
+    (hk, hi), (tk, ti) = t.head, t.tail
+    other = (int(tk), ti) if hk == _POI else (int(hk), hi)
+    return (int(t.rel), t.time if t.time is not None else -1.0, int(hk), hi, int(tk), ti, t, other)
+
+
 def build_static(pois, window: int = 50) -> DynamicKg:
     """Build the static skeleton from (poi, category, zone) index triples."""
     kg = DynamicKg(window_capacity=window)
     for poi_id, category_id, zone_id in pois:
-        kg.add_poi(poi_id, category_id, zone_id)
+        kg._link_poi(poi_id, category_id, zone_id)
+    kg._rank_all()
     return kg
 
 
@@ -384,6 +514,7 @@ def import_snapshot(text: str, skeleton) -> DynamicKg:
             raise IngestionError(
                 f"snapshot POI {p} has {kg.visit_counts[p]} lifetime visits but {held[p]} window events"
             )
+    kg._rank_all()
     return kg
 
 

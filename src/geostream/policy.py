@@ -126,11 +126,14 @@ def _q(net: QNet, state: np.ndarray, actions) -> np.ndarray:
 
 
 def select_action(
-    net: QNet, state: np.ndarray, actions, epsilon: float, rng: np.random.Generator
+    net: QNet, state: np.ndarray, actions, epsilon: float, rng: np.random.Generator,
+    q: np.ndarray | None = None,
 ) -> int:
     """The row of ``actions`` to take: uniform with prob epsilon, else first-best by Q.
 
-    ``actions`` holds the candidates' Q-net inputs (see ``_q``).
+    ``actions`` holds the candidates' Q-net inputs (see ``_q``). ``q``, if
+    given, is ``_q(net, state, actions)`` already scored, so a greedy step
+    need not score it again.
     """
     if len(actions) == 0:
         raise ActionSpaceError("empty candidate set")
@@ -138,30 +141,40 @@ def select_action(
         raise ConfigError(f"epsilon {epsilon} outside [0, 1]")
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(len(actions)))
-    return int(np.argmax(_q(net, state, actions)))
+    return int(np.argmax(_q(net, state, actions) if q is None else q))
 
 
 def _q_of(net: QNet, t: Transition) -> float:
     return float(_q(net, t.state, [t.action])[0])
 
 
-def _max_next_q(net: QNet, t: Transition) -> float:
+def _next_q(net: QNet, t: Transition) -> np.ndarray | None:
+    """Q of each next action, or None for a transition with no next step."""
     if t.terminal or len(t.next_actions) == 0:
-        return 0.0
-    return float(_q(net, t.next_state, t.next_actions).max())
+        return None
+    return _q(net, t.next_state, t.next_actions)
 
 
-def _target(net: QNet, t: Transition, gamma: float) -> float:
+def _max_next_q(net: QNet, t: Transition, next_q: np.ndarray | None = None) -> float:
+    """max Q' by ``net``; ``next_q``, if given, is ``_next_q(net, t)`` already scored."""
+    if next_q is None:
+        next_q = _next_q(net, t)
+    return 0.0 if next_q is None else float(next_q.max())
+
+
+def _target(net: QNet, t: Transition, gamma: float, next_q: np.ndarray | None = None) -> float:
     """The Bellman target r + gamma*maxQ', bootstrapped by ``net``."""
-    return t.reward + gamma * _max_next_q(net, t)
+    return t.reward + gamma * _max_next_q(net, t, next_q)
 
 
-def priority_of(t: Transition, mode: str, net: QNet, gamma: float) -> float:
+def priority_of(
+    t: Transition, mode: str, net: QNet, gamma: float, next_q: np.ndarray | None = None
+) -> float:
     """Reward mode returns r; TD mode returns r + gamma*maxQ' - Q."""
     if mode == "reward":
         return float(t.reward)
     if mode == "td":
-        return float(_target(net, t, gamma) - _q_of(net, t))
+        return float(_target(net, t, gamma, next_q) - _q_of(net, t))
     raise ConfigError(f"unknown priority mode {mode!r}")
 
 
@@ -181,11 +194,15 @@ class PriorityReplayBuffer:
     def __len__(self) -> int:
         return len(self._items)
 
-    def push(self, t: Transition, net: QNet, gamma: float) -> None:
-        t.priority = max(0.0, priority_of(t, self.mode, net, gamma))
+    def push(self, t: Transition, net: QNet, gamma: float) -> np.ndarray | None:
+        """Store ``t`` with its priority. Return ``_next_q(net, t)`` if the
+        priority scored it, so a step acting in ``t.next_state`` can reuse it."""
+        next_q = _next_q(net, t) if self.mode == "td" else None
+        t.priority = max(0.0, priority_of(t, self.mode, net, gamma, next_q))
         t.seq = self._seq
         self._seq += 1
         self._items.append(t)
+        return next_q
 
     def sample_batch(self, k: int, rng: np.random.Generator | None = None) -> list[Transition]:
         """Top-k of the priority softmax; ties resolve by insertion order.

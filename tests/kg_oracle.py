@@ -4,11 +4,13 @@ Kept verbatim (mutation and queries; the snapshot code is left out) as the
 oracle that ``test_kgstore.py`` compares the production ``DynamicKg`` with.
 Its ``context_of`` still builds each context's induced adjacency with the
 O(deg^2) membership loop, so the tests can check that every context the
-production store returns as bare node keys is a star.
+production store returns as bare node keys is a star. ``generic_deepcopy``
+keeps the copy the production graph got before it defined ``__deepcopy__``.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -308,3 +310,16 @@ class DynamicKg:
         keys = [ent_key(e) for e in self._entities]
         keys += [rel_key(r) for r, c in self._rel_counts.items() if c > 0]
         return sorted(keys)
+
+
+def generic_deepcopy(kg, *others):
+    """``copy.deepcopy((kg, *others))`` as it copied the production graph
+    before that defined its own ``__deepcopy__``: a new instance of the
+    graph's class whose attributes are deep-copied one by one, every
+    object reachable from them included. ``others`` (an embedder, say)
+    share the memo, so their references to ``kg`` reach the copy."""
+    memo: dict = {}
+    new = object.__new__(type(kg))
+    memo[id(kg)] = new
+    new.__dict__.update(copy.deepcopy(vars(kg), memo))
+    return (new, *(copy.deepcopy(o, memo) for o in others))

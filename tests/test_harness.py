@@ -29,6 +29,7 @@ from geostream.harness import (
 )
 
 import catalog_oracle
+import kg_oracle
 import probes
 from conftest import WORDVEC_PATH, make_cyclic_stream, make_drifting_stream
 
@@ -396,6 +397,40 @@ class TestTrainingLoop:
         with pytest.raises(DataError, match="not finite"):
             run_training(_tiny_config(agent_mode=mode), records=records)
 
+    @pytest.mark.parametrize("mode", ["drpr", "rirl"])
+    def test_td_priority_scores_the_next_state_once(self, mode, monkeypatch):
+        # the TD priority's max Q(s', .) is the greedy scoring of the event
+        # that pushes it, so that event makes one Q-net forward fewer
+        forward, select = policy.QNet.forward, policy.select_action
+        calls = {"forward": 0}
+
+        def counting(net, x):
+            calls["forward"] += 1
+            return forward(net, x)
+
+        def run(reuse):
+            calls.update(forward=0, greedy_pushed=0)
+
+            def selecting(net, state, actions, epsilon, rng, q=None):
+                before = calls["forward"]
+                row = select(net, state, actions, epsilon, rng, q if reuse else None)
+                scored = calls["forward"] - before
+                if reuse and q is not None:
+                    assert scored == 0
+                calls["greedy_pushed"] += scored == 1 and q is not None
+                return row
+
+            monkeypatch.setattr(policy, "select_action", selecting)
+            _, log, _ = run_training(_tiny_config(agent_mode=mode, seed=5), records=make_cyclic_stream(40))
+            return log.to_trace_csv(), dict(calls)
+
+        monkeypatch.setattr(policy.QNet, "forward", counting)
+        trace, once = run(reuse=True)
+        old_trace, twice = run(reuse=False)
+        assert trace == old_trace
+        assert twice["greedy_pushed"] > 0
+        assert once["forward"] == twice["forward"] - twice["greedy_pushed"]
+
 
 def _event_values(i, users, venues):
     return (i, users[i % 7], venues[i % 5], venues[(i + 1) % 5], i % 5, (i + 1) % 5,
@@ -451,7 +486,7 @@ class TestEval:
         cfg, artifacts, test_events = self._trained(agent_mode="drpr-nocand")
         reals = iter(test_events)  # the replay selects once per event, in order
 
-        def oracle(net, state, actions, epsilon, rng):
+        def oracle(net, state, actions, epsilon, rng, q=None):
             return artifacts.catalog.venues[next(reals).venue]
 
         monkeypatch.setattr(policy, "select_action", oracle)
@@ -474,7 +509,7 @@ class TestEval:
         _, test_events = split_stream(records[:1300], cfg.split_fraction)
         assert len(test_events) >= 1000
 
-        def agent(net, state, actions, epsilon, rng):
+        def agent(net, state, actions, epsilon, rng, q=None):
             return int(rng.integers(len(actions)))
 
         monkeypatch.setattr(policy, "select_action", agent)
@@ -529,6 +564,40 @@ class TestEval:
         assert not np.array_equal(memo, kept)
         assert artifacts.env.embedder.joint_all() is source
         np.testing.assert_array_equal(source, kept)
+
+    def test_replica_leaves_the_source_graph_alone(self):
+        cfg, artifacts, test_events = self._trained()
+        kg = artifacts.env.kg
+        entities = [k for k in kg.object_keys() if not kgstore.key_is_relation(k)]
+
+        def state():
+            runs = {k: kg.triples_incident_to([k]) for k in entities}
+            return kg.export_snapshot(), kg.triples(), list(kg.by_visits()), runs, dict(kg._runs)
+
+        before = state()
+        run_eval(cfg, artifacts, test_events)
+        after = state()
+        assert after[:4] == before[:4]
+        assert after[4].keys() == before[4].keys()
+        assert all(after[4][k] is run for k, run in before[4].items())
+
+    def test_replica_continues_like_a_generic_deep_copy(self, tmp_path):
+        # the graph's own __deepcopy__ against copy.deepcopy as it ran before it
+        cfg, artifacts, test_events = self._trained()
+        env, wv = artifacts.env, harness._load_wordvecs(cfg)
+        kg, embedder = kg_oracle.generic_deepcopy(env.kg, env.embedder)
+        envs = {"mine": env.replica(cfg, None), "generic": harness._DrprDriver(cfg, env.catalog, kg, embedder)}
+        out = {}
+        for name, replica in envs.items():
+            net = artifacts.net.clone()
+            buf = policy.PriorityReplayBuffer(cfg.buffer_capacity, cfg.priority_mode)
+            log = harness._replay_stream(replica, net, test_events, np.random.default_rng(4), wv, buf)
+            replica.save(tmp_path)
+            out[name] = (log.to_trace_csv(), *(
+                (tmp_path / f).read_bytes() for f in ("embeddings.bin", "encoder.bin", "kg_snapshot.txt")
+            ))
+        assert out["mine"] == out["generic"]
+        assert envs["mine"].kg.version == env.kg.version + len(test_events)
 
     @pytest.mark.parametrize("mode", ["drpr", "rirl"])
     def test_frozen_eval_rejects_non_finite_timestamp(self, mode):
@@ -855,6 +924,18 @@ class TestSweepAndInspect:
             assert summary["triples"] == 2 * 6 and summary["users"] == 0
         else:
             assert summary["triples"] == len(artifacts.env.kg.triples())
+
+    def test_inspect_kg_top_pois_by_visits(self, tmp_path):
+        cfg = _tiny_config()
+        artifacts, _, _ = run_training(cfg, records=make_cyclic_stream(40))
+        artifacts.save(tmp_path)
+        kg = artifacts.env.kg
+        oracle = kg_oracle.DynamicKg()  # its popularity reads only the counts
+        oracle.visit_counts = dict(kg.visit_counts)
+        top = oracle.popularity(kg.entities(kgstore.EntityKind.POI))[:5]
+        summary = harness.inspect_kg(tmp_path)
+        assert summary["top_pois_by_visits"] == [(p, kg.visit_counts[p]) for p in top]
+        assert len({n for _, n in summary["top_pois_by_visits"]}) > 1  # the order is by visits
 
 
 class TestWordvecs:

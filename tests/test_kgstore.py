@@ -1,3 +1,6 @@
+import copy
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +22,7 @@ from geostream.kgstore import (
 )
 import probes
 from kg_oracle import DynamicKg as OracleKg
-from kg_oracle import induced_adjacency
+from kg_oracle import generic_deepcopy, induced_adjacency
 
 
 class TestBuildStatic:
@@ -226,6 +229,14 @@ class TestStarMemo:
         assert probes.context(kg, poi(0)) == (poi(0), category(0), zone(0))
 
 
+def _assert_ranked(kg, pois, expected):
+    """``pois`` come out of the order as ``expected``, whatever ``k`` asks for."""
+    for k in range(len(expected) + 2):
+        assert kg.most_visited(pois, k) == expected[:k]
+    if set(pois) == set(kg.entities(EntityKind.POI)):
+        assert kg.by_visits() == expected
+
+
 class TestPopularity:
     def test_by_count(self):
         kg = build_static([(0, 0, 0), (1, 0, 0)])
@@ -233,11 +244,11 @@ class TestPopularity:
             kg.apply_visit(1, 0, float(t))
         for t in range(5):
             kg.apply_visit(2, 1, float(t))
-        assert kg.popularity({0, 1}) == [1, 0]
+        _assert_ranked(kg, {0, 1}, [1, 0])
 
     def test_tie_break_by_index(self):
         kg = build_static([(2, 0, 0), (0, 0, 0), (1, 0, 0)])
-        assert kg.popularity({0, 1, 2}) == [0, 1, 2]
+        _assert_ranked(kg, {0, 1, 2}, [0, 1, 2])
 
     def test_mixed(self):
         kg = build_static([(0, 0, 0), (1, 0, 0), (2, 0, 0)])
@@ -247,7 +258,17 @@ class TestPopularity:
         kg.apply_visit(2, 1, 1.0)
         for t in range(7):
             kg.apply_visit(3, 2, float(t))
-        assert kg.popularity({0, 1, 2}) == [2, 0, 1]
+        _assert_ranked(kg, {0, 1, 2}, [2, 0, 1])
+        _assert_ranked(kg, {0, 1}, [0, 1])
+
+    def test_added_poi_takes_its_place(self):
+        kg = build_static([(0, 0, 0), (2, 0, 0), (4, 0, 0)])
+        kg.apply_visit(1, 2, 0.0)
+        for p in (3, 1, 5):
+            kg.add_poi(p, 0, 1)
+        _assert_ranked(kg, {0, 1, 2, 3, 4, 5}, [2, 0, 1, 3, 4, 5])
+        kg.apply_visit(1, 5, 1.0)
+        _assert_ranked(kg, {0, 1, 2, 3, 4, 5}, [2, 5, 0, 1, 3, 4])
 
 
 def _random_stream(rng, n_users, n_pois, n_events):
@@ -477,6 +498,17 @@ def _assert_same_queries(kg, oracle):
         assert oracle.context_of(t).nodes == (kgstore.rel_key(t.rel),)
     for p in kg.entities(EntityKind.POI):
         assert kg.neighbors(poi(p), EntityKind.RPOI) == set(oracle.cascade_successors(p))
+    # the maintained order is the oracle's popularity over every POI
+    assert kg.visit_counts == oracle.visit_counts
+    assert kg.by_visits() == oracle.popularity(oracle.pois)
+    # each entity's neighbor sets by kind and its run of incident triples
+    entities = [key for key in keys if not kgstore.key_is_relation(key)]
+    for key in entities:
+        nbrs = oracle.context_of(kgstore.EntityId(*key)).nodes[1:]
+        for kind in EntityKind:
+            assert kg.neighbors(key, kind) == {i for k, i in nbrs if k == kind}
+        assert kg.triples_incident_to([key]) == oracle.triples_incident_to([key])
+    assert kg.triples_incident_to(keys) == oracle.triples_incident_to(keys)
     # the registry lists each kind's entities in order; an RPOI exists for every POI
     kinds = {EntityKind.USER: oracle.users, EntityKind.POI: oracle.pois, EntityKind.RPOI: oracle.pois,
              EntityKind.CATEGORY: oracle.categories, EntityKind.ZONE: oracle.zones}
@@ -489,16 +521,114 @@ def _assert_same_queries(kg, oracle):
 @settings(max_examples=60, deadline=None)
 @given(_streams())
 def test_store_matches_oracle(stream):
-    pois, window, events, _ = stream
+    pois, window, events, cut = stream
     kg = build_static(pois, window=window)
     oracle = OracleKg(window_capacity=window)
     for poi_id, category_id, zone_id in pois:
         oracle.add_poi(poi_id, category_id, zone_id)
     _assert_same_queries(kg, oracle)
-    for u, p, t in events:
-        delta = kg.apply_visit(u, p, t)
-        assert delta == oracle.apply_visit(u, p, t)
-        assert kg.triples_incident_to(delta.affected) == oracle.triples_incident_to(delta.affected)
-        # incremental_update trains on this list alone, so it must hold the additions
-        assert set(delta.added) <= set(kg.triples_incident_to(delta.affected))
-        _assert_same_queries(kg, oracle)
+    graphs = [kg]
+    for i, (u, p, t) in enumerate(events):
+        if i == cut:  # from here a graph rebuilt from its snapshot and a deep copy follow too
+            graphs += [import_snapshot(kg.export_snapshot(), pois), copy.deepcopy(kg)]
+        expected = oracle.apply_visit(u, p, t)
+        for g in graphs:
+            delta = g.apply_visit(u, p, t)
+            assert delta == expected
+            assert g.triples_incident_to(delta.affected) == oracle.triples_incident_to(delta.affected)
+            # incremental_update trains on this list alone, so it must hold the additions
+            assert set(delta.added) <= set(g.triples_incident_to(delta.affected))
+            _assert_same_queries(g, oracle)
+
+
+def _containers(root):
+    """Ids of the dicts, lists and deques reachable from ``root`` through
+    its attributes, dicts, lists, deques, tuples and frozensets."""
+    found, seen, todo = set(), set(), [vars(root)]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (dict, list, deque)):
+            found.add(id(obj))
+        if isinstance(obj, dict):
+            todo += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, (list, deque, tuple, frozenset)):
+            todo += obj
+    return found
+
+
+def _evolved(seed=5, n_events=120):
+    rng = np.random.default_rng(seed)
+    skeleton = [(i, i % 3, i % 4) for i in range(8)]
+    kg = build_static(skeleton, window=3)
+    events = _random_stream(rng, 5, 8, n_events)
+    for u, p, t in events[: n_events // 2]:
+        kg.apply_visit(u, p, t)
+    kg.index(kg.object_keys())
+    for key in kg.object_keys():  # warm every memo
+        kg.context_of(key)
+        if not kgstore.key_is_relation(key):
+            kg.neighbors(key, EntityKind.POI)
+            kg.triples_incident_to([key])
+    return kg, events[n_events // 2 :]
+
+
+def _state(kg):
+    entities = [k for k in kg.object_keys() if not kgstore.key_is_relation(k)]
+    return (
+        kg.export_snapshot(), kg.triples(), list(kg.by_visits()), dict(kg.visit_counts),
+        {k: kg.triples_incident_to([k]) for k in entities},
+        {k: [kg.neighbors(k, kind) for kind in EntityKind] for k in entities},
+        {k: kg.context_of(k).tolist() for k in kg.object_keys()}, list(kg.keys),
+    )
+
+
+class TestDeepCopy:
+    def test_copy_shares_no_container(self):
+        kg, _ = _evolved()
+        twin = copy.deepcopy(kg)
+        assert not _containers(kg) & _containers(twin)
+        # each neighbor pair's dict is still shared by its two directions
+        for a, nbrs in twin._nbrs.items():
+            for b, joined in nbrs.items():
+                assert joined is twin._nbrs[b][a] and joined is not kg._nbrs[a][b]
+                assert joined == kg._nbrs[a][b]
+
+    def test_copy_evolves_apart(self):
+        kg, rest = _evolved()
+        kept = _state(kg)
+        runs, stars = dict(kg._runs), dict(kg._stars)
+        twin = copy.deepcopy(kg)
+        for u, p, t in rest:
+            twin.apply_visit(u, p, t)
+        assert _state(twin) != kept
+        assert _state(kg) == kept
+        assert all(kg._runs[k] is run for k, run in runs.items())
+        assert all(kg._stars[k] is star for k, star in stars.items())
+
+    def test_copy_continues_like_a_generic_copy(self):
+        kg, rest = _evolved()
+        mine, theirs = copy.deepcopy(kg), generic_deepcopy(kg)[0]
+        for u, p, t in rest:
+            assert mine.apply_visit(u, p, t) == theirs.apply_visit(u, p, t)
+            assert _state(mine) == _state(theirs)
+
+    def test_queries_cannot_be_mutated(self):
+        kg, _ = _evolved()
+        nbrs = kg.neighbors(poi(0), EntityKind.CATEGORY)
+        assert isinstance(nbrs, frozenset)
+        with pytest.raises(AttributeError):
+            nbrs.add(9)
+        for key in (poi(0), user(0), kgstore.rel_key(RelType.VISIT)):
+            star = kg.context_of(key)
+            with pytest.raises(ValueError):
+                star[0] = -1
+            with pytest.raises(ValueError):
+                star.sort()
+
+
+def test_visit_counts_are_not_a_constructor_field():
+    with pytest.raises(TypeError):
+        kgstore.DynamicKg(visit_counts={0: 3})
